@@ -180,6 +180,29 @@ class LearnedArbiter:
                 observations=self._observations,
             )
 
+    def publish(self, registry: object, **labels: object) -> None:
+        """Publish a collector view of :meth:`stats` into a
+        :class:`~repro.obs.registry.MetricsRegistry`."""
+
+        def rows():
+            s, c = self.stats(), "counter"
+            yield "repro_arbiter_decisions_total", s.decisions, "Arbitration decisions", c
+            yield "repro_arbiter_agreements_total", s.agreements, "Decisions matching the prior", c
+            yield "repro_arbiter_explored_total", s.explored, "Decisions taken by exploration", c
+            yield "repro_arbiter_regret_bytes_total", s.regret_bytes, "Bytes accepted to explore", c
+            yield "repro_arbiter_arms_learned", s.arms_learned, "Arms with posteriors", "gauge"
+
+        registry.register_view("learned_arbiter", labels, rows)
+
+    def report_lines(self) -> Tuple[str, ...]:
+        s = self.stats()
+        return (
+            f"learned arbiter    {s.decisions} decisions / "
+            f"{100 * s.agreement_rate:.1f}% agree with prior / "
+            f"{s.explored} explored / regret {s.regret_bytes} bytes "
+            f"({s.arms_learned} arms)",
+        )
+
     def __repr__(self) -> str:
         s = self.stats()
         return (

@@ -29,6 +29,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..exec import ExecContext, PruneStage, RouteStage
+from ..serve.metrics import AdaptSnapshot
 from .drift import DriftDetector
 from .log import QueryLog
 
@@ -134,18 +136,18 @@ def offline_blocks_cost(
 
     Route (when the layout has a tree) + min-max prune per unique
     query, times its observed frequency — the avoided-work cost model
-    every layout decision in this codebase reduces to.  No data is
-    scanned and no wall-clock is read.
+    every layout decision in this codebase reduces to, computed by
+    the same (memo-less) pipeline stages that serve queries.  No data
+    is scanned and no wall-clock is read.
     """
-    engine = handle.engine()
-    router = handle.router()
+    route = RouteStage(handle.router(), handle.store)
+    prune = PruneStage(handle.engine())
     total = 0
     for query, count in weighted_queries:
-        routed = (
-            router.route(query).block_ids if router is not None else None
-        )
-        survivors = engine.prune_blocks(query, routed)
-        total += count * len(survivors)
+        ctx = ExecContext(sql="", admitted_at=0.0, query=query)
+        route.run(ctx)
+        prune.run(ctx)
+        total += count * len(ctx.survivors)
     return total
 
 
@@ -193,6 +195,9 @@ class Reoptimizer:
         self.policy = policy or AdaptPolicy()
         self.on_swap = on_swap
         self.tracer = tracer
+        #: The layout serving follows: the one active when the loop
+        #: started, then whichever candidate it last installed.
+        self.serving = db.active_layout
         self._lock = threading.Lock()
         #: Serializes rebuild bodies: poke()'s is-alive guard is only
         #: a cheap fast path, and adapt_now() may race the background
@@ -211,6 +216,13 @@ class Reoptimizer:
         self._events: List[AdaptEvent] = []
 
     # -- the hot-path hook ---------------------------------------------
+
+    def observe(self, ctx) -> None:
+        """Pipeline record sink: log the query, then poke the loop.
+        Runs on serving worker threads, so it never blocks — the
+        rebuild itself always runs on its own thread."""
+        self.log.observe(ctx)
+        self.poke()
 
     def poke(self) -> bool:
         """Called after every recorded query (worker threads).  Cheap:
@@ -357,6 +369,7 @@ class Reoptimizer:
                 self._events.append(event)
             if self.on_swap is not None:
                 self.on_swap(candidate)
+            self.serving = candidate
         else:
             self.db.drop_layout(candidate)
             event = AdaptEvent(
@@ -390,6 +403,59 @@ class Reoptimizer:
                 last_error=self._last_error,
                 events=tuple(self._events),
             )
+
+    def snapshot(self) -> AdaptSnapshot:
+        """The adaptation ledger as serving snapshots carry it."""
+        s = self.stats()
+        return AdaptSnapshot(
+            drift_score=self.detector.last_score,
+            swaps=s.swaps,
+            rebuilds=s.rebuilds,
+            rejected=s.rejected,
+            log_records=len(self.log),
+        )
+
+    def publish(self, registry: object, **labels: object) -> None:
+        """Publish the adaptation ledger into a
+        :class:`~repro.obs.registry.MetricsRegistry`."""
+
+        def rows():
+            s, c, g = self.snapshot(), "counter", "gauge"
+            yield (
+                "repro_adapt_drift_score",
+                s.drift_score,
+                "Live-vs-baseline workload divergence",
+                g,
+            )
+            yield "repro_adapt_swaps_total", s.swaps, "Generation hot-swaps installed", c
+            yield "repro_adapt_rebuilds_total", s.rebuilds, "Background rebuilds attempted", c
+            yield "repro_adapt_rejected_total", s.rejected, "Candidates built but discarded", c
+            yield "repro_adapt_log_records", s.log_records, "Records in the query-log ring", g
+            yield (
+                "repro_adapt_generation",
+                self.serving.generation,
+                "Generation currently serving",
+                g,
+            )
+
+        registry.register_view("adapt", labels, rows)
+
+    def report_lines(self) -> Tuple[str, ...]:
+        """The serving generation, then one line per rebuild decision."""
+        serving = self.serving
+        lines = [
+            f"serving generation {serving.generation} "
+            f"({serving.strategy}, {serving.store.num_blocks} blocks)"
+        ]
+        for event in self.stats().events:
+            lines.append(
+                f"  [{event.kind}] drift {event.drift_score:.3f}: "
+                f"window blocks {event.incumbent_blocks} -> "
+                f"{event.candidate_blocks} "
+                f"({100 * event.improvement:+.1f}% improvement, "
+                f"{event.strategy}, gen {event.generation})"
+            )
+        return tuple(lines)
 
     def __repr__(self) -> str:
         s = self.stats()

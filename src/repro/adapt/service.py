@@ -1,8 +1,10 @@
-"""Adaptive serving: a :class:`LayoutService` that re-learns its layout.
+"""Adaptive serving: a :class:`~repro.serve.Service` that re-learns
+its layout.
 
-:class:`AdaptiveService` is the closed loop in one object.  It wraps
-the ordinary single-layout serving facade and wires the adapt control
-plane around it:
+:class:`AdaptiveService` is the closed loop in one object: a service
+whose pipeline, scheduler and buffer pool resolve to the *current
+generation's* single-layout service, with the adapt control plane
+wired around it:
 
 * every served query is recorded into a :class:`~repro.adapt.log
   .QueryLog` by the pipeline's tail stage;
@@ -13,14 +15,15 @@ plane around it:
   evaluates it offline on the same window (blocks-scanned cost model)
   and — only if it wins by the policy margin — installs it through
   ``db.swap_layout`` (new generation, result-cache purge);
-* the facade then **hot-swaps** its inner service onto the new
+* the service then **hot-swaps** its inner service onto the new
   generation: new arrivals serve from the new layout, in-flight
   queries finish on the old one (both generations hold identical
   rows, so every result stays bit-identical; ``ServeResult.generation``
   says which layout answered).
 
-Clients keep the familiar surface: ``execute_sql`` / ``submit_sql`` /
-``run_closed_loop`` / ``snapshot`` / ``report`` — plus the adaptation
+The client surface is :class:`~repro.serve.Service`'s, unchanged;
+what is this class's own is the hot swap, a swap-race retry in
+``submit_sql``, the swapped-pool window fix-up and the adaptation
 ledger (:meth:`adapt_snapshot`, :attr:`events`).  Construct through
 :meth:`repro.db.Database.auto_adapt`.
 """
@@ -28,16 +31,16 @@ ledger (:meth:`adapt_snapshot`, :attr:`events`).  Construct through
 from __future__ import annotations
 
 import threading
-import time
+from contextlib import nullcontext
 from typing import Optional
 
 from ..engine.profiles import SPARK_PARQUET, CostProfile
-from ..exec import ServeResult
+from ..exec import ResultCache
 from ..serve import (
     DEFAULT_CACHE_BUDGET,
     AdaptSnapshot,
     LayoutService,
-    ReplayableService,
+    Service,
     ServingMetrics,
 )
 from ..serve.metrics import MetricsSnapshot
@@ -49,25 +52,7 @@ from .signature import WorkloadSignature
 __all__ = ["AdaptiveService"]
 
 
-class _AdaptSink:
-    """Pipeline record sink: log the query, then poke the loop.
-
-    Deliberately tiny — it runs on serving worker threads, so it must
-    never block (the reoptimizer's ``poke`` only bumps a counter and,
-    every ``check_every`` arrivals, folds the window histogram; the
-    rebuild itself always runs on its own thread).
-    """
-
-    def __init__(self, log: QueryLog, reoptimizer: Reoptimizer) -> None:
-        self.log = log
-        self.reoptimizer = reoptimizer
-
-    def observe(self, ctx) -> None:
-        self.log.observe(ctx)
-        self.reoptimizer.poke()
-
-
-class AdaptiveService(ReplayableService):
+class AdaptiveService(Service):
     """Single-layout serving with online workload-drift adaptation.
 
     Parameters
@@ -82,10 +67,10 @@ class AdaptiveService(ReplayableService):
         Forwarded to each inner :class:`LayoutService` (including the
         ones created by hot swaps).
     result_cache:
-        The generation-keyed result cache the inner services consult;
-        defaults to the database's shared cache (which the swap purges
-        per the generation lifecycle).  ``None`` disables result
-        caching (e.g. for uncached benchmarking).
+        The generation-keyed result cache the inner services consult
+        (``None`` = uncached).  Pass the database's shared cache to
+        have swaps purge it per the generation lifecycle; a private
+        cache is purged by this service.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` shared by every
         inner service across hot swaps AND the control plane — one
@@ -93,8 +78,6 @@ class AdaptiveService(ReplayableService):
         ``drift_check`` / ``rebuild`` / ``generation_swap`` control
         traces, on one timeline.
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
@@ -105,7 +88,7 @@ class AdaptiveService(ReplayableService):
         max_workers: int = 4,
         queue_depth: int = 64,
         admission: str = "lru",
-        result_cache: object = _UNSET,
+        result_cache: Optional[ResultCache] = None,
         tracer: Optional[object] = None,
     ) -> None:
         active = db.active_layout
@@ -115,14 +98,7 @@ class AdaptiveService(ReplayableService):
             )
         self.db = db
         self.policy = policy or AdaptPolicy()
-        self._profile = profile
-        self._cache_budget = cache_budget_bytes
-        self._max_workers = max_workers
-        self._queue_depth = queue_depth
-        self._admission = admission
-        self._result_cache = (
-            db.result_cache if result_cache is self._UNSET else result_cache
-        )
+        self._result_cache = result_cache
         self.tracer = tracer
         #: One collector across hot swaps: the observation window is
         #: the service's, not any single generation's.
@@ -143,7 +119,24 @@ class AdaptiveService(ReplayableService):
             on_swap=self._install,
             tracer=tracer,
         )
-        self._sink = _AdaptSink(self.log, self.reoptimizer)
+        #: What survives hot swaps.  The current generation's pools
+        #: are deliberately absent: a registry collector bound to them
+        #: would go stale at the next swap.  The rebuild loop closes
+        #: first so no swap can install a service after ``close``.
+        self.resources = ((self.metrics, {}), (self.reoptimizer, {}))
+        #: What every generation's inner service is built with.
+        self._inner_options = dict(
+            profile=profile,
+            cache_budget_bytes=cache_budget_bytes,
+            max_workers=max_workers,
+            queue_depth=queue_depth,
+            planner=db.planner,
+            result_cache=result_cache,
+            metrics=self.metrics,
+            record_sink=self.reoptimizer,
+            admission=admission,
+            tracer=tracer,
+        )
         self._swap_lock = threading.Lock()
         self._service = self._make_service(active)
 
@@ -153,18 +146,9 @@ class AdaptiveService(ReplayableService):
         return LayoutService(
             handle.store,
             handle.tree,
-            profile=self._profile,
             num_advanced_cuts=handle.num_advanced_cuts,
-            cache_budget_bytes=self._cache_budget,
-            max_workers=self._max_workers,
-            queue_depth=self._queue_depth,
-            planner=self.db.planner,
-            result_cache=self._result_cache,
             generation=handle.generation,
-            metrics=self.metrics,
-            record_sink=self._sink,
-            admission=self._admission,
-            tracer=self.tracer,
+            **self._inner_options,
         )
 
     def _install(self, handle) -> None:
@@ -174,25 +158,24 @@ class AdaptiveService(ReplayableService):
         in-flight queries before shutting down, and those late results
         are still correct — their generation's store holds the same
         rows, it just skips fewer blocks."""
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.control_span("generation_swap") as attrs:
-                attrs["generation"] = handle.generation
-                self._install_inner(handle)
-        else:
-            self._install_inner(handle)
-
-    def _install_inner(self, handle) -> None:
-        new = self._make_service(handle)
-        with self._swap_lock:
-            old, self._service = self._service, new
-        old.close()
-        # db.swap_layout purged the database's shared cache; a private
-        # cache is ours to keep hygienic, or each swap would strand
-        # the prior generation's entries as unreachable garbage.
-        rc = self._result_cache
-        if rc is not None and rc is not self.db.result_cache:
-            rc.retain(handle.generation)
+        span = (
+            self.tracer.control_span("generation_swap")
+            if self.tracer is not None
+            else nullcontext({})
+        )
+        with span as attrs:
+            attrs["generation"] = handle.generation
+            new = self._make_service(handle)
+            with self._swap_lock:
+                old, self._service = self._service, new
+            old.close()
+            # db.swap_layout purged the database's shared cache; a
+            # private cache is ours to keep hygienic, or each swap
+            # would strand the prior generation's entries as
+            # unreachable garbage.
+            rc = self._result_cache
+            if rc is not None and rc is not self.db.result_cache:
+                rc.retain(handle.generation)
 
     @property
     def service(self) -> LayoutService:
@@ -200,16 +183,26 @@ class AdaptiveService(ReplayableService):
         with self._swap_lock:
             return self._service
 
+    # What Service reads resolves to the current generation.
+
+    @property
+    def pipeline(self):
+        return self.service.pipeline
+
+    @property
+    def scheduler(self):
+        return self.service.scheduler
+
+    @property
+    def block_caches(self):
+        return self.service.block_caches
+
     @property
     def generation(self) -> int:
         """Generation currently being served."""
         return self.service.generation
 
-    # -- the client surface --------------------------------------------
-
-    def execute_sql(self, sql: str) -> ServeResult:
-        """Serve one statement synchronously on the caller's thread."""
-        return self.service.pipeline.execute(sql, time.perf_counter())
+    # -- what is this topology's own -----------------------------------
 
     def submit_sql(
         self, sql: str, block: bool = True, timeout: Optional[float] = None
@@ -227,132 +220,31 @@ class AdaptiveService(ReplayableService):
                     raise
         raise AssertionError("unreachable")
 
-    def collect_row_ids(self, sql: str):
-        return self.service.collect_row_ids(sql)
-
-    # -- observability & lifecycle -------------------------------------
-
     def adapt_snapshot(self) -> AdaptSnapshot:
-        r = self.reoptimizer.stats()
-        return AdaptSnapshot(
-            drift_score=self.detector.last_score,
-            swaps=r.swaps,
-            rebuilds=r.rebuilds,
-            rejected=r.rejected,
-            log_records=len(self.log),
-        )
+        return self.reoptimizer.snapshot()
 
     @property
     def events(self):
         """Completed rebuild decisions, oldest first."""
         return self.reoptimizer.stats().events
 
-    def _cache_stats(self):
-        return self.service._cache_stats()
-
-    def snapshot(self) -> MetricsSnapshot:
-        return self.metrics.snapshot(
-            self._cache_stats(), adapt=self.adapt_snapshot()
-        )
-
     def _window_snapshot(self, cache_before) -> MetricsSnapshot:
         now = self._cache_stats()
-        if now is None:
-            cache = None
-        elif cache_before is None:
-            cache = now
-        else:
-            cache = now.since(cache_before)
-            if cache.hits < 0 or cache.misses < 0:
-                # A hot swap replaced the buffer pool mid-window:
-                # `cache_before` belongs to the retired cache, so the
-                # delta is meaningless.  The new pool's lifetime stats
-                # ARE the window since the swap — report those.
-                cache = now
-        return self.metrics.snapshot(cache, adapt=self.adapt_snapshot())
-
-    def publish_metrics(self, registry: object, **labels: object) -> None:
-        """Publish the shared serving collector plus adapt-loop
-        counters into a :class:`~repro.obs.registry.MetricsRegistry`.
-        The serving collector survives hot swaps, so the registry view
-        does too."""
-        self.metrics.publish(registry, **labels)
-
-        from ..obs.registry import Sample
-
-        def collect():
-            a = self.adapt_snapshot()
-            yield Sample.of(
-                "repro_adapt_drift_score",
-                a.drift_score,
-                labels,
-                "Live-vs-baseline workload divergence",
-                "gauge",
-            )
-            yield Sample.of(
-                "repro_adapt_swaps_total",
-                a.swaps,
-                labels,
-                "Generation hot-swaps installed",
-                "counter",
-            )
-            yield Sample.of(
-                "repro_adapt_rebuilds_total",
-                a.rebuilds,
-                labels,
-                "Background rebuilds attempted",
-                "counter",
-            )
-            yield Sample.of(
-                "repro_adapt_rejected_total",
-                a.rejected,
-                labels,
-                "Candidates built but discarded",
-                "counter",
-            )
-            yield Sample.of(
-                "repro_adapt_log_records",
-                a.log_records,
-                labels,
-                "Records in the query-log ring",
-                "gauge",
-            )
-            yield Sample.of(
-                "repro_adapt_generation",
-                self.generation,
-                labels,
-                "Generation currently serving",
-                "gauge",
-            )
-
-        registry.register_collector(collect, name="adapt")
-
-    def report(self) -> str:
-        """Operator-facing report: serving window + adaptation ledger."""
-        lines = [self.snapshot().report()]
-        handle = self.db.active_layout
-        lines.append(
-            f"serving generation {self.generation} "
-            f"({handle.strategy if handle else '?'}, "
-            f"{self.service.store.num_blocks} blocks)"
-        )
-        for event in self.events:
-            lines.append(
-                f"  [{event.kind}] drift {event.drift_score:.3f}: "
-                f"window blocks {event.incumbent_blocks} -> "
-                f"{event.candidate_blocks} "
-                f"({100 * event.improvement:+.1f}% improvement, "
-                f"{event.strategy}, gen {event.generation})"
-            )
-        return "\n".join(lines)
+        if (
+            now is not None
+            and cache_before is not None
+            and (now.hits < cache_before.hits or now.misses < cache_before.misses)
+        ):
+            # A hot swap replaced the buffer pool mid-window:
+            # `cache_before` belongs to the retired cache, so the
+            # delta is meaningless.  The new pool's lifetime stats
+            # ARE the window since the swap — report those.
+            cache_before = None
+        return super()._window_snapshot(cache_before)
 
     def join_adaptation(self, timeout: Optional[float] = None) -> None:
         """Wait for an in-flight background rebuild (tests, shutdown)."""
         self.reoptimizer.join(timeout)
-
-    def close(self) -> None:
-        self.reoptimizer.close()
-        self.service.close()
 
     def __repr__(self) -> str:
         r = self.reoptimizer.stats()

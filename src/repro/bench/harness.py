@@ -9,7 +9,6 @@ the :class:`~repro.engine.executor.ScanEngine`, and report both logical
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,6 +21,7 @@ from ..core.workload import Workload
 from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..engine.stats import WorkloadReport
+from ..obs.clock import now
 from ..rl.woodblock import WoodblockResult
 from ..storage.blocks import BlockStore
 from ..storage.table import Table
@@ -151,9 +151,9 @@ def build_baseline_layout(
     label: Optional[str] = None,
 ) -> LayoutResult:
     """Layout from any object with ``partition(table) -> bids``."""
-    t0 = time.perf_counter()
+    t0 = now()
     bids = partitioner.partition(dataset.table)
-    build_seconds = time.perf_counter() - t0
+    build_seconds = now() - t0
     store = BlockStore.from_assignment(dataset.table, bids)
     return LayoutResult(
         label or getattr(partitioner, "name", "baseline"),

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -79,31 +78,6 @@ from .serve import ResultCache, run_serial_baseline
 from .storage.catalog import load_table
 
 __all__ = ["main"]
-
-
-class _StrategyAction(argparse.Action):
-    """Store the strategy name; warn for the deprecated ``--method``.
-
-    Validation happens against the live registry in ``_cmd_build``
-    (NOT via argparse ``choices``) so strategies registered after
-    parser construction are accepted, and a typo reports the
-    registry's current names on stderr with exit code 2.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--method":
-            warnings.warn(
-                "--method is deprecated; use --strategy",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # DeprecationWarning is hidden by Python's default filters
-            # outside test runners; a CLI user must see it regardless.
-            print(
-                "warning: --method is deprecated; use --strategy",
-                file=sys.stderr,
-            )
-        setattr(namespace, self.dest, values)
 
 
 def _read_queries(path: Path) -> List[str]:
@@ -266,6 +240,42 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_exports(args, info, tracer, command, snapshot, replay, extra) -> None:
+    """The shared tail of ``serve-bench`` and ``adapt-report``: trace
+    exports (``--trace``), the trajectory file (``--emit-bench``) and
+    the one-document stdout (``--json``)."""
+    if tracer is not None:
+        summary = _write_trace_exports(tracer, args.trace)
+        print(
+            f"wrote {summary['traces']} traces to "
+            f"{summary['jsonl']} and {summary['events']} "
+            f"events to {summary['chrome']} (Perfetto-loadable)",
+            file=info,
+        )
+        extra["trace"] = summary
+    if args.emit_bench:
+        doc = bench_document(
+            scenario=args.scenario,
+            source=command,
+            snapshot=snapshot,
+            replay=_replay_summary(replay),
+            extra=extra,
+        )
+        path = write_bench(args.emit_bench, doc)
+        print(f"wrote trajectory file {path}", file=info)
+    if args.json:
+        import json as _json
+
+        document = {
+            "command": command,
+            "scenario": args.scenario,
+            "replay": _replay_summary(replay),
+            "metrics": plain(snapshot),
+            "extra": plain(extra),
+        }
+        print(_json.dumps(document, indent=2, sort_keys=True))
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     db = Database.open(Path(args.layout))
     handle = db.active_layout
@@ -355,41 +365,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         compare["serving_speedup"] = speedup
         print(f"\nserial uncached baseline: {base_qps:.1f} qps", file=info)
         print(f"serving speedup: {speedup:.2f}x", file=info)
-    trace_summary = None
-    if tracer is not None:
-        trace_summary = _write_trace_exports(tracer, args.trace)
-        print(
-            f"wrote {trace_summary['traces']} traces to "
-            f"{trace_summary['jsonl']} and {trace_summary['events']} "
-            f"events to {trace_summary['chrome']} (Perfetto-loadable)",
-            file=info,
-        )
     extra = {"shards": args.shards, "mode": args.mode}
     if compare:
         extra["compare"] = compare
-    if trace_summary is not None:
-        extra["trace"] = trace_summary
-    if args.emit_bench:
-        doc = bench_document(
-            scenario=args.scenario,
-            source="serve-bench",
-            snapshot=replay.snapshot,
-            replay=_replay_summary(replay),
-            extra=extra,
-        )
-        path = write_bench(args.emit_bench, doc)
-        print(f"wrote trajectory file {path}", file=info)
-    if args.json:
-        import json as _json
-
-        document = {
-            "command": "serve-bench",
-            "scenario": args.scenario,
-            "replay": _replay_summary(replay),
-            "metrics": plain(replay.snapshot),
-            "extra": plain(extra),
-        }
-        print(_json.dumps(document, indent=2, sort_keys=True))
+    _emit_exports(
+        args, info, tracer, "serve-bench", replay.snapshot, replay, extra
+    )
     return 0
 
 
@@ -440,15 +421,6 @@ def _cmd_adapt_report(args: argparse.Namespace) -> int:
         final_snapshot = service.snapshot()
         final_generation = service.generation
         final_drift = service.detector.last_score
-    trace_summary = None
-    if tracer is not None:
-        trace_summary = _write_trace_exports(tracer, args.trace)
-        print(
-            f"wrote {trace_summary['traces']} traces to "
-            f"{trace_summary['jsonl']} and {trace_summary['events']} "
-            f"events to {trace_summary['chrome']} (Perfetto-loadable)",
-            file=info,
-        )
     extra = {
         "generation": final_generation,
         "drift_score": final_drift,
@@ -456,29 +428,15 @@ def _cmd_adapt_report(args: argparse.Namespace) -> int:
     }
     if second is not None:
         extra["drifted"] = _replay_summary(second)
-    if trace_summary is not None:
-        extra["trace"] = trace_summary
-    if args.emit_bench:
-        doc = bench_document(
-            scenario=args.scenario,
-            source="adapt-report",
-            snapshot=final_snapshot,
-            replay=_replay_summary(second if second is not None else first),
-            extra=extra,
-        )
-        path = write_bench(args.emit_bench, doc)
-        print(f"wrote trajectory file {path}", file=info)
-    if args.json:
-        import json as _json
-
-        document = {
-            "command": "adapt-report",
-            "scenario": args.scenario,
-            "replay": _replay_summary(second if second is not None else first),
-            "metrics": plain(final_snapshot),
-            "extra": plain(extra),
-        }
-        print(_json.dumps(document, indent=2, sort_keys=True))
+    _emit_exports(
+        args,
+        info,
+        tracer,
+        "adapt-report",
+        final_snapshot,
+        second if second is not None else first,
+        extra,
+    )
     return 0
 
 
@@ -519,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--queries", required=True,
                          help="file of SQL statements, one per line")
     p_build.add_argument("--out", required=True, help="output directory")
-    p_build.add_argument("--strategy", "--method", dest="strategy",
-                         action=_StrategyAction, default="greedy",
-                         metavar="STRATEGY",
+    # Validated against the live registry in _cmd_build, NOT through
+    # argparse ``choices``: strategies registered after parser
+    # construction are accepted, and a typo reports the registry's
+    # current names on stderr with exit code 2.
+    p_build.add_argument("--strategy", default="greedy", metavar="STRATEGY",
                          help="registered layout strategy: "
-                              + ", ".join(strategy_names())
-                              + " (--method is a deprecated alias and "
-                                "emits a DeprecationWarning)")
+                              + ", ".join(strategy_names()))
     p_build.add_argument("--min-block-size", type=int, default=1000)
     p_build.add_argument("--include-table", action="store_true",
                          help="also persist the logical table so the "

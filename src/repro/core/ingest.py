@@ -18,12 +18,12 @@ next ones.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..obs.clock import now
 from ..storage.blocks import Block, BlockStore
 from ..storage.table import Table
 from .tree import QdTree
@@ -76,14 +76,14 @@ class IngestionPipeline:
         merges into an existing store) use this; :meth:`ingest` layers
         the per-leaf segment buffering on top.
         """
-        t0 = time.perf_counter()
+        t0 = now()
         lut = np.full(self.tree.num_nodes, -1, dtype=np.int64)
         for leaf in self.tree.leaves():
             assert leaf.block_id is not None
             lut[leaf.node_id] = leaf.block_id
         leaf_ids = self.tree.route_columns(batch.columns(), batch.num_rows)
         bids = lut[leaf_ids]
-        self._routing_seconds += time.perf_counter() - t0
+        self._routing_seconds += now() - t0
         self._rows_ingested += batch.num_rows
         return bids
 

@@ -296,6 +296,42 @@ class NodeDescription:
             out.categorical_masks[col.name] = bits
         return out
 
+    def widen(self, columns: Mapping[str, np.ndarray]) -> "NodeDescription":
+        """The hull of this description and newly routed rows.
+
+        The counterpart of :meth:`tighten` for rows that arrive after
+        freezing: each numeric interval grows to cover the rows'
+        [min, max] and each categorical mask gains their distinct
+        values; nothing ever shrinks, so whatever matched before still
+        matches — routing stays conservative for every generation
+        sharing the tree.  Returns a new description; ``self`` is
+        never mutated.
+        """
+        intervals = {}
+        for name in self.hypercube.columns():
+            iv = self.hypercube.interval(name)
+            arr = columns[name]
+            lo, hi = float(arr.min()), float(arr.max())
+            if not (iv.contains(lo) and iv.contains(hi)):
+                iv = Interval(
+                    min(iv.lo, lo),
+                    max(iv.hi, hi),
+                    iv.lo_inclusive or lo <= iv.lo,
+                    iv.hi_inclusive or hi >= iv.hi,
+                )
+            intervals[name] = iv
+        masks = {}
+        for name, bits in self.categorical_masks.items():
+            masks[name] = bits.copy()
+            masks[name][columns[name].astype(np.int64)] = True
+        return NodeDescription(
+            self.schema,
+            Hypercube(intervals),
+            masks,
+            self.adv_true.copy(),
+            self.adv_false.copy(),
+        )
+
     def __repr__(self) -> str:
         return (
             f"NodeDescription(range={self.hypercube!r}, "

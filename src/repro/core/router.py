@@ -12,7 +12,6 @@ clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..obs.clock import now
 from ..storage.table import Table
 from .tree import QdTree
 from .workload import Query, Workload
@@ -136,7 +136,7 @@ class DataRouter:
         out = np.empty(n, dtype=np.int64)
         columns = table.columns()
         starts = list(range(0, n, self.batch_size))
-        t0 = time.perf_counter()
+        t0 = now()
 
         def work(start: int) -> None:
             stop = min(start + self.batch_size, n)
@@ -149,7 +149,7 @@ class DataRouter:
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(work, starts))
-        seconds = time.perf_counter() - t0
+        seconds = now() - t0
         # Map leaf node ids to dense BIDs.
         lut = np.full(self.tree.num_nodes, -1, dtype=np.int64)
         for leaf in self.tree.leaves():
@@ -184,9 +184,9 @@ class QueryRouter:
 
     def route(self, query: Query) -> RoutedQuery:
         """Prune blocks for one query, recording latency."""
-        t0 = time.perf_counter()
+        t0 = now()
         bids = tuple(self.tree.route_query(query.predicate))
-        latency = time.perf_counter() - t0
+        latency = now() - t0
         self._latencies.append(latency)
         return RoutedQuery(query=query, block_ids=bids, latency_seconds=latency)
 

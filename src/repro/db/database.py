@@ -26,7 +26,7 @@ Three ideas hold it together:
   with a monotonically increasing generation number, persisted through
   the catalog.  A generation names an *immutable* (store, tree) pair.
 * **Result cache** — a generation-keyed
-  :class:`~repro.serve.result_cache.ResultCache` is shared by the
+  :class:`~repro.exec.ResultCache` is shared by the
   library execution path (:meth:`execute`) and every serving facade
   :meth:`serve` hands out.  Because entries are keyed by generation
   and the active generation changes on :meth:`ingest` /
@@ -37,7 +37,6 @@ Three ideas hold it together:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +50,7 @@ from ..core.cuts import CutRegistry
 from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..exec import QueryPipeline, ServeResult, single_layout_pipeline
+from ..obs.clock import now
 from ..serve import (
     DEFAULT_CACHE_BUDGET,
     LayoutService,
@@ -402,9 +402,9 @@ class Database:
             registry=registry,
             options=dict(options),
         )
-        t0 = time.perf_counter()
+        t0 = now()
         built = impl.build(ctx)
-        build_seconds = time.perf_counter() - t0
+        build_seconds = now() - t0
         if built.tree is not None:
             bids = built.tree.freeze(self.table)
             store = BlockStore.from_assignment(
@@ -520,11 +520,20 @@ class Database:
         store = active.store
         base = store.logical_rows
         descriptions = active.tree.leaf_descriptions()
+        leaves = {leaf.block_id: leaf for leaf in active.tree.leaves()}
         merged: Dict[int, Block] = {}
         for bid in np.unique(bids):
             bid = int(bid)
             mask = bids == bid
             rows = batch.filter(mask)
+            # Freezing tightened this leaf to its build-time min-max;
+            # rows the cuts route here may lie outside it, and query
+            # routing would then prune the leaf that holds them.  Grow
+            # it (replacing the object, never mutating it: readers on
+            # older generations share the tree and stay correct with
+            # the wider description).
+            leaf = leaves[bid]
+            leaf.description = leaf.description.widen(rows.columns())
             new_ids = base + np.flatnonzero(mask)
             if bid in store:
                 old = store.block(bid)
@@ -657,24 +666,26 @@ class Database:
         context managers).
         """
         handle = self._resolve(layout)
-        rc = self._resolve_result_cache(result_cache)
+        common = dict(
+            profile=profile,
+            num_advanced_cuts=handle.num_advanced_cuts,
+            cache_budget_bytes=cache_budget_bytes,
+            queue_depth=queue_depth,
+            planner=self.planner,
+            result_cache=self._resolve_result_cache(result_cache),
+            generation=handle.generation,
+            admission=admission,
+            record_sink=record_sink,
+            tracer=tracer,
+        )
         if shards > 1:
             return ShardedLayoutService(
                 handle.store,
                 handle.tree,
                 num_shards=shards,
                 partition=partition,
-                profile=profile,
-                num_advanced_cuts=handle.num_advanced_cuts,
-                cache_budget_bytes=cache_budget_bytes,
                 max_workers_per_shard=max_workers,
-                queue_depth=queue_depth,
-                planner=self.planner,
-                result_cache=rc,
-                generation=handle.generation,
-                admission=admission,
-                record_sink=record_sink,
-                tracer=tracer,
+                **common,
                 **kwargs,
             )
         if kwargs:
@@ -686,19 +697,7 @@ class Database:
                 + ", ".join(sorted(kwargs))
             )
         return LayoutService(
-            handle.store,
-            handle.tree,
-            profile=profile,
-            num_advanced_cuts=handle.num_advanced_cuts,
-            cache_budget_bytes=cache_budget_bytes,
-            max_workers=max_workers,
-            queue_depth=queue_depth,
-            planner=self.planner,
-            result_cache=rc,
-            generation=handle.generation,
-            admission=admission,
-            record_sink=record_sink,
-            tracer=tracer,
+            handle.store, handle.tree, max_workers=max_workers, **common
         )
 
     def serve_multi(
@@ -798,7 +797,7 @@ class Database:
         """Serve the active layout with online drift adaptation.
 
         Returns an :class:`~repro.adapt.service.AdaptiveService`: a
-        :class:`LayoutService` front whose query stream feeds a
+        single-layout service whose query stream feeds a
         :class:`~repro.adapt.log.QueryLog`; when the live mix diverges
         from the layout's build-time workload signature past
         ``policy.threshold``, a candidate layout is rebuilt from the

@@ -17,7 +17,6 @@ blocks/tuples scanned and both modeled and wall-clock runtime.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -35,6 +34,7 @@ import numpy as np
 from ..core.hypercube import Hypercube, Interval
 from ..core.node import NodeDescription
 from ..core.workload import Query, Workload
+from ..obs.clock import now
 from ..storage.blocks import Block, BlockStore
 from .profiles import CostProfile, SPARK_PARQUET
 
@@ -206,7 +206,7 @@ class ScanEngine:
             if block_ids is None
             else len(set(block_ids) & self._store_bids)
         )
-        t0 = time.perf_counter()
+        t0 = now()
         survivors = self.prune_blocks(query, block_ids)
         return self._scan(query, survivors, considered, t0)
 
@@ -235,7 +235,7 @@ class ScanEngine:
         t0: Optional[float] = None,
     ) -> QueryStats:
         if t0 is None:
-            t0 = time.perf_counter()
+            t0 = now()
         filter_columns = sorted(query.predicate.referenced_columns())
         scan_columns = sorted(
             set(filter_columns) | set(query.scan_columns())
@@ -251,7 +251,7 @@ class ScanEngine:
             tuples_scanned += block.num_rows
             rows_returned += int(mask.sum())
             bytes_read += block.decoded_nbytes(filter_columns)
-        wall = time.perf_counter() - t0
+        wall = now() - t0
         modeled = self.profile.modeled_ms(
             blocks_scanned=len(survivors),
             tuples_scanned=tuples_scanned,

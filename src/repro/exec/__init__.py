@@ -1,9 +1,9 @@
 """The single-source-of-truth query execution pipeline.
 
 Every way this codebase executes a query — the serial baseline, the
-library path (``Database.execute``), the concurrent serving facade
-(:class:`~repro.serve.service.LayoutService`), the sharded
-scatter-gather coordinator and the multi-layout arbiter — is a thin
+library path (``Database.execute``) and every
+:class:`repro.serve.Service` topology (single layout, sharded
+scatter-gather, multi-layout arbiter, adaptive) — is a thin
 *configuration* of one staged :class:`QueryPipeline`::
 
     PlanStage -> RouteStage -> ResultCacheStage -> PruneStage
@@ -22,8 +22,7 @@ several layouts (see :class:`ArbitrateStage`).
 
 The shared primitives the pipeline is built from — the routing memo,
 the generation-keyed result cache, the admission-rejection error and
-the :class:`ServeResult` envelope — live here too (they are re-exported
-from :mod:`repro.serve` for backwards compatibility).
+the :class:`ServeResult` envelope — live here too.
 """
 
 from .context import ExecContext, LayoutBinding

@@ -3,7 +3,7 @@
 :class:`QueryPipeline` is the one place a query's journey — plan,
 route, result-cache, prune, scan, merge — is spelled out; the four
 execution paths in this codebase (serial baseline, ``Database.execute``,
-:class:`~repro.serve.service.LayoutService`, the sharded coordinator)
+:class:`~repro.serve.LayoutService`, the sharded coordinator)
 plus the multi-layout arbiter are built by the factory functions at
 the bottom of this module and differ only in the collaborators their
 stages receive.
@@ -11,7 +11,6 @@ stages receive.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -20,6 +19,7 @@ import numpy as np
 from ..core.router import QueryRouter
 from ..engine.executor import QueryStats, ScanEngine
 from ..engine.profiles import CostProfile
+from ..obs.clock import now
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
 from .context import ExecContext, LayoutBinding
@@ -89,49 +89,6 @@ def _fingerprint(ctx: ExecContext) -> object:
     return (q.predicate, q.scan_columns(), q.name, q.template)
 
 
-def _span_attrs(span_name: str, ctx: ExecContext) -> dict:
-    """Avoided-work attributes for one just-finished stage span, read
-    off the context the stage filled."""
-    if span_name == "plan":
-        return {"template": ctx.query.template if ctx.query else None}
-    if span_name == "route":
-        return {
-            "considered": ctx.considered,
-            "routed": None if ctx.routed is None else len(ctx.routed),
-        }
-    if span_name == "arbitrate":
-        return {
-            "winner": ctx.winner,
-            "generation": ctx.generation,
-            "considered": ctx.considered,
-            "survivors": None if ctx.survivors is None else len(ctx.survivors),
-        }
-    if span_name == "result_cache":
-        return {"hit": ctx.cached, "generation": ctx.generation}
-    if span_name == "prune":
-        if ctx.per_shard is not None:
-            return {
-                "survivors": sum(len(s) for s in ctx.per_shard),
-                "owners": None if ctx.owners is None else len(ctx.owners),
-            }
-        return {
-            "survivors": None if ctx.survivors is None else len(ctx.survivors)
-        }
-    if span_name in ("scan", "scatter_scan", "merge"):
-        attrs: dict = {"cached": ctx.cached}
-        if span_name == "scatter_scan":
-            attrs["shards"] = 0 if ctx.owners is None else len(ctx.owners)
-        if ctx.stats is not None:
-            attrs.update(
-                blocks_scanned=ctx.stats.blocks_scanned,
-                tuples_scanned=ctx.stats.tuples_scanned,
-                bytes_read=ctx.stats.bytes_read,
-                rows_returned=ctx.stats.rows_returned,
-            )
-        return attrs
-    return {}
-
-
 class QueryPipeline:
     """An ordered stage list executing queries over shared collaborators.
 
@@ -188,37 +145,37 @@ class QueryPipeline:
         call arrives through a worker pool (latency then includes the
         queue wait); defaults to now for direct calls.
         """
-        t_admit = admitted_at if admitted_at is not None else time.perf_counter()
+        t_admit = admitted_at if admitted_at is not None else now()
         ctx = ExecContext(sql=sql, admitted_at=t_admit)
         tracer = self.tracer
         tb = None
         if tracer is not None and getattr(tracer, "enabled", True):
             tb = tracer.begin_query(sql)
             ctx.trace = tb
-        t_start = time.perf_counter()
+        t_start = now()
         # Queue wait: admission-to-execution gap (≈0 on direct calls).
         ctx.timings["queue"] = t_start - t_admit
         if tb is not None:
             tb.add_span("queue", t_admit, t_start - t_admit)
         for stage in self.stages:
-            t0 = time.perf_counter()
+            t0 = now()
             stage.run(ctx)
-            elapsed = time.perf_counter() - t0
+            elapsed = now() - t0
             ctx.timings[stage.name] = ctx.timings.get(stage.name, 0.0) + elapsed
             if tb is not None:
                 tb.add_span(
                     stage.span_name or stage.name,
                     t0,
                     elapsed,
-                    **_span_attrs(stage.span_name or stage.name, ctx),
+                    **stage.span_attrs(ctx),
                 )
         for stage in self.stages:
-            t0 = time.perf_counter()
+            t0 = now()
             stage.finish(ctx)
             # finish-time work (result-cache publish) folds into the
             # owning stage's key so the sum-of-stages identity holds.
-            ctx.timings[stage.name] += time.perf_counter() - t0
-        latency = time.perf_counter() - t_admit
+            ctx.timings[stage.name] += now() - t0
+        latency = now() - t_admit
         if self.metrics is not None:
             self.metrics.record(
                 latency, ctx.stats, cached=ctx.cached, winner=ctx.winner
@@ -251,7 +208,7 @@ class QueryPipeline:
         """Run plan/route/prune (and arbitration) only — everything a
         non-scan consumer like ``collect_row_ids`` needs, without
         touching the result cache or scanning."""
-        ctx = ExecContext(sql=sql, admitted_at=time.perf_counter())
+        ctx = ExecContext(sql=sql, admitted_at=now())
         for stage in self.stages:
             if isinstance(stage, (ResultCacheStage, MergeStage)):
                 continue
@@ -291,15 +248,14 @@ class QueryPipeline:
 # ----------------------------------------------------------------------
 
 
-def _with_record(stages: list, record_sink: Optional[object]) -> list:
-    """Append the observability tail stage when a sink was asked for.
+def _with_record(stages: list, *sinks: Optional[object]) -> list:
+    """Append one observability tail stage per sink that was asked for.
 
     Every factory funnels through here so all four execution paths
     (serial, single-layout, sharded, multi-layout) populate the same
     query-log shape — the adapt control plane's one observation point.
     """
-    if record_sink is not None:
-        stages.append(RecordStage(record_sink))
+    stages.extend(RecordStage(sink) for sink in sinks if sink is not None)
     return stages
 
 
@@ -339,7 +295,7 @@ def single_layout_pipeline(
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """One engine over one layout: ``Database.execute`` (cache, no
-    metrics) and :class:`~repro.serve.service.LayoutService` (cache +
+    metrics) and :class:`~repro.serve.LayoutService` (cache +
     metrics) are both this configuration."""
     stages = [
         PlanStage(planner),
@@ -399,8 +355,10 @@ def multi_layout_pipeline(
     arbitration stage routes + prunes against every layout and binds
     the cheapest — by the static (blocks-surviving, bytes-scanned)
     argmin, or by ``arbiter_policy`` (e.g. the learned bandit in
-    :mod:`repro.adapt.arbiter`) when one is given; the result cache
-    keys on the winner's generation."""
+    :mod:`repro.adapt.arbiter`) when one is given — a policy that
+    implements ``observe(ctx)`` is fed every finished execution ahead
+    of ``record_sink``, so realized costs reach its posteriors; the
+    result cache keys on the winner's generation."""
     stages = [
         PlanStage(planner),
         ArbitrateStage(bindings, policy=arbiter_policy),
@@ -408,7 +366,8 @@ def multi_layout_pipeline(
         ScanStage(engine=None),
         MergeStage(profile, bindings[0].store.schema),
     ]
+    learner = arbiter_policy if hasattr(arbiter_policy, "observe") else None
     return QueryPipeline(
-        planner, _with_record(stages, record_sink), metrics=metrics,
+        planner, _with_record(stages, learner, record_sink), metrics=metrics,
         tracer=tracer,
     )

@@ -22,7 +22,7 @@ immutable, which is what makes result memoization sound at all.
 
 Entries are shared across facades: a single :class:`ResultCache` can
 sit behind the library path (``db.execute``), an unsharded
-:class:`~repro.serve.service.LayoutService` and a sharded coordinator
+:class:`~repro.serve.LayoutService` and a sharded coordinator
 at once — all three run the same
 :class:`~repro.exec.pipeline.QueryPipeline` stages and produce
 ``result_key``-identical stats for the same (query, generation), so
@@ -330,6 +330,36 @@ class ResultCache:
                 row_id_bytes=self._row_id_bytes,
                 row_id_evictions=self._row_id_evictions,
             )
+
+    def publish(self, registry: object, **labels: object) -> None:
+        """Publish a collector view of :meth:`stats` into a
+        :class:`~repro.obs.registry.MetricsRegistry`."""
+
+        def rows():
+            s, c = self.stats(), "counter"
+            yield "repro_result_cache_entries", s.entries, "Result-cache entries resident", "gauge"
+            yield "repro_result_cache_hits_total", s.hits, "Result-cache hits", c
+            yield "repro_result_cache_misses_total", s.misses, "Result-cache misses", c
+            yield (
+                "repro_result_cache_tuples_avoided_total",
+                s.tuples_avoided,
+                "Tuple-scans the result cache avoided",
+                c,
+            )
+
+        registry.register_view("result_cache", labels, rows)
+
+    def report_lines(self, generation: Optional[int] = None) -> Tuple[str, ...]:
+        """One operator-facing line; ``generation`` names the layout a
+        single-generation service looks entries up under."""
+        s = self.stats()
+        gen = f"gen {generation}, " if generation is not None else ""
+        return (
+            f"result cache       {s.entries} entries / "
+            f"{100 * s.hit_rate:.1f}% hit rate "
+            f"({gen}{s.tuples_avoided} tuple-scans avoided, "
+            f"{s.row_id_bytes} row-id bytes)",
+        )
 
     def generations(self) -> Tuple[int, ...]:
         """Distinct generations currently holding entries (sorted)."""

@@ -35,9 +35,8 @@ is a no-op, so one canonical stage order serves every configuration.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from ..core.router import QueryRouter
 from ..core.workload import Query
 from ..engine.executor import QueryStats, ScanEngine
 from ..engine.profiles import CostProfile
+from ..obs.clock import now
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
 from ..storage.schema import Schema
@@ -75,7 +75,12 @@ class Stage:
 
     ``run`` executes on the way down the stage list; ``finish`` runs
     for every stage after the result is known (only the result-cache
-    stage uses it, to publish the computed result).
+    stage uses it, to publish the computed result).  ``span_attrs``
+    describes what ``run`` just did for the stage's trace span.
+
+    A stage that owns a memo or cache is also a *serving resource*
+    (see :class:`repro.serve.Service`) and implements the
+    ``report_lines`` / ``publish`` hooks for it.
     """
 
     name = "stage"
@@ -91,6 +96,29 @@ class Stage:
     def finish(self, ctx: ExecContext) -> None:
         """Post-result hook; default no-op."""
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        """Avoided-work attributes for this stage's just-finished
+        trace span, read off the context ``run`` filled."""
+        return {}
+
+
+def _count(ids: Optional[Sequence[object]]) -> Optional[int]:
+    return None if ids is None else len(ids)
+
+
+def _result_attrs(ctx: ExecContext, **extra: object) -> Dict[str, object]:
+    """Span attributes of the stages that produce (or pass through)
+    the finished result: scan, scatter-scan and merge."""
+    attrs: Dict[str, object] = {"cached": ctx.cached, **extra}
+    if ctx.stats is not None:
+        attrs.update(
+            blocks_scanned=ctx.stats.blocks_scanned,
+            tuples_scanned=ctx.stats.tuples_scanned,
+            bytes_read=ctx.stats.bytes_read,
+            rows_returned=ctx.stats.rows_returned,
+        )
+    return attrs
+
 
 class PlanStage(Stage):
     """SQL text -> planned query, through the shared memoized planner."""
@@ -102,6 +130,9 @@ class PlanStage(Stage):
 
     def run(self, ctx: ExecContext) -> None:
         ctx.query = self.planner.plan(ctx.sql).query
+
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return {"template": ctx.query.template if ctx.query else None}
 
 
 def route_and_count(
@@ -174,6 +205,14 @@ class RouteStage(Stage):
     ) -> Tuple[Optional[Tuple[int, ...]], int]:
         return route_and_count(self.router, self.store, query, self._lock)
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return {"considered": ctx.considered, "routed": _count(ctx.routed)}
+
+    def report_lines(self) -> Tuple[str, ...]:
+        if self.router is None or self.memo is None:
+            return ()
+        return (f"route memo         {len(self.memo)} unique predicates",)
+
 
 class ResultCacheStage(Stage):
     """Generation-keyed full-result memoization.
@@ -226,6 +265,18 @@ class ResultCacheStage(Stage):
             self.profile,
         )
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return {"hit": ctx.cached, "generation": ctx.generation}
+
+    def publish(self, registry: object, **labels: object) -> None:
+        if self.cache is not None:
+            self.cache.publish(registry, **labels)
+
+    def report_lines(self) -> Tuple[str, ...]:
+        if self.cache is None:
+            return ()
+        return self.cache.report_lines(self.generation)
+
 
 class PruneStage(Stage):
     """Per-block min-max (SMA) pruning within the routed candidates."""
@@ -250,6 +301,9 @@ class PruneStage(Stage):
             ctx.survivors = tuple(
                 self.engine.prune_blocks(ctx.query, ctx.routed)
             )
+
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return {"survivors": _count(ctx.survivors)}
 
 
 class ScanStage(Stage):
@@ -277,6 +331,9 @@ class ScanStage(Stage):
             ctx.query, ctx.survivors, ctx.considered
         )
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return _result_attrs(ctx)
+
     def collect(self, ctx: ExecContext) -> np.ndarray:
         """Matched row ids for an already-prepared context."""
         return self._engine(ctx).collect_row_ids(
@@ -288,8 +345,8 @@ class ShardPruneStage(Stage):
     """Sharded SMA pruning: per-shard survivor lists + owner set.
 
     Shards are duck-typed: anything with ``engine`` and ``store``
-    attributes qualifies (in practice the per-shard
-    :class:`~repro.serve.service.LayoutService` instances).
+    attributes qualifies (in practice :class:`repro.serve.Shard`
+    records).
     """
 
     name = "prune"
@@ -329,9 +386,23 @@ class ShardPruneStage(Stage):
         owners = tuple(i for i, surv in enumerate(per_shard) if surv)
         return per_shard, shard_considered, owners
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        if ctx.per_shard is None:  # result-cache hit: nothing pruned
+            return {"survivors": None}
+        return {
+            "survivors": sum(len(s) for s in ctx.per_shard),
+            "owners": _count(ctx.owners),
+        }
+
 
 class ScatterScanStage(Stage):
     """Scatter pre-pruned scans to shard schedulers; gather the parts.
+
+    Shards are duck-typed records (``engine``, ``scheduler``,
+    ``metrics`` — in practice :class:`repro.serve.Shard`): the
+    coordinator pipeline owns planning, routing and the survivor memo;
+    a shard owns its scan, its buffer pool and its local accounting,
+    and this stage is the only code that drives one.
 
     Only shards owning surviving blocks see the query.  Two-phase so
     one saturated shard cannot head-of-line-block the fan-out: a
@@ -350,28 +421,43 @@ class ScatterScanStage(Stage):
         self._fanout_queries = 0
         self._fanout_shards = 0
 
+    @staticmethod
+    def _scan(
+        shard: object, query: Query, survivors: Sequence[int], considered: int
+    ) -> QueryStats:
+        """The per-shard execution leaf (runs on a shard worker):
+        scan the shard's survivors, book them in the shard's metrics."""
+        t0 = now()
+        stats = shard.engine.execute_pruned(query, survivors, considered)
+        shard.metrics.record(now() - t0, stats)
+        return stats
+
+    def _submit(self, ctx: ExecContext, i: int, block: bool):
+        shard = self.shards[i]
+        return shard.scheduler.submit(
+            self._scan,
+            shard,
+            ctx.query,
+            ctx.per_shard[i],
+            ctx.shard_considered[i],
+            block=block,
+        )
+
     def run(self, ctx: ExecContext) -> None:
         if ctx.stats is not None:
             return
-        t0 = time.perf_counter()
+        t0 = now()
         futures = {}
         deferred = []
         for i in ctx.owners:
             try:
-                futures[i] = self.shards[i].submit_pruned(
-                    ctx.query,
-                    ctx.per_shard[i],
-                    ctx.shard_considered[i],
-                    block=False,
-                )
+                futures[i] = self._submit(ctx, i, block=False)
             except AdmissionRejected:
                 deferred.append(i)
         for i in deferred:
-            futures[i] = self.shards[i].submit_pruned(
-                ctx.query, ctx.per_shard[i], ctx.shard_considered[i]
-            )
+            futures[i] = self._submit(ctx, i, block=True)
         ctx.parts = tuple(futures[i].result() for i in ctx.owners)
-        ctx.scatter_seconds = time.perf_counter() - t0
+        ctx.scatter_seconds = now() - t0
         # Per-shard attribution: dotted sub-keys under the stage's
         # timing (excluded from the sum-of-stages identity) plus child
         # trace spans.  Each part's wall time is the shard's own scan
@@ -397,6 +483,9 @@ class ScatterScanStage(Stage):
             self._fanout_queries += 1
             self._fanout_shards += len(ctx.owners)
 
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return _result_attrs(ctx, shards=_count(ctx.owners) or 0)
+
     def collect(self, ctx: ExecContext) -> np.ndarray:
         """Matched row ids, unioned across owning shards."""
         parts = [
@@ -418,7 +507,8 @@ class ScatterScanStage(Stage):
                 return 0.0
             return self._fanout_shards / self._fanout_queries
 
-    def reset_fanout(self) -> None:
+    def reset(self) -> None:
+        """Start a fresh fan-out window."""
         with self._fanout_lock:
             self._fanout_queries = 0
             self._fanout_shards = 0
@@ -467,6 +557,9 @@ class MergeStage(Stage):
             wall_seconds=ctx.scatter_seconds,
             bytes_read=sum(p.bytes_read for p in ctx.parts),
         )
+
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return _result_attrs(ctx)
 
 
 class RecordStage(Stage):
@@ -591,6 +684,20 @@ class ArbitrateStage(Stage):
         ctx.routed = choice.routed
         ctx.considered = choice.considered
         ctx.survivors = choice.survivors
+
+    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
+        return {
+            "winner": ctx.winner,
+            "generation": ctx.generation,
+            "considered": ctx.considered,
+            "survivors": _count(ctx.survivors),
+        }
+
+    def report_lines(self) -> Tuple[str, ...]:
+        return (
+            f"arbiter            {len(self.bindings)} layouts / "
+            f"{len(self.memo)} unique predicates scored",
+        )
 
     def _score(self, query: Query) -> Tuple[tuple, ...]:
         """Route + prune + score the query against every layout (the

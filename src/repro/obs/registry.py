@@ -17,8 +17,9 @@ they all publish into:
   ``text/plain; version=0.0.4`` exposition format) and
   :meth:`MetricsRegistry.to_json` (one JSON document).
 
-Every facade in :mod:`repro.serve` / :mod:`repro.adapt` implements
-``publish_metrics(registry, **labels)`` on top of this; the CLI's
+Every serving resource implements ``publish(registry, **labels)`` on
+top of :meth:`MetricsRegistry.register_view`, and
+:meth:`repro.serve.Service.publish_metrics` loops over them; the CLI's
 ``metrics-export`` subcommand and the ``BENCH_*.json`` trajectory
 emitter (:mod:`repro.obs.bench`) are the first consumers.
 """
@@ -302,6 +303,25 @@ class MetricsRegistry:
         and are merely *viewed* through the registry."""
         with self._lock:
             self._collectors.append(_CollectorEntry(fn, name))
+
+    def register_view(
+        self,
+        name: str,
+        labels: Mapping[str, object],
+        rows: Callable[[], Iterable[tuple]],
+    ) -> None:
+        """Register a collector from plain rows: ``rows()`` yields
+        ``(sample name, value, help, kind)`` — optionally followed by a
+        mapping of extra labels for that row — and every row is
+        stamped with ``labels``.  The one way serving resources
+        publish, so none of them builds :class:`Sample` objects."""
+
+        def collect() -> Iterable[Sample]:
+            for sample, value, help_text, kind, *extra in rows():
+                row_labels = {**labels, **extra[0]} if extra else labels
+                yield Sample.of(sample, value, row_labels, help_text, kind)
+
+        self.register_collector(collect, name=name)
 
     def collect(self) -> List[Sample]:
         """Every sample: direct metrics first, then collector output.

@@ -18,7 +18,6 @@ time/compute budget — the anytime behaviour behind paper Fig. 8.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +27,7 @@ from ..core.cuts import CutRegistry
 from ..core.greedy import _affected_queries, _queries_referencing
 from ..core.tree import QdTree
 from ..core.workload import Workload
+from ..obs.clock import now
 from ..storage.schema import Schema
 from ..storage.table import Table
 from .featurize import Featurizer
@@ -287,7 +287,7 @@ class Woodblock:
             if time_budget_seconds is not None
             else self.config.time_budget_seconds
         )
-        start = time.perf_counter()
+        start = now()
         best_tree: Optional[QdTree] = None
         best_ratio = float("inf")
         curve: List[LearningCurvePoint] = []
@@ -295,7 +295,7 @@ class Woodblock:
         pending: List[EpisodeResult] = []
         episodes_run = 0
         for episode in range(max_episodes):
-            if budget is not None and time.perf_counter() - start > budget:
+            if budget is not None and now() - start > budget:
                 break
             result = self.run_episode()
             episodes_run += 1
@@ -305,7 +305,7 @@ class Woodblock:
             curve.append(
                 LearningCurvePoint(
                     episode=episode,
-                    elapsed_seconds=time.perf_counter() - start,
+                    elapsed_seconds=now() - start,
                     episode_scan_ratio=result.scan_ratio,
                     best_scan_ratio=best_ratio,
                 )

@@ -1,30 +1,34 @@
 """Concurrent query serving over learned layouts.
 
 The paper evaluates layouts one query at a time; this subsystem turns
-a finished layout into something that serves traffic.  Every facade is
-a thin configuration of the shared :mod:`repro.exec` query pipeline —
-the facades own resources (buffer pools, schedulers, metrics), the
-pipeline owns the plan/route/cache/prune/scan/merge logic:
+a finished layout into something that serves traffic.  There is one
+serving surface, :class:`Service`: it owns a :mod:`repro.exec` query
+pipeline (the plan/route/cache/prune/scan/merge logic), a front
+:class:`Scheduler`, a :class:`ServingMetrics` window and a flat list
+of *resources* (everything holding counters or threads), and
+implements the client calls, the replay drivers, ``snapshot`` /
+``publish_metrics`` / ``report`` and ``close`` exactly once.  The
+topologies are constructors that wire resources and pick the pipeline
+configuration:
 
-* :class:`LayoutService` — thread-safe serving of one layout (SQL in
-  -> routed, cached, scheduled scans out) with a memory-budgeted LRU
-  :class:`BlockCache` buffer pool, a bounded-admission
-  :class:`Scheduler` thread pool, and :class:`ServingMetrics` (QPS,
-  latency percentiles, cache hit rate).
+* :class:`LayoutService` — one layout, one engine, a memory-budgeted
+  :class:`BlockCache` buffer pool.
 * :class:`ShardedLayoutService` (:mod:`repro.serve.shard`) — the block
-  store partitioned across N shards (round-robin by BID or by qd-tree
-  subtree), each running its own :class:`LayoutService`, behind a
-  scatter-gather coordinator that fans each query out only to the
-  shards owning surviving blocks and merges per-shard stats into one
-  bit-identical result.
+  store partitioned across N :class:`Shard` records (round-robin by
+  BID or by qd-tree subtree) behind a scatter-gather coordinator that
+  fans each query out only to the shards owning surviving blocks and
+  merges per-shard stats into one bit-identical result.
 * :class:`MultiLayoutService` (:mod:`repro.serve.multi`) — the same
   table under several layouts at once, with a cost-model arbiter
   routing each query to the layout that scans the least
   (blocks-surviving × bytes-scanned argmin) and per-layout win counts
   in the metrics.
+* :class:`repro.adapt.AdaptiveService` — a single layout that
+  re-learns itself; its pipeline and scheduler resolve to the current
+  generation.
 
-:class:`ResultCache` (now in :mod:`repro.exec.result_cache`) layers
-full result memoization over the routing memo: finished
+:class:`ResultCache` (in :mod:`repro.exec.result_cache`, re-exported
+here) layers full result memoization over the routing memo: finished
 :class:`~repro.engine.executor.QueryStats` are keyed by (query
 fingerprint, layout generation), so repeated queries skip pruning and
 scanning entirely, and a generation change (ingest or layout swap
@@ -33,21 +37,19 @@ The cache's byte-bounded row-id store makes repeated
 ``collect_row_ids`` calls free as well.
 """
 
+from ..exec import CachedResult, ResultCache, ResultCacheStats, ServeResult
 from .cache import BlockCache, CacheStats
 from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
 from .multi import MultiLayoutService
-from .result_cache import CachedResult, ResultCache, ResultCacheStats
 from .scheduler import AdmissionRejected, Scheduler, SchedulerStats
 from .service import (
     DEFAULT_CACHE_BUDGET,
     LayoutService,
     ReplayResult,
-    ReplayableService,
-    RouteMemo,
-    ServeResult,
+    Service,
     run_serial_baseline,
 )
-from .shard import ShardSnapshot, ShardedLayoutService
+from .shard import Shard, ShardSnapshot, ShardedLayoutService
 
 __all__ = [
     "AdaptSnapshot",
@@ -60,14 +62,14 @@ __all__ = [
     "MetricsSnapshot",
     "MultiLayoutService",
     "ReplayResult",
-    "ReplayableService",
     "ResultCache",
     "ResultCacheStats",
-    "RouteMemo",
     "Scheduler",
     "SchedulerStats",
     "ServeResult",
+    "Service",
     "ServingMetrics",
+    "Shard",
     "ShardSnapshot",
     "ShardedLayoutService",
     "run_serial_baseline",

@@ -269,41 +269,30 @@ class BlockCache:
         """Publish a collector view of :meth:`stats` into a
         :class:`~repro.obs.registry.MetricsRegistry` (thin view — the
         :class:`CacheStats` snapshot stays the source of truth)."""
-        from ..obs.registry import Sample
 
-        def collect():
-            s = self.stats()
-            counters = (
-                ("repro_cache_hits_total", s.hits, "Buffer-pool hits"),
-                ("repro_cache_misses_total", s.misses, "Buffer-pool misses"),
-                ("repro_cache_evictions_total", s.evictions, "Evictions"),
-                (
-                    "repro_cache_decoded_bytes_total",
-                    s.decoded_bytes,
-                    "Bytes decoded on misses",
-                ),
-                (
-                    "repro_cache_served_bytes_total",
-                    s.served_bytes,
-                    "Bytes served straight from the pool",
-                ),
-                (
-                    "repro_cache_admission_rejections_total",
-                    s.admission_rejections,
-                    "Inserts the admission gate turned away",
-                ),
+        def rows():
+            s, c, g = self.stats(), "counter", "gauge"
+            yield "repro_cache_hits_total", s.hits, "Buffer-pool hits", c
+            yield "repro_cache_misses_total", s.misses, "Buffer-pool misses", c
+            yield "repro_cache_evictions_total", s.evictions, "Evictions", c
+            yield "repro_cache_decoded_bytes_total", s.decoded_bytes, "Bytes decoded on misses", c
+            yield (
+                "repro_cache_served_bytes_total",
+                s.served_bytes,
+                "Bytes served straight from the pool",
+                c,
             )
-            for name, value, help_text in counters:
-                yield Sample.of(name, value, labels, help_text, "counter")
-            gauges = (
-                ("repro_cache_entries", s.entries, "Resident entries"),
-                ("repro_cache_bytes", s.cached_bytes, "Resident bytes"),
-                ("repro_cache_budget_bytes", s.budget_bytes, "Byte budget"),
+            yield (
+                "repro_cache_admission_rejections_total",
+                s.admission_rejections,
+                "Inserts the admission gate turned away",
+                c,
             )
-            for name, value, help_text in gauges:
-                yield Sample.of(name, value, labels, help_text, "gauge")
+            yield "repro_cache_entries", s.entries, "Resident entries", g
+            yield "repro_cache_bytes", s.cached_bytes, "Resident bytes", g
+            yield "repro_cache_budget_bytes", s.budget_bytes, "Byte budget", g
 
-        registry.register_collector(collect, name="block_cache")
+        registry.register_view("block_cache", labels, rows)
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,7 +11,6 @@ versus bytes served from the buffer pool.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -19,6 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..engine.executor import QueryStats
+from ..obs.clock import now
 from .cache import CacheStats
 
 __all__ = ["AdaptSnapshot", "MetricsSnapshot", "ServingMetrics"]
@@ -46,27 +46,17 @@ class AdaptSnapshot:
     rejected: int = 0
     #: Records currently in the query-log ring.
     log_records: int = 0
-    #: Learned-arbiter counters, when one is attached.
+    #: Learned-arbiter counters, when one is attached (the arbiter
+    #: renders its own report line as a service resource).
     arbiter: Optional[object] = None
 
     def report_lines(self) -> Tuple[str, ...]:
-        lines = [
+        return (
             f"drift score        {self.drift_score:.3f}",
-            (
-                f"adaptation         {self.swaps} swaps / "
-                f"{self.rebuilds} rebuilds / {self.rejected} rejected "
-                f"({self.log_records} log records)"
-            ),
-        ]
-        if self.arbiter is not None:
-            a = self.arbiter
-            lines.append(
-                f"learned arbiter    {a.decisions} decisions / "
-                f"{100 * a.agreement_rate:.1f}% agree with prior / "
-                f"{a.explored} explored / regret {a.regret_bytes} bytes "
-                f"({a.arms_learned} arms)"
-            )
-        return tuple(lines)
+            f"adaptation         {self.swaps} swaps / "
+            f"{self.rebuilds} rebuilds / {self.rejected} rejected "
+            f"({self.log_records} log records)",
+        )
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,7 @@ class ServingMetrics:
         self._rows_returned = 0
         self._bytes_read = 0
         self._wins: Dict[str, int] = {}
-        self._window_start = time.perf_counter()
+        self._window_start = now()
         self._last_record = self._window_start
 
     def record(
@@ -204,7 +194,7 @@ class ServingMetrics:
                 self._bytes_read += stats.bytes_read
             if winner is not None:
                 self._wins[winner] = self._wins.get(winner, 0) + 1
-            self._last_record = time.perf_counter()
+            self._last_record = now()
 
     def win_counts(self) -> Dict[str, int]:
         """Per-layout queries won (multi-layout serving only)."""
@@ -221,7 +211,7 @@ class ServingMetrics:
             self._rows_returned = 0
             self._bytes_read = 0
             self._wins.clear()
-            self._window_start = time.perf_counter()
+            self._window_start = now()
             self._last_record = self._window_start
 
     def publish(self, registry: object, **labels: object) -> None:
@@ -233,75 +223,50 @@ class ServingMetrics:
         source of truth and its snapshot stays the API; the registry
         merely *views* it (no behavior change, no double accounting).
         """
-        from ..obs.registry import Sample
 
-        def collect():
-            snap = self.snapshot()
-            counters = (
-                ("repro_serve_queries_total", snap.queries, "Queries served"),
-                (
-                    "repro_serve_blocks_scanned_total",
-                    snap.blocks_scanned,
-                    "Blocks scanned (cache hits excluded)",
-                ),
-                (
-                    "repro_serve_tuples_scanned_total",
-                    snap.tuples_scanned,
-                    "Tuples scanned (cache hits excluded)",
-                ),
-                (
-                    "repro_serve_rows_returned_total",
-                    snap.rows_returned,
-                    "Rows returned to clients",
-                ),
-                (
-                    "repro_serve_bytes_read_total",
-                    snap.bytes_read,
-                    "Decoded bytes queries consumed",
-                ),
+        def rows():
+            s, c, g = self.snapshot(), "counter", "gauge"
+            yield "repro_serve_queries_total", s.queries, "Queries served", c
+            yield (
+                "repro_serve_blocks_scanned_total",
+                s.blocks_scanned,
+                "Blocks scanned (cache hits excluded)",
+                c,
             )
-            for name, value, help_text in counters:
-                yield Sample.of(name, value, labels, help_text, "counter")
-            gauges = (
-                ("repro_serve_qps", snap.qps, "Window throughput"),
-                (
-                    "repro_serve_window_seconds",
-                    snap.window_seconds,
-                    "Observation window length",
-                ),
-                (
-                    "repro_serve_latency_mean_ms",
-                    snap.latency_mean_ms,
-                    "Mean latency over the window",
-                ),
-                (
-                    "repro_serve_latency_p50_ms",
-                    snap.latency_p50_ms,
-                    "Median latency over the window",
-                ),
-                (
-                    "repro_serve_latency_p95_ms",
-                    snap.latency_p95_ms,
-                    "p95 latency over the window",
-                ),
-                (
-                    "repro_serve_latency_p99_ms",
-                    snap.latency_p99_ms,
-                    "p99 latency over the window",
-                ),
+            yield (
+                "repro_serve_tuples_scanned_total",
+                s.tuples_scanned,
+                "Tuples scanned (cache hits excluded)",
+                c,
             )
-            for name, value, help_text in gauges:
-                yield Sample.of(name, value, labels, help_text, "gauge")
-            for layout, wins in snap.layout_wins:
-                yield Sample.of(
+            yield "repro_serve_rows_returned_total", s.rows_returned, "Rows returned to clients", c
+            yield "repro_serve_bytes_read_total", s.bytes_read, "Decoded bytes queries consumed", c
+            yield "repro_serve_qps", s.qps, "Window throughput", g
+            yield "repro_serve_window_seconds", s.window_seconds, "Observation window length", g
+            yield (
+                "repro_serve_latency_mean_ms",
+                s.latency_mean_ms,
+                "Mean latency over the window",
+                g,
+            )
+            yield (
+                "repro_serve_latency_p50_ms",
+                s.latency_p50_ms,
+                "Median latency over the window",
+                g,
+            )
+            yield "repro_serve_latency_p95_ms", s.latency_p95_ms, "p95 latency over the window", g
+            yield "repro_serve_latency_p99_ms", s.latency_p99_ms, "p99 latency over the window", g
+            for layout, wins in s.layout_wins:
+                yield (
                     "repro_serve_layout_wins_total",
                     wins,
-                    {**labels, "layout": layout},
                     "Queries each layout won under arbitration",
-                    "counter",
+                    c,
+                    {"layout": layout},
                 )
 
-        registry.register_collector(collect, name="serving_metrics")
+        registry.register_view("serving_metrics", labels, rows)
 
     def snapshot(
         self,
@@ -315,30 +280,12 @@ class ServingMetrics:
             wins = tuple(
                 sorted(self._wins.items(), key=lambda kv: (-kv[1], kv[0]))
             )
-            if not self._latencies and self._queries == 0:
-                # Empty window: all-zero snapshot (percentiles included)
-                # rather than asking numpy for percentiles of nothing.
-                return MetricsSnapshot(
-                    queries=0,
-                    window_seconds=0.0,
-                    qps=0.0,
-                    latency_mean_ms=0.0,
-                    latency_p50_ms=0.0,
-                    latency_p95_ms=0.0,
-                    latency_p99_ms=0.0,
-                    blocks_scanned=0,
-                    tuples_scanned=0,
-                    rows_returned=0,
-                    bytes_read=0,
-                    cache=cache,
-                    layout_wins=wins,
-                    adapt=adapt,
-                )
             lat_ms = np.asarray(self._latencies, dtype=np.float64) * 1000.0
             window = max(self._last_record - self._window_start, 0.0)
             queries = self._queries
             # Window spans from collector start/reset to the last
-            # completion; an empty window degenerates to qps 0.
+            # completion; an empty window degenerates to all zeros
+            # (qps, mean and the guarded percentiles included).
             qps = queries / window if window > 0 else 0.0
             return MetricsSnapshot(
                 queries=queries,

@@ -12,52 +12,25 @@ layout.  Per-layout win counts land in :class:`ServingMetrics`
 (``snapshot().layout_wins``), so a skewed workload visibly splits its
 templates across the layouts that serve them cheapest.
 
-This facade is the first genuinely *new* consumer of the shared
-:class:`~repro.exec.pipeline.QueryPipeline`: it reuses the plan,
-result-cache (keyed by the winning layout's generation) and scan
-stages unchanged — only the route stage differs.
+This topology reuses the shared
+:class:`~repro.exec.pipeline.QueryPipeline`'s plan, result-cache
+(keyed by the winning layout's generation) and scan stages unchanged —
+only the route stage differs.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core.router import QueryRouter
-from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
-from ..exec import LayoutBinding, ServeResult, multi_layout_pipeline
+from ..exec import LayoutBinding, ResultCache, multi_layout_pipeline
 from ..sql.planner import SqlPlanner
-from .cache import BlockCache, CacheStats
-from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
-from .result_cache import ResultCache
+from .cache import BlockCache
+from .metrics import AdaptSnapshot, ServingMetrics
 from .scheduler import Scheduler
-from .service import DEFAULT_CACHE_BUDGET, ReplayableService
+from .service import DEFAULT_CACHE_BUDGET, Service, pooled_engine, serving_router
 
 __all__ = ["MultiLayoutService"]
-
-
-class _SinkChain:
-    """Fan one pipeline record out to several observers, in order."""
-
-    def __init__(self, sinks) -> None:
-        self.sinks = tuple(sinks)
-
-    def observe(self, ctx) -> None:
-        for sink in self.sinks:
-            sink.observe(ctx)
-
-
-def _chain_sinks(*sinks):
-    """Collapse optional sinks into one (``None`` when all absent)."""
-    present = [s for s in sinks if s is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    return _SinkChain(present)
 
 
 def _bindings_for(
@@ -90,18 +63,11 @@ def _bindings_for(
     bindings = []
     caches = []
     for handle, label in zip(layouts, labels):
-        cache = BlockCache(per_layout_budget) if per_layout_budget else None
-        engine = ScanEngine(
+        engine, cache = pooled_engine(
             handle.store,
             profile,
-            num_advanced_cuts=getattr(handle, "num_advanced_cuts", 0),
-            column_reader=cache.read_columns if cache is not None else None,
-        )
-        tree = getattr(handle, "tree", None)
-        router = (
-            QueryRouter(tree, max_latency_samples=10_000)
-            if tree is not None
-            else None
+            getattr(handle, "num_advanced_cuts", 0),
+            per_layout_budget,
         )
         bindings.append(
             LayoutBinding(
@@ -109,14 +75,14 @@ def _bindings_for(
                 generation=getattr(handle, "generation", 0),
                 store=handle.store,
                 engine=engine,
-                router=router,
+                router=serving_router(getattr(handle, "tree", None)),
             )
         )
         caches.append(cache)
     return tuple(bindings), tuple(caches)
 
 
-class MultiLayoutService(ReplayableService):
+class MultiLayoutService(Service):
     """Serve one table under several layouts, cheapest layout wins.
 
     Parameters
@@ -146,11 +112,13 @@ class MultiLayoutService(ReplayableService):
         ``choose(query, bindings, scores) -> index``, e.g.
         :class:`repro.adapt.arbiter.LearnedArbiter`); the static
         lexicographic argmin when ``None``.  A policy that also
-        implements ``observe(ctx)`` is automatically wired as a
-        record sink so realized costs feed its posteriors.
+        implements ``observe(ctx)`` is fed every finished execution
+        so realized costs reach its posteriors, and one
+        that keeps counters (``publish`` / ``report_lines``) joins the
+        service's resources.
     record_sink:
-        Optional query-log sink at the pipeline tail (chained after
-        the policy's own observer when both are present).
+        Optional query-log sink at the pipeline tail (after the
+        policy's own observer when both are present).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; traced queries
         carry an ``arbitrate`` span with the winning layout label and
@@ -174,61 +142,38 @@ class MultiLayoutService(ReplayableService):
         if not layouts:
             raise ValueError("serve_multi needs at least one layout")
         schema = layouts[0].store.schema
-        self.planner = planner if planner is not None else SqlPlanner(schema)
-        self.profile = profile
-        self.bindings, self._block_caches = _bindings_for(
+        self.bindings, caches = _bindings_for(
             layouts, profile, cache_budget_bytes
         )
-        self.metrics = ServingMetrics()
-        self.scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
-        self.result_cache = result_cache
         self.arbiter_policy = arbiter_policy
-        self.pipeline = multi_layout_pipeline(
-            planner=self.planner,
+        metrics = ServingMetrics()
+        scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
+        pipeline = multi_layout_pipeline(
+            planner=planner if planner is not None else SqlPlanner(schema),
             bindings=self.bindings,
             profile=profile,
             result_cache=result_cache,
-            metrics=self.metrics,
+            metrics=metrics,
             arbiter_policy=arbiter_policy,
-            record_sink=_chain_sinks(
-                arbiter_policy
-                if hasattr(arbiter_policy, "observe")
-                else None,
-                record_sink,
-            ),
+            record_sink=record_sink,
             tracer=tracer,
         )
-        self.tracer = tracer
-        self._arbiter = self.pipeline.stage("route")
-
-    # ------------------------------------------------------------------
-    # Execution (delegates to the shared pipeline)
-    # ------------------------------------------------------------------
-
-    def _serve(self, sql: str, admitted_at: float) -> ServeResult:
-        return self.pipeline.execute(sql, admitted_at)
-
-    def execute_sql(self, sql: str) -> ServeResult:
-        """Serve one statement synchronously; ``result.winner`` names
-        the layout the arbiter picked."""
-        return self._serve(sql, time.perf_counter())
-
-    def submit_sql(
-        self, sql: str, block: bool = True, timeout: Optional[float] = None
-    ):
-        """Admit one statement to the scheduler; returns its future."""
-        return self.scheduler.submit(
-            self._serve, sql, time.perf_counter(), block=block, timeout=timeout
+        self._arbiter = pipeline.stage("route")
+        pools = [
+            (cache, {"layout": binding.label})
+            for binding, cache in zip(self.bindings, caches)
+            if cache is not None
+        ]
+        learned = [(arbiter_policy, {})] if hasattr(arbiter_policy, "publish") else []
+        super().__init__(
+            pipeline,
+            scheduler,
+            metrics,
+            [(metrics, {}), (self._arbiter, {}), *learned, (scheduler, {})]
+            + pools
+            + [(pipeline.stage("result_cache"), {})],
+            block_caches=[cache for cache, _ in pools],
         )
-
-    def collect_row_ids(self, sql: str) -> np.ndarray:
-        """Matched row ids through the winning layout (cached in the
-        byte-bounded row-id store under the winner's generation)."""
-        return self.pipeline.collect_row_ids(sql)
-
-    # ------------------------------------------------------------------
-    # Observability & lifecycle
-    # ------------------------------------------------------------------
 
     @property
     def win_counts(self) -> Dict[str, int]:
@@ -238,62 +183,20 @@ class MultiLayoutService(ReplayableService):
     def arbiter_scores(self, sql: str) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
         """(label, (blocks surviving, estimated bytes)) per layout for
         one statement — the explain path for an arbitration decision."""
-        query = self.planner.plan(sql).query
+        query = self.pipeline.planner.plan(sql).query
         choice = self._arbiter.choice_for(query)
         return tuple(
             (binding.label, score)
             for binding, score in zip(self.bindings, choice.scores)
         )
 
-    def _cache_stats(self) -> Optional[CacheStats]:
-        parts = [c.stats() for c in self._block_caches if c is not None]
-        return CacheStats.merged(parts) if parts else None
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Current-window metrics; under a learning policy the
-        arbiter's win/regret counters ride along in ``adapt``."""
-        adapt = None
+    def adapt_snapshot(self) -> Optional[AdaptSnapshot]:
+        """Under a learning policy the arbiter's win/regret counters
+        ride along in ``snapshot().adapt``."""
         policy = self.arbiter_policy
         if policy is not None and hasattr(policy, "stats"):
-            adapt = AdaptSnapshot(arbiter=policy.stats())
-        return self.metrics.snapshot(self._cache_stats(), adapt=adapt)
-
-    def publish_metrics(self, registry: object, **labels: object) -> None:
-        """Publish this facade's collectors into a
-        :class:`~repro.obs.registry.MetricsRegistry` (serving metrics
-        incl. layout wins, scheduler, per-layout block caches)."""
-        self.metrics.publish(registry, **labels)
-        self.scheduler.publish(registry, **labels)
-        for binding, cache in zip(self.bindings, self._block_caches):
-            if cache is not None:
-                cache.publish(registry, layout=binding.label, **labels)
-
-    def report(self) -> str:
-        """Operator-facing text report for the current window."""
-        snap = self.snapshot()
-        sched = self.scheduler.stats()
-        lines = [snap.report()]
-        lines.append(
-            f"arbiter            {len(self.bindings)} layouts / "
-            f"{len(self._arbiter.memo)} unique predicates scored"
-        )
-        lines.append(
-            f"scheduler          {sched.submitted} submitted / "
-            f"{sched.completed} completed / {sched.rejected} rejected "
-            f"(peak in-flight {sched.max_in_flight})"
-        )
-        if self.result_cache is not None:
-            rc = self.result_cache.stats()
-            lines.append(
-                f"result cache       {rc.entries} entries / "
-                f"{100 * rc.hit_rate:.1f}% hit rate "
-                f"({rc.tuples_avoided} tuple-scans avoided, "
-                f"{rc.row_id_bytes} row-id bytes)"
-            )
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        self.scheduler.shutdown()
+            return AdaptSnapshot(arbiter=policy.stats())
+        return None
 
     def __repr__(self) -> str:
         labels = ", ".join(b.label for b in self.bindings)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..exec.errors import AdmissionRejected
 
@@ -150,47 +150,33 @@ class Scheduler:
         """Publish a collector view of :meth:`stats` into a
         :class:`~repro.obs.registry.MetricsRegistry` (thin view — the
         :class:`SchedulerStats` snapshot stays the source of truth)."""
-        from ..obs.registry import Sample
 
-        def collect():
-            s = self.stats()
-            counters = (
-                (
-                    "repro_scheduler_submitted_total",
-                    s.submitted,
-                    "Queries admitted",
-                ),
-                (
-                    "repro_scheduler_completed_total",
-                    s.completed,
-                    "Queries completed",
-                ),
-                (
-                    "repro_scheduler_rejected_total",
-                    s.rejected,
-                    "Queries shed at admission",
-                ),
+        def rows():
+            s, c, g = self.stats(), "counter", "gauge"
+            yield "repro_scheduler_submitted_total", s.submitted, "Queries admitted", c
+            yield "repro_scheduler_completed_total", s.completed, "Queries completed", c
+            yield "repro_scheduler_rejected_total", s.rejected, "Queries shed at admission", c
+            yield "repro_scheduler_in_flight", s.in_flight, "Admitted but unfinished right now", g
+            yield (
+                "repro_scheduler_max_in_flight",
+                s.max_in_flight,
+                "Peak concurrent admitted work",
+                g,
             )
-            for name, value, help_text in counters:
-                yield Sample.of(name, value, labels, help_text, "counter")
-            gauges = (
-                (
-                    "repro_scheduler_in_flight",
-                    s.in_flight,
-                    "Admitted but unfinished right now",
-                ),
-                (
-                    "repro_scheduler_max_in_flight",
-                    s.max_in_flight,
-                    "Peak concurrent admitted work",
-                ),
-            )
-            for name, value, help_text in gauges:
-                yield Sample.of(name, value, labels, help_text, "gauge")
 
-        registry.register_collector(collect, name="scheduler")
+        registry.register_view("scheduler", labels, rows)
 
-    def shutdown(self, wait: bool = True) -> None:
+    def report_lines(self, title: str = "scheduler") -> Tuple[str, ...]:
+        s = self.stats()
+        return (
+            f"{title:<18} {s.submitted} submitted / "
+            f"{s.completed} completed / {s.rejected} rejected "
+            f"(peak in-flight {s.max_in_flight})",
+        )
+
+    def close(self, wait: bool = True) -> None:
+        """Stop admitting and (by default) drain admitted work.
+        Idempotent."""
         self._shutdown = True
         self._pool.shutdown(wait=wait)
 
@@ -198,4 +184,4 @@ class Scheduler:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.shutdown()
+        self.close()

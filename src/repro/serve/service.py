@@ -1,58 +1,51 @@
-"""The serving facade: SQL in, routed + cached + scheduled scans out.
+"""The serving surface: SQL in, routed + cached + scheduled scans out.
 
-:class:`LayoutService` is the front door a client (or many concurrent
-clients) talks to.  Since the :mod:`repro.exec` refactor it owns no
-execution logic of its own: one call travels the shared
-:class:`~repro.exec.pipeline.QueryPipeline`::
-
-    SQL text
-      -> PlanStage         (memoized, thread-safe parse/plan)
-      -> RouteStage        (qd-tree BID pruning, memoized by predicate
-                            fingerprint so repeated shapes skip the tree)
-      -> ResultCacheStage  (generation-keyed full-result memo)
-      -> PruneStage        (per-block min-max intersection, memoized)
-      -> ScanStage         (one scan path; column reads served by the
-                            shared BlockCache buffer pool when enabled)
-      -> MergeStage        (no-op for the single-engine topology)
-
-with :class:`ServingMetrics` recording latency/QPS/cache accounting per
+:class:`Service` is the one front door a client (or many concurrent
+clients) talks to, whatever the topology behind it.  It owns no
+execution logic: a call travels the service's
+:class:`~repro.exec.pipeline.QueryPipeline` (plan → route →
+result-cache → prune → scan → merge; see :mod:`repro.exec`), with
+:class:`ServingMetrics` recording latency/QPS/cache accounting per
 completed query.  Concurrency comes from
 :class:`~repro.serve.scheduler.Scheduler`: a bounded thread pool whose
 admission queue back-pressures closed-loop clients and sheds load for
 open-loop ones.  Scans parallelize despite the GIL because the decode
 and filter kernels are vectorized numpy.
+
+:class:`LayoutService` is the single-node constructor; the sharded,
+multi-layout and adaptive ones live in :mod:`repro.serve.shard`,
+:mod:`repro.serve.multi` and :mod:`repro.adapt.service`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from ..core.router import QueryRouter
 from ..core.tree import QdTree
-from ..core.workload import Query
 from ..engine.executor import QueryStats, ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..exec import (
-    RouteMemo,
+    QueryPipeline,
+    ResultCache,
     ServeResult,
     serial_pipeline,
     single_layout_pipeline,
 )
+from ..obs.clock import now
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
 from .cache import BlockCache, CacheStats
-from .metrics import MetricsSnapshot, ServingMetrics
-from .result_cache import ResultCache
+from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
 from .scheduler import AdmissionRejected, Scheduler
 
 __all__ = [
     "LayoutService",
     "ReplayResult",
-    "ReplayableService",
-    "RouteMemo",
-    "ServeResult",
+    "Resource",
+    "Service",
     "run_serial_baseline",
 ]
 
@@ -91,12 +84,12 @@ def run_serial_baseline(
     )
     for sql in statements:
         planner.plan(sql)
-    t0 = time.perf_counter()
+    t0 = now()
     stats = []
     for _ in range(repeat):
         for sql in statements:
             stats.append(pipeline.execute(sql).stats)
-    seconds = time.perf_counter() - t0
+    seconds = now() - t0
     qps = len(stats) / seconds if seconds > 0 else 0.0
     return qps, tuple(stats)
 
@@ -117,32 +110,113 @@ class ReplayResult:
         return self.completed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
-class ReplayableService:
-    """Workload-replay driving shared by serving facades.
+def pooled_engine(
+    store: BlockStore,
+    profile: CostProfile,
+    num_advanced_cuts: int,
+    cache_budget_bytes: Optional[int],
+    admission: str = "lru",
+) -> Tuple[ScanEngine, Optional[BlockCache]]:
+    """A scan engine reading through its own buffer pool
+    (``0``/``None`` budget: no pool, every scan decodes)."""
+    cache = (
+        BlockCache(cache_budget_bytes, admission=admission)
+        if cache_budget_bytes
+        else None
+    )
+    engine = ScanEngine(
+        store,
+        profile,
+        num_advanced_cuts=num_advanced_cuts,
+        column_reader=cache.read_columns if cache is not None else None,
+    )
+    return engine, cache
 
-    Subclasses provide ``metrics`` (a :class:`ServingMetrics`),
-    :meth:`submit_sql`, and :meth:`_cache_stats`; they inherit the
-    closed-loop / open-loop replay drivers, windowed snapshots and the
-    context-manager protocol.  This is what lets the single-service
-    :class:`LayoutService`, the scatter-gather
-    :class:`~repro.serve.shard.ShardedLayoutService` and the
-    multi-layout :class:`~repro.serve.multi.MultiLayoutService`
-    present one client-facing API.
+
+def serving_router(tree: Optional[QdTree]) -> Optional[QueryRouter]:
+    """The tree's query router, latency samples bounded for a
+    long-lived service (``None`` for a tree-less layout)."""
+    if tree is None:
+        return None
+    return QueryRouter(tree, max_latency_samples=10_000)
+
+
+#: One serving resource and the labels its samples carry.  A resource
+#: implements whichever of four hooks it has something for:
+#: ``publish(registry, **labels)`` (it owns counters),
+#: ``report_lines()`` (it renders them for operators), ``reset()`` (it
+#: keeps a per-window count) and ``close()`` (it owns threads).
+Resource = Tuple[object, Mapping[str, object]]
+
+
+class Service:
+    """The one serving surface: SQL in, scheduled pipeline runs out.
+
+    A service owns a :class:`~repro.exec.pipeline.QueryPipeline` (the
+    *logic*: plan/route/cache/prune/scan/merge), a front
+    :class:`Scheduler`, a :class:`ServingMetrics` window and a flat,
+    ordered list of labelled *resources* (everything that keeps
+    counters or threads: metrics, schedulers, buffer pools, the stages
+    holding memos and caches, shards, the adaptation ledger).  The
+    client surface, the replay drivers, observability and lifecycle
+    are implemented here exactly once, as loops over those resources;
+    :class:`LayoutService`,
+    :class:`~repro.serve.shard.ShardedLayoutService`,
+    :class:`~repro.serve.multi.MultiLayoutService` and
+    :class:`~repro.adapt.service.AdaptiveService` are *constructors*
+    that wire a topology and add only the reads that topology has.
+
+    ``resources`` order is report order, publish order and close
+    order (so a coordinator pool drains before the shard pools it
+    feeds).  ``block_caches`` are the buffer pools whose merged stats
+    the window snapshot carries.
     """
 
-    metrics: ServingMetrics
+    def __init__(
+        self,
+        pipeline: QueryPipeline,
+        scheduler: Scheduler,
+        metrics: ServingMetrics,
+        resources: Sequence[Resource],
+        block_caches: Sequence[BlockCache] = (),
+    ) -> None:
+        self.pipeline = pipeline
+        self.scheduler = scheduler
+        self.metrics = metrics
+        self.resources = tuple(resources)
+        self.block_caches = tuple(block_caches)
+
+    @property
+    def result_cache(self) -> Optional[ResultCache]:
+        return self.pipeline.result_cache
+
+    # ------------------------------------------------------------------
+    # Client surface
+    # ------------------------------------------------------------------
+
+    def execute_sql(self, sql: str) -> ServeResult:
+        """Serve one statement synchronously on the caller's thread."""
+        return self.pipeline.execute(sql, now())
 
     def submit_sql(
         self, sql: str, block: bool = True, timeout: Optional[float] = None
     ):
-        raise NotImplementedError
+        """Admit one statement to the scheduler; returns its future.
 
-    def _cache_stats(self):
-        """Current cache accounting (``None`` when caching is off)."""
-        raise NotImplementedError
+        The result's latency includes time spent waiting in the
+        admission queue.  Raises
+        :class:`~repro.serve.scheduler.AdmissionRejected` when the
+        queue is full and ``block`` is false (or the wait times out).
+        """
+        return self.scheduler.submit(
+            self.pipeline.execute, sql, now(), block=block, timeout=timeout
+        )
 
-    def _reset_window(self) -> None:
-        self.metrics.reset()
+    def collect_row_ids(self, sql: str):
+        """Matched original-table row ids for one statement (sorted,
+        deduped, served from the byte-bounded row-id cache on
+        repeats); requires blocks built with row-id provenance."""
+        return self.pipeline.collect_row_ids(sql)
 
     # ------------------------------------------------------------------
     # Workload replay
@@ -158,21 +232,11 @@ class ReplayableService:
         """
         self._reset_window()
         cache_before = self._cache_stats()
-        t0 = time.perf_counter()
-        futures = []
-        for _ in range(repeat):
-            for sql in statements:
-                futures.append(self.submit_sql(sql))
-        results = tuple(f.result() for f in futures)
-        wall = time.perf_counter() - t0
-        return ReplayResult(
-            issued=len(futures),
-            completed=len(results),
-            rejected=0,
-            wall_seconds=wall,
-            results=results,
-            snapshot=self._window_snapshot(cache_before),
-        )
+        t0 = now()
+        futures = [
+            self.submit_sql(sql) for _ in range(repeat) for sql in statements
+        ]
+        return self._gather(futures, 0, t0, cache_before)
 
     def run_open_loop(
         self, statements: Sequence[str], target_qps: float, repeat: int = 1
@@ -188,52 +252,95 @@ class ReplayableService:
         self._reset_window()
         cache_before = self._cache_stats()
         interval = 1.0 / target_qps
-        t0 = time.perf_counter()
+        t0 = now()
         futures = []
         rejected = 0
         arrival = t0
-        for i in range(repeat):
+        for _ in range(repeat):
             for sql in statements:
-                now = time.perf_counter()
-                if now < arrival:
-                    time.sleep(arrival - now)
+                ahead = arrival - now()
+                if ahead > 0:
+                    time.sleep(ahead)
                 arrival += interval
                 try:
                     futures.append(self.submit_sql(sql, block=False))
                 except AdmissionRejected:
                     rejected += 1
+        return self._gather(futures, rejected, t0, cache_before)
+
+    def _gather(self, futures, rejected, t0, cache_before) -> ReplayResult:
         results = tuple(f.result() for f in futures)
-        wall = time.perf_counter() - t0
         return ReplayResult(
             issued=len(futures) + rejected,
             completed=len(results),
             rejected=rejected,
-            wall_seconds=wall,
+            wall_seconds=now() - t0,
             results=results,
             snapshot=self._window_snapshot(cache_before),
         )
+
+    def _hooks(self, name: str):
+        """``(bound hook, resource labels)`` for every resource that
+        implements ``name``, in resource order."""
+        for resource, labels in self.resources:
+            hook = getattr(resource, name, None)
+            if hook is not None:
+                yield hook, labels
+
+    def _reset_window(self) -> None:
+        for reset, _ in self._hooks("reset"):
+            reset()
 
     # ------------------------------------------------------------------
     # Observability & lifecycle
     # ------------------------------------------------------------------
 
+    def _cache_stats(self) -> Optional[CacheStats]:
+        """Merged buffer-pool accounting (``None`` when caching is off)."""
+        parts = [cache.stats() for cache in self.block_caches]
+        return CacheStats.merged(parts) if parts else None
+
+    def adapt_snapshot(self) -> Optional[AdaptSnapshot]:
+        """Adaptation-loop view riding along in every snapshot
+        (``None`` for a topology that adapts nothing)."""
+        return None
+
     def snapshot(self) -> MetricsSnapshot:
         """Current-window metrics with cache accounting attached."""
-        return self.metrics.snapshot(self._cache_stats())
+        return self._window_snapshot(None)
 
     def _window_snapshot(self, cache_before) -> MetricsSnapshot:
         """Snapshot whose cache stats cover only the window since
         ``cache_before`` — a replay's report must describe that replay,
         not cache activity accumulated over the service's lifetime."""
-        now = self._cache_stats()
-        if now is None:
-            return self.metrics.snapshot(None)
-        return self.metrics.snapshot(
-            now.since(cache_before) if cache_before is not None else now
-        )
+        cache = self._cache_stats()
+        if cache is not None and cache_before is not None:
+            cache = cache.since(cache_before)
+        return self.metrics.snapshot(cache, adapt=self.adapt_snapshot())
+
+    def publish_metrics(self, registry: object, **labels: object) -> None:
+        """Publish every resource this service owns into a
+        :class:`~repro.obs.registry.MetricsRegistry`; each resource's
+        series carry its own labels plus ``labels``."""
+        for publish, own in self._hooks("publish"):
+            publish(registry, **own, **labels)
+
+    def report(self) -> str:
+        """Operator-facing text report: the current window, then one
+        block per resource."""
+        lines = [self.snapshot().report()]
+        for report_lines, _ in self._hooks("report_lines"):
+            lines.extend(report_lines())
+        return "\n".join(lines)
 
     def close(self) -> None:
-        raise NotImplementedError
+        """Close every resource that owns threads, in resource order,
+        then the front scheduler — a no-op where it was listed, and
+        for the adaptive service read only now, after the rebuild loop
+        has stopped, so it is the last generation's."""
+        for close, _ in self._hooks("close"):
+            close()
+        self.scheduler.close()
 
     def __enter__(self):
         return self
@@ -242,12 +349,8 @@ class ReplayableService:
         self.close()
 
 
-class LayoutService(ReplayableService):
-    """Thread-safe query-serving facade over one physical layout.
-
-    A thin configuration of the shared execution pipeline: the service
-    owns the *resources* (buffer pool, scheduler, metrics, planner)
-    and the pipeline owns the *logic* (plan/route/cache/prune/scan).
+class LayoutService(Service):
+    """One layout, one engine: the single-node topology.
 
     Parameters
     ----------
@@ -274,7 +377,7 @@ class LayoutService(ReplayableService):
         different order would bind the same comparison to a different
         slot and rout/prune on the wrong possibility bits.
     result_cache / generation:
-        Optional :class:`~repro.serve.result_cache.ResultCache` plus
+        Optional :class:`~repro.exec.ResultCache` plus
         the generation of the layout this service fronts.  When given,
         repeated queries return the memoized
         :class:`~repro.engine.executor.QueryStats` without pruning or
@@ -283,7 +386,7 @@ class LayoutService(ReplayableService):
         result through a cache shared across generations.
     metrics:
         Optional pre-existing :class:`ServingMetrics` collector.  The
-        adaptive facade passes one shared collector so the observation
+        adaptive service passes one shared collector so the observation
         window survives generation hot-swaps of the inner service.
     record_sink:
         Optional query-log sink (``observe(ctx)``, e.g. a
@@ -316,190 +419,30 @@ class LayoutService(ReplayableService):
         tracer: Optional[object] = None,
     ) -> None:
         self.store = store
-        self.planner = planner if planner is not None else SqlPlanner(store.schema)
-        self.cache: Optional[BlockCache] = (
-            BlockCache(cache_budget_bytes, admission=admission)
-            if cache_budget_bytes
-            else None
-        )
-        self.engine = ScanEngine(
-            store,
-            profile,
-            num_advanced_cuts=num_advanced_cuts,
-            column_reader=(
-                self.cache.read_columns if self.cache is not None else None
-            ),
-        )
-        self.router: Optional[QueryRouter] = (
-            QueryRouter(tree, max_latency_samples=10_000)
-            if tree is not None
-            else None
-        )
-        self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
-        self.result_cache = result_cache
         self.generation = generation
-        self.pipeline = single_layout_pipeline(
-            planner=self.planner,
+        self.engine, self.cache = pooled_engine(
+            store, profile, num_advanced_cuts, cache_budget_bytes, admission
+        )
+        self.router = serving_router(tree)
+        metrics = metrics if metrics is not None else ServingMetrics()
+        scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
+        pipeline = single_layout_pipeline(
+            planner=planner if planner is not None else SqlPlanner(store.schema),
             engine=self.engine,
             router=self.router,
             store=store,
             result_cache=result_cache,
             generation=generation,
-            metrics=self.metrics,
+            metrics=metrics,
             record_sink=record_sink,
             tracer=tracer,
         )
-        self.tracer = tracer
-        # Kept for observability (report()) — the memo itself belongs
-        # to the pipeline's route stage.
-        self._route_memo: RouteMemo = self.pipeline.stage("route").memo
-
-    # ------------------------------------------------------------------
-    # Single-query path
-    # ------------------------------------------------------------------
-
-    def _serve(self, sql: str, admitted_at: float) -> ServeResult:
-        return self.pipeline.execute(sql, admitted_at)
-
-    def execute_sql(self, sql: str) -> ServeResult:
-        """Serve one statement synchronously on the caller's thread."""
-        return self._serve(sql, time.perf_counter())
-
-    def submit_sql(
-        self, sql: str, block: bool = True, timeout: Optional[float] = None
-    ):
-        """Admit one statement to the scheduler; returns its future.
-
-        The result's latency includes time spent waiting in the
-        admission queue.  Raises
-        :class:`~repro.serve.scheduler.AdmissionRejected` when the
-        queue is full and ``block`` is false (or the wait times out).
-        """
-        return self.scheduler.submit(
-            self._serve, sql, time.perf_counter(), block=block, timeout=timeout
+        caches = [self.cache] if self.cache is not None else []
+        super().__init__(
+            pipeline,
+            scheduler,
+            metrics,
+            [(r, {}) for r in (metrics, scheduler, *caches)]
+            + [(pipeline.stage(name), {}) for name in ("route", "result_cache")],
+            block_caches=caches,
         )
-
-    # ------------------------------------------------------------------
-    # Shard-facing scan path (scatter-gather coordination)
-    # ------------------------------------------------------------------
-
-    def scan_pruned(
-        self, query: Query, survivors: Sequence[int], blocks_considered: int
-    ) -> QueryStats:
-        """Scan an already-routed/pruned survivor list on the caller's
-        thread, recording into this service's metrics.
-
-        This is the per-shard execution leaf the sharded pipeline's
-        scatter stage calls into: the coordinator owns planning,
-        routing and the survivor memo; the shard owns the scan, its
-        buffer pool and its local accounting.
-        """
-        t0 = time.perf_counter()
-        stats = self.engine.execute_pruned(query, survivors, blocks_considered)
-        self.metrics.record(time.perf_counter() - t0, stats)
-        return stats
-
-    def submit_pruned(
-        self,
-        query: Query,
-        survivors: Sequence[int],
-        blocks_considered: int,
-        block: bool = True,
-        timeout: Optional[float] = None,
-    ):
-        """Admit a pre-pruned scan to this service's scheduler."""
-        return self.scheduler.submit(
-            self.scan_pruned,
-            query,
-            survivors,
-            blocks_considered,
-            block=block,
-            timeout=timeout,
-        )
-
-    def collect_row_ids(self, sql: str):
-        """Matched original-table row ids for one statement (sorted,
-        deduped, served from the byte-bounded row-id cache on
-        repeats); requires blocks built with row-id provenance."""
-        return self.pipeline.collect_row_ids(sql)
-
-    # ------------------------------------------------------------------
-    # Observability & lifecycle
-    # ------------------------------------------------------------------
-
-    def _cache_stats(self) -> Optional["CacheStats"]:
-        return self.cache.stats() if self.cache is not None else None
-
-    def publish_metrics(self, registry: object, **labels: object) -> None:
-        """Publish every collector this service owns into a
-        :class:`~repro.obs.registry.MetricsRegistry`: serving metrics,
-        scheduler, buffer pool and result cache (where attached)."""
-        self.metrics.publish(registry, **labels)
-        self.scheduler.publish(registry, **labels)
-        if self.cache is not None:
-            self.cache.publish(registry, **labels)
-        if self.result_cache is not None:
-            from ..obs.registry import Sample
-
-            cache = self.result_cache
-
-            def collect():
-                rc = cache.stats()
-                yield Sample.of(
-                    "repro_result_cache_entries",
-                    rc.entries,
-                    labels,
-                    "Result-cache entries resident",
-                    "gauge",
-                )
-                yield Sample.of(
-                    "repro_result_cache_hits_total",
-                    rc.hits,
-                    labels,
-                    "Result-cache hits",
-                    "counter",
-                )
-                yield Sample.of(
-                    "repro_result_cache_misses_total",
-                    rc.misses,
-                    labels,
-                    "Result-cache misses",
-                    "counter",
-                )
-                yield Sample.of(
-                    "repro_result_cache_tuples_avoided_total",
-                    rc.tuples_avoided,
-                    labels,
-                    "Tuple-scans the result cache avoided",
-                    "counter",
-                )
-
-            registry.register_collector(collect, name="result_cache")
-
-    def report(self) -> str:
-        """Operator-facing text report for the current window."""
-        snap = self.snapshot()
-        sched = self.scheduler.stats()
-        routes = len(self._route_memo)
-        lines = [snap.report()]
-        lines.append(
-            f"scheduler          {sched.submitted} submitted / "
-            f"{sched.completed} completed / {sched.rejected} rejected "
-            f"(peak in-flight {sched.max_in_flight})"
-        )
-        if self.router is not None:
-            lines.append(f"route memo         {routes} unique predicates")
-        if self.result_cache is not None:
-            rc = self.result_cache.stats()
-            lines.append(
-                f"result cache       {rc.entries} entries / "
-                f"{100 * rc.hit_rate:.1f}% hit rate "
-                f"(gen {self.generation}, "
-                f"{rc.tuples_avoided} tuple-scans avoided, "
-                f"{rc.row_id_bytes} row-id bytes)"
-            )
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        self.scheduler.shutdown()

@@ -3,10 +3,11 @@
 :class:`ShardedLayoutService` splits a finished
 :class:`~repro.storage.blocks.BlockStore` into N disjoint shards
 (round-robin by BID, or by qd-tree subtree to preserve routing
-locality), runs one full :class:`~repro.serve.service.LayoutService` —
-engine, buffer pool, scheduler, metrics — per shard, and fronts them
-with a scatter-gather coordinator.  The coordinator is a configuration
-of the shared :class:`~repro.exec.pipeline.QueryPipeline`::
+locality), gives each one a :class:`Shard` record — store, engine,
+buffer pool, scheduler, metrics, and nothing else: shards never plan,
+route or cache results — and fronts them with a scatter-gather
+coordinator.  The coordinator is a configuration of the shared
+:class:`~repro.exec.pipeline.QueryPipeline`::
 
     SQL text
       -> PlanStage         (shared, memoized)
@@ -36,7 +37,8 @@ Partition-strategy trade-offs (see also
 
 Correctness bar: for every query, the merged stats must be
 bit-identical (``QueryStats.result_key``) to the unsharded
-:class:`LayoutService` and to serial uncached execution — the
+:class:`~repro.serve.service.LayoutService` and to serial uncached
+execution — the
 differential suite in ``tests/test_shard_differential.py`` enforces
 this, in the spirit of partition-aware query answering where the
 partitioned plan is *proved* equivalent to the unpartitioned one.
@@ -44,29 +46,22 @@ partitioned plan is *proved* equivalent to the unpartitioned one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
-
-from ..core.router import QueryRouter, subtree_shard_assignment
+from ..core.router import subtree_shard_assignment
 from ..core.tree import QdTree
+from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
-from ..exec import RouteMemo, ServeResult, sharded_pipeline
+from ..exec import ResultCache, ScatterScanStage, sharded_pipeline
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
-from .cache import CacheStats
+from .cache import BlockCache
 from .metrics import MetricsSnapshot, ServingMetrics
-from .result_cache import ResultCache
 from .scheduler import Scheduler, SchedulerStats
-from .service import (
-    DEFAULT_CACHE_BUDGET,
-    LayoutService,
-    ReplayableService,
-)
+from .service import DEFAULT_CACHE_BUDGET, Service, pooled_engine, serving_router
 
-__all__ = ["ShardSnapshot", "ShardedLayoutService"]
+__all__ = ["Shard", "ShardSnapshot", "ShardedLayoutService"]
 
 
 @dataclass(frozen=True)
@@ -79,8 +74,97 @@ class ShardSnapshot:
     scheduler: SchedulerStats
 
 
-class ShardedLayoutService(ReplayableService):
-    """Scatter-gather front end over N per-shard :class:`LayoutService`.
+@dataclass(frozen=True)
+class Shard:
+    """One shard's resources: the blocks it owns and what scans them.
+
+    A plain record — :class:`~repro.exec.stages.ScatterScanStage`
+    submits the timed scan leaf to ``scheduler`` and books it in
+    ``metrics``; nothing here executes a query.
+    """
+
+    index: int
+    store: BlockStore
+    engine: ScanEngine
+    cache: Optional[BlockCache]
+    scheduler: Scheduler
+    metrics: ServingMetrics
+
+    def snapshot(self) -> ShardSnapshot:
+        return ShardSnapshot(
+            shard=self.index,
+            num_blocks=self.store.num_blocks,
+            metrics=self.metrics.snapshot(
+                self.cache.stats() if self.cache is not None else None
+            ),
+            scheduler=self.scheduler.stats(),
+        )
+
+
+class _ShardTier:
+    """The scatter-gather tier as one serving resource: the
+    coordinator pool, the shard pools behind it and the scatter
+    stage's fan-out window.  Closing drains the coordinator first —
+    its workers are the only submitters to the shard pools."""
+
+    def __init__(
+        self,
+        coordinator: Scheduler,
+        shards: Tuple[Shard, ...],
+        scatter: ScatterScanStage,
+        partition: str,
+    ) -> None:
+        self.coordinator = coordinator
+        self.shards = shards
+        self.scatter = scatter
+        self.partition = partition
+
+    def scheduler_stats(self) -> Tuple[SchedulerStats, SchedulerStats]:
+        return (
+            self.coordinator.stats(),
+            SchedulerStats.merged([s.scheduler.stats() for s in self.shards]),
+        )
+
+    def publish(self, registry: object, **labels: object) -> None:
+        self.coordinator.publish(registry, role="coordinator", **labels)
+        for shard in self.shards:
+            own = {"shard": shard.index, **labels}
+            shard.metrics.publish(registry, **own)
+            shard.scheduler.publish(registry, role="shard", **own)
+            if shard.cache is not None:
+                shard.cache.publish(registry, **own)
+
+    def report_lines(self) -> Tuple[str, ...]:
+        _, pools = self.scheduler_stats()
+        lines = [
+            f"topology           {len(self.shards)} shards "
+            f"({self.partition}), mean fan-out {self.scatter.mean_fanout:.2f}",
+            *self.coordinator.report_lines("coordinator"),
+            f"shard pools        {pools.submitted} scans / "
+            f"{pools.completed} completed (peak in-flight {pools.max_in_flight})",
+        ]
+        for s in (shard.snapshot() for shard in self.shards):
+            lines.append(
+                f"  shard {s.shard:<2} {s.num_blocks:>4} blocks  "
+                f"{s.metrics.queries:>6} scans  "
+                f"p50 {s.metrics.latency_p50_ms:.3f} ms  "
+                f"hit rate {100 * s.metrics.cache_hit_rate:.1f}%"
+            )
+        return tuple(lines)
+
+    def reset(self) -> None:
+        for shard in self.shards:
+            shard.metrics.reset()
+        self.scatter.reset()
+
+    def close(self) -> None:
+        self.coordinator.close()
+        for shard in self.shards:
+            shard.scheduler.close()
+
+
+class ShardedLayoutService(Service):
+    """Scatter-gather topology: a coordinator over N :class:`Shard`.
 
     Parameters
     ----------
@@ -89,11 +173,10 @@ class ShardedLayoutService(ReplayableService):
         construction (blocks are shared by reference, never copied).
     tree:
         Optional qd-tree.  Routing happens once, at the coordinator;
-        shards never re-route (they are built without routers).
-        Required for ``partition="subtree"``.
+        shards never route.  Required for ``partition="subtree"``.
     num_shards:
         Shard count.  ``1`` degenerates to a coordinator in front of a
-        single service (useful as a like-for-like scaling baseline).
+        single shard (useful as a like-for-like scaling baseline).
     partition:
         ``"rr"`` or ``"subtree"`` — see the module docstring for the
         trade-offs.
@@ -107,26 +190,25 @@ class ShardedLayoutService(ReplayableService):
         Front-end admission pool size; defaults to
         ``num_shards * max_workers_per_shard`` so coordinator threads
         (which block gathering shard futures) can keep every shard
-        worker busy.
+        worker busy.  Shard workers never wait on the coordinator, so
+        the two scheduler layers cannot deadlock.
     planner:
         Shared planner; pass the build workload's planner whenever the
         layout used advanced cuts (same caveat as
-        :class:`LayoutService`).
+        :class:`~repro.serve.service.LayoutService`).
     result_cache / generation:
-        Optional generation-keyed
-        :class:`~repro.serve.result_cache.ResultCache`, consulted at
-        the coordinator: a hit skips the whole scatter — no shard sees
-        the query at all (same semantics as :class:`LayoutService`).
+        Optional generation-keyed :class:`~repro.exec.ResultCache`,
+        consulted at the coordinator: a hit skips the whole scatter —
+        no shard sees the query at all.
     record_sink / admission:
         Query-log sink appended at the coordinator pipeline's tail
         (shards never double-record) and the per-shard buffer-pool
-        admission policy — same semantics as :class:`LayoutService`.
+        admission policy.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` attached at the
         coordinator pipeline: each query's trace carries the
         ``scatter_scan`` span plus one ``scatter_scan.shard<i>`` child
-        span per owning shard.  Shards are never traced individually
-        (the coordinator observes the whole scatter).
+        span per owning shard.
     """
 
     def __init__(
@@ -157,8 +239,7 @@ class ShardedLayoutService(ReplayableService):
         self.store = store
         self.num_shards = num_shards
         self.partition = partition
-        self.profile = profile
-        self.planner = planner if planner is not None else SqlPlanner(store.schema)
+        self.generation = generation
 
         if partition == "subtree":
             assert tree is not None
@@ -170,33 +251,25 @@ class ShardedLayoutService(ReplayableService):
             shard_stores = store.partition(num_shards, assignment=assignment)
         else:
             shard_stores = store.partition(num_shards, strategy="rr")
-        self._shard_of: Dict[int, int] = {
-            bid: i for i, sub in enumerate(shard_stores) for bid in sub.bid_set
-        }
         per_shard_budget = (
             cache_budget_bytes // num_shards if cache_budget_bytes else None
         )
-        self.shards: Tuple[LayoutService, ...] = tuple(
-            LayoutService(
+
+        self.shards: Tuple[Shard, ...] = tuple(
+            Shard(
+                i,
                 sub,
-                tree=None,  # the coordinator owns routing
-                profile=profile,
-                num_advanced_cuts=num_advanced_cuts,
-                cache_budget_bytes=per_shard_budget,
-                max_workers=max_workers_per_shard,
-                queue_depth=queue_depth,
-                planner=self.planner,
-                admission=admission,
+                *pooled_engine(
+                    sub, profile, num_advanced_cuts, per_shard_budget, admission
+                ),
+                Scheduler(max_workers_per_shard, queue_depth),
+                ServingMetrics(),
             )
-            for sub in shard_stores
+            for i, sub in enumerate(shard_stores)
         )
-        self.router: Optional[QueryRouter] = (
-            QueryRouter(tree, max_latency_samples=10_000)
-            if tree is not None
-            else None
-        )
-        self.metrics = ServingMetrics()
-        self.scheduler = Scheduler(
+        self.router = serving_router(tree)
+        metrics = ServingMetrics()
+        scheduler = Scheduler(
             max_workers=(
                 coordinator_workers
                 if coordinator_workers is not None
@@ -204,148 +277,44 @@ class ShardedLayoutService(ReplayableService):
             ),
             queue_depth=queue_depth,
         )
-        self.result_cache = result_cache
-        self.generation = generation
-        self.pipeline = sharded_pipeline(
-            planner=self.planner,
+        pipeline = sharded_pipeline(
+            planner=planner if planner is not None else SqlPlanner(store.schema),
             shards=self.shards,
             router=self.router,
             store=store,
             profile=profile,
             result_cache=result_cache,
             generation=generation,
-            metrics=self.metrics,
+            metrics=metrics,
             record_sink=record_sink,
             tracer=tracer,
         )
-        self.tracer = tracer
-        self._route_memo: RouteMemo = self.pipeline.stage("route").memo
-        self._scatter = self.pipeline.stage("scan")
-
-    # ------------------------------------------------------------------
-    # Execution (delegates to the shared pipeline)
-    # ------------------------------------------------------------------
-
-    def _serve(self, sql: str, admitted_at: float) -> ServeResult:
-        return self.pipeline.execute(sql, admitted_at)
-
-    def execute_sql(self, sql: str) -> ServeResult:
-        """Serve one statement, scattering from the caller's thread."""
-        return self._serve(sql, time.perf_counter())
-
-    def submit_sql(
-        self, sql: str, block: bool = True, timeout: Optional[float] = None
-    ):
-        """Admit one statement to the coordinator pool; returns its
-        future.  Coordinator workers scatter to shard pools and block
-        gathering — shard workers never wait on the coordinator, so the
-        two scheduler layers cannot deadlock."""
-        return self.scheduler.submit(
-            self._serve, sql, time.perf_counter(), block=block, timeout=timeout
+        self._tier = _ShardTier(
+            scheduler, self.shards, pipeline.stage("scan"), partition
         )
-
-    def collect_row_ids(self, sql: str) -> np.ndarray:
-        """Matched original-table row ids, unioned across shards
-        (sorted, deduped, cached per predicate in the byte-bounded
-        row-id store); requires row-id provenance on the blocks."""
-        return self.pipeline.collect_row_ids(sql)
-
-    # ------------------------------------------------------------------
-    # Observability & lifecycle
-    # ------------------------------------------------------------------
-
-    def _cache_stats(self) -> Optional[CacheStats]:
-        parts = [s.cache.stats() for s in self.shards if s.cache is not None]
-        return CacheStats.merged(parts) if parts else None
-
-    def _reset_window(self) -> None:
-        self.metrics.reset()
-        for shard in self.shards:
-            shard.metrics.reset()
-        self._scatter.reset_fanout()
+        super().__init__(
+            pipeline,
+            scheduler,
+            metrics,
+            [(metrics, {}), (self._tier, {})]
+            + [(pipeline.stage(name), {}) for name in ("route", "result_cache")],
+            block_caches=[s.cache for s in self.shards if s.cache is not None],
+        )
 
     def shard_snapshots(self) -> Tuple[ShardSnapshot, ...]:
         """Per-shard metrics/scheduler snapshots (aggregate view comes
         from :meth:`snapshot` / :meth:`scheduler_stats`)."""
-        return tuple(
-            ShardSnapshot(
-                shard=i,
-                num_blocks=service.store.num_blocks,
-                metrics=service.snapshot(),
-                scheduler=service.scheduler.stats(),
-            )
-            for i, service in enumerate(self.shards)
-        )
+        return tuple(shard.snapshot() for shard in self.shards)
 
     def scheduler_stats(self) -> Tuple[SchedulerStats, SchedulerStats]:
         """(coordinator stats, aggregate-over-shards stats)."""
-        return (
-            self.scheduler.stats(),
-            SchedulerStats.merged([s.scheduler.stats() for s in self.shards]),
-        )
+        return self._tier.scheduler_stats()
 
     @property
     def mean_fanout(self) -> float:
         """Mean shards scattered to per query (the partition-locality
         metric: lower means the strategy kept survivors together)."""
-        return self._scatter.mean_fanout
-
-    def publish_metrics(self, registry: object, **labels: object) -> None:
-        """Publish coordinator + per-shard collectors into a
-        :class:`~repro.obs.registry.MetricsRegistry`; shard series are
-        distinguished by a ``shard`` label."""
-        self.metrics.publish(registry, **labels)
-        self.scheduler.publish(registry, role="coordinator", **labels)
-        for i, shard in enumerate(self.shards):
-            shard.metrics.publish(registry, shard=i, **labels)
-            shard.scheduler.publish(registry, role="shard", shard=i, **labels)
-            if shard.cache is not None:
-                shard.cache.publish(registry, shard=i, **labels)
-
-    def report(self) -> str:
-        """Operator-facing text report: aggregate, then per shard."""
-        snap = self.snapshot()
-        coord, agg = self.scheduler_stats()
-        lines = [snap.report()]
-        lines.append(
-            f"topology           {self.num_shards} shards "
-            f"({self.partition}), mean fan-out {self.mean_fanout:.2f}"
-        )
-        lines.append(
-            f"coordinator        {coord.submitted} submitted / "
-            f"{coord.completed} completed / {coord.rejected} rejected "
-            f"(peak in-flight {coord.max_in_flight})"
-        )
-        lines.append(
-            f"shard pools        {agg.submitted} scans / "
-            f"{agg.completed} completed (peak in-flight {agg.max_in_flight})"
-        )
-        for s in self.shard_snapshots():
-            lines.append(
-                f"  shard {s.shard:<2} {s.num_blocks:>4} blocks  "
-                f"{s.metrics.queries:>6} scans  "
-                f"p50 {s.metrics.latency_p50_ms:.3f} ms  "
-                f"hit rate {100 * s.metrics.cache_hit_rate:.1f}%"
-            )
-        if self.router is not None:
-            lines.append(
-                f"route memo         {len(self._route_memo)} unique predicates"
-            )
-        if self.result_cache is not None:
-            rc = self.result_cache.stats()
-            lines.append(
-                f"result cache       {rc.entries} entries / "
-                f"{100 * rc.hit_rate:.1f}% hit rate "
-                f"(gen {self.generation}, "
-                f"{rc.tuples_avoided} tuple-scans avoided, "
-                f"{rc.row_id_bytes} row-id bytes)"
-            )
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        self.scheduler.shutdown()
-        for shard in self.shards:
-            shard.close()
+        return self._tier.scatter.mean_fanout
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .schema import Column, ColumnKind, Schema, SchemaError
+from .schema import ColumnKind, Schema, SchemaError
 
 __all__ = ["Table"]
 

@@ -78,7 +78,7 @@ class TestBuild:
                 "--table", str(table_dir),
                 "--queries", str(queries_file),
                 "--out", str(out),
-                "--method", "woodblock",
+                "--strategy", "woodblock",
                 "--episodes", "4",
                 "--hidden-dim", "16",
                 "--min-block-size", "200",
@@ -194,48 +194,6 @@ class TestStrategyFlag:
 
         for name in strategy_names():
             assert name in out
-
-    def test_method_alias_still_works_but_warns(
-        self, table_dir, queries_file, tmp_path, capsys
-    ):
-        out = tmp_path / "layout-alias"
-        with pytest.warns(DeprecationWarning, match="--method is deprecated"):
-            code = main(
-                [
-                    "build",
-                    "--table", str(table_dir),
-                    "--queries", str(queries_file),
-                    "--out", str(out),
-                    "--method", "greedy",
-                    "--min-block-size", "200",
-                ]
-            )
-        assert code == 0
-        meta = json.loads((out / "layout-meta.json").read_text())
-        assert meta["method"] == "greedy"
-        # DeprecationWarning is invisible under default CLI warning
-        # filters, so the alias also tells the user on stderr.
-        assert "--method is deprecated" in capsys.readouterr().err
-
-    def test_strategy_flag_does_not_warn(
-        self, table_dir, queries_file, tmp_path
-    ):
-        import warnings
-
-        out = tmp_path / "layout-nowarn"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            code = main(
-                [
-                    "build",
-                    "--table", str(table_dir),
-                    "--queries", str(queries_file),
-                    "--out", str(out),
-                    "--strategy", "greedy",
-                    "--min-block-size", "200",
-                ]
-            )
-        assert code == 0
 
 
 class TestInspect:

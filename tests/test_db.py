@@ -169,6 +169,38 @@ class TestGenerations:
         # Old rows keep their original ids.
         assert set(before) <= set(after)
 
+    def test_ingest_widens_frozen_leaf_descriptions(self, schema):
+        """Cuts route an ingested row to its leaf, but the leaf was
+        frozen to its build-time min-max / distinct values: a batch
+        outside those must not be pruned away by query routing."""
+        rng = np.random.default_rng(5)
+        narrow = Table(
+            schema,
+            {
+                "x": rng.uniform(0, 100, 4000),
+                "y": rng.uniform(0.3, 0.6, 4000),
+                "kind": rng.integers(0, 2, 4000),
+            },
+        )
+        db = Database.from_table(narrow, min_block_size=200)
+        before = db.build_layout("greedy", workload=STATEMENTS)
+        db.ingest(make_table(schema, 1500, seed=9))  # y in [0, 1], kind 'c'
+        out_of_range = [
+            "SELECT x FROM t WHERE y < 0.1",
+            "SELECT x FROM t WHERE y >= 0.9 AND x < 50",
+            "SELECT x FROM t WHERE kind = 'c'",
+        ]
+        for sql in out_of_range + STATEMENTS:
+            predicate = db.planner.plan(sql).query.predicate
+            truth = np.flatnonzero(predicate.evaluate(db.table.columns()))
+            assert len(truth) > 0
+            assert db.execute(sql).stats.rows_returned == len(truth), sql
+            np.testing.assert_array_equal(db.collect_row_ids(sql), truth)
+        # The pre-ingest generation shares the (now wider) tree and
+        # still answers from its own store.
+        for sql in out_of_range:
+            assert db.execute(sql, layout=before).stats.rows_returned == 0
+
     def test_ingest_requires_tree(self, db):
         db.build_layout("random")
         with pytest.raises(ValueError, match="tree-backed"):

@@ -263,9 +263,6 @@ class TestResultCacheDifferential:
         assert stats.entries == len(STATEMENTS)
         assert stats.hits == (repeat - 1) * len(STATEMENTS)
         assert stats.tuples_avoided > 0
-        # ...which buys a >= 1x repeat-query speedup on the replay.
-        speedup = uncached.wall_seconds / cached.wall_seconds
-        assert speedup >= 1.0, f"cached replay slower: {speedup:.2f}x"
 
     def test_sharded_replay_bit_identical_through_cache(self, schema):
         table = make_table(schema, 8_000, seed=3)

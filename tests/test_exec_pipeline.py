@@ -2,17 +2,19 @@
 
 Three layers of guarantees:
 
-1. **Single entry point** — the four legacy execution paths (serial
-   baseline, ``Database.execute``, ``LayoutService``, the sharded
-   coordinator) contain no route/cache/scan loop of their own; every
-   one of them is a configuration of ``QueryPipeline`` (enforced
-   structurally, by grepping the facade sources).
+1. **One pipeline, one service** — no module under ``serve/`` or
+   ``adapt/`` routes, prunes, consults the result cache or scans an
+   engine itself; every surface method is defined on exactly one
+   service class (:class:`repro.serve.Service`), the topologies being
+   constructors; resources publish and render themselves (enforced
+   structurally, by reading the sources).
 2. **Stage semantics** — per-stage timings, cache-hit short-circuit,
    serial configuration ≡ direct engine execution.
 3. **Row-id result caching** — the byte-bounded row-id store: repeats
    are free, budgets hold, generation purges drop payloads.
 """
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ import pytest
 
 from repro.db import Database
 from repro.exec import (
-    QueryPipeline,
     ResultCache,
     serial_pipeline,
     single_layout_pipeline,
@@ -68,29 +69,93 @@ def db():
 # ----------------------------------------------------------------------
 
 
-FACADES = {
-    "serial baseline + LayoutService": SRC / "serve" / "service.py",
-    "sharded coordinator": SRC / "serve" / "shard.py",
-    "multi-layout arbiter": SRC / "serve" / "multi.py",
-    "database library path": SRC / "db" / "database.py",
-    "adaptive facade": SRC / "adapt" / "service.py",
-}
+SERVING_MODULES = sorted(
+    [*(SRC / "serve").glob("*.py"), *(SRC / "adapt").glob("*.py")]
+)
+#: The modules that define a service class (the four constructors).
+SERVICE_MODULES = [
+    SRC / "serve" / "service.py",
+    SRC / "serve" / "shard.py",
+    SRC / "serve" / "multi.py",
+    SRC / "adapt" / "service.py",
+]
+#: The surface :class:`repro.serve.Service` implements exactly once.
+SURFACE = (
+    "execute_sql",
+    "collect_row_ids",
+    "run_closed_loop",
+    "run_open_loop",
+    "snapshot",
+    "publish_metrics",
+    "report",
+    "close",
+    "_cache_stats",
+    "__enter__",
+    "__exit__",
+)
 
 
-def test_every_facade_runs_the_shared_pipeline():
-    for label, path in FACADES.items():
-        source = path.read_text()
-        assert "pipeline" in source and "exec" in source, (
-            f"{label} ({path.name}) no longer references the shared "
-            f"repro.exec pipeline"
-        )
+def service_classes():
+    """``{class name: set of method names}`` for ``Service`` and
+    everything under serve/ + adapt/ that (transitively) extends it."""
+    classes = {}
+    for path in SERVING_MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                methods = {
+                    f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                }
+                classes[node.name] = (bases, methods)
+    services = {"Service"}
+    while True:
+        grown = services | {
+            name for name, (bases, _) in classes.items() if bases & services
+        }
+        if grown == services:
+            break
+        services = grown
+    return {name: classes[name][1] for name in services}
 
 
-def test_no_facade_reimplements_route_cache_scan():
+def test_four_constructors_one_service():
+    assert set(service_classes()) == {
+        "Service",
+        "LayoutService",
+        "ShardedLayoutService",
+        "MultiLayoutService",
+        "AdaptiveService",
+    }
+
+
+@pytest.mark.parametrize("method", SURFACE)
+def test_surface_method_defined_once(method):
+    owners = [n for n, methods in service_classes().items() if method in methods]
+    assert owners == ["Service"], (
+        f"{method} is re-implemented by {owners}: the serving surface "
+        f"lives on Service, topologies only construct"
+    )
+
+
+def test_submit_sql_only_overridden_for_the_swap_race():
+    owners = {
+        n for n, methods in service_classes().items() if "submit_sql" in methods
+    }
+    assert owners == {"Service", "AdaptiveService"}
+
+
+def test_no_shard_scan_entry_points_on_services():
+    """A shard is a plain record the scatter stage drives; no service
+    exposes a pre-pruned scan to clients."""
+    for name, methods in service_classes().items():
+        assert not methods & {"scan_pruned", "submit_pruned"}, name
+
+
+def test_serving_modules_never_execute_themselves():
     """The duplicated plan->route->cache->prune->scan loop the exec
-    refactor deleted must not grow back: routing, cache consultation
-    and survivor pruning live only in repro/exec/stages.py."""
-    for label, path in FACADES.items():
+    refactor deleted must not grow back: routing, cache consultation,
+    survivor pruning and engine scans live only in repro/exec."""
+    for path in SERVING_MODULES + [SRC / "db" / "database.py"]:
         source = path.read_text()
         for needle in (
             "router.route(",      # qd-tree query walks belong to RouteStage
@@ -98,23 +163,41 @@ def test_no_facade_reimplements_route_cache_scan():
             "result_cache.get(",  # cache gets belong to ResultCacheStage
             "result_cache.put(",  # cache puts belong to ResultCacheStage
             "prune_blocks(",      # SMA pruning belongs to PruneStage
+            ".execute_pruned(",   # scans belong to Scan/ScatterScanStage
+            ".execute(query",     # the engine's route+prune+scan entry point
         ):
             assert needle not in source, (
-                f"{label} ({path.name}) contains {needle!r} — execution "
-                f"logic belongs in repro.exec stages, facades are thin "
-                f"configurations"
+                f"{path.name} contains {needle!r} — execution logic "
+                f"belongs in repro.exec stages"
             )
-        # The only engine scan outside the pipeline is the per-shard
-        # scan leaf the scatter stage submits into (LayoutService.
-        # scan_pruned); nothing else may scan.
-        allowed = 1 if path == SRC / "serve" / "service.py" else 0
-        assert source.count(".execute_pruned(") == allowed, (
-            f"{label} ({path.name}) scans outside the pipeline"
-        )
-        assert ".execute(query" not in source, (
-            f"{label} ({path.name}) calls the engine's route+prune+scan "
-            f"entry point directly"
-        )
+
+
+def test_every_service_module_runs_the_shared_pipeline():
+    for path in SERVICE_MODULES:
+        source = path.read_text()
+        assert "pipeline" in source and "exec" in source, path.name
+
+
+def test_resources_publish_and_render_themselves():
+    """No service module builds registry samples for counters it does
+    not own; each resource's ``publish`` goes through
+    ``MetricsRegistry.register_view``."""
+    for path in SERVICE_MODULES:
+        assert "Sample.of(" not in path.read_text(), path.name
+
+
+def test_pipeline_has_no_per_stage_switch():
+    """Stages describe their own spans (``Stage.span_attrs``); the
+    pipeline must not know any stage's outputs by name."""
+    source = (SRC / "exec" / "pipeline.py").read_text()
+    assert "span_name ==" not in source and "_span_attrs" not in source
+    assert "stage.span_attrs(ctx)" in source
+
+
+def test_one_clock():
+    for path in SRC.rglob("*.py"):
+        if path != SRC / "obs" / "clock.py":
+            assert "time.perf_counter" not in path.read_text(), path
 
 
 def test_stage_order_is_canonical():
@@ -207,7 +290,7 @@ class TestPipelineSemantics:
                 for sql in STATEMENTS:
                     svc.execute_sql(sql)
             assert len(svc.router.latencies) == len(STATEMENTS)
-            assert len(svc._route_memo) == len(STATEMENTS)
+            assert len(svc.pipeline.stage("route").memo) == len(STATEMENTS)
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ class TestServiceCorrectness:
         repeat = 4
         with service_for(layout) as svc:
             svc.run_closed_loop(STATEMENTS, repeat=repeat)
-            assert len(svc._route_memo) == len(STATEMENTS)
+            assert len(svc.pipeline.stage("route").memo) == len(STATEMENTS)
             assert svc.router is not None
             # The tree was walked roughly once per unique predicate:
             # concurrent first arrivals may race the memo fill (benign
@@ -322,7 +322,7 @@ class TestScheduler:
 
     def test_submit_after_shutdown_raises(self):
         sched = Scheduler(max_workers=1)
-        sched.shutdown()
+        sched.close()
         with pytest.raises(RuntimeError):
             sched.submit(lambda: None)
 
