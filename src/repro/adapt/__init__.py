@@ -36,7 +36,6 @@ from .reoptimize import (
     AdaptEvent,
     AdaptPolicy,
     Reoptimizer,
-    ReoptimizerStats,
     offline_blocks_cost,
 )
 from .service import AdaptiveService
@@ -52,7 +51,6 @@ __all__ = [
     "QueryLog",
     "QueryRecord",
     "Reoptimizer",
-    "ReoptimizerStats",
     "WorkloadSignature",
     "divergence",
     "offline_blocks_cost",

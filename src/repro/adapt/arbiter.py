@@ -32,36 +32,36 @@ priors ranked the layouts correctly.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.stats import Stats, counter, gauge
 from .signature import template_key
 
 __all__ = ["ArbiterStats", "LearnedArbiter"]
 
 
-@dataclass(frozen=True)
-class ArbiterStats:
+@dataclass
+class ArbiterStats(Stats):
     """Counters describing the learned arbiter's behaviour so far."""
 
-    #: Arbitration decisions taken.
-    decisions: int
+    decisions: int = counter("repro_arbiter_decisions_total", "Arbitration decisions")
     #: Decisions that agreed with the static (blocks, bytes-estimate)
     #: argmin — the arbiter's "wins with the prior", convergence signal.
-    agreements: int
+    agreements: int = counter("repro_arbiter_agreements_total", "Decisions matching the prior")
     #: Decisions taken by ε-exploration rather than exploitation.
-    explored: int
+    explored: int = counter("repro_arbiter_explored_total", "Decisions taken by exploration")
     #: Cumulative estimated extra bytes accepted to explore (chosen
     #: arm's learned bytes − best arm's learned bytes at decision
     #: time).  Zero in blocks: exploration never leaves the
     #: blocks-minimal set.
-    regret_bytes: int
+    regret_bytes: int = counter("repro_arbiter_regret_bytes_total", "Bytes accepted to explore")
     #: Distinct (generation, template) arms with observed posteriors.
-    arms_learned: int
+    arms_learned: int = gauge("repro_arbiter_arms_learned", "Arms with posteriors")
     #: Realized-cost observations folded into the posteriors.
-    observations: int
+    observations: int = counter()
 
     @property
     def agreement_rate(self) -> float:
@@ -96,11 +96,7 @@ class LearnedArbiter:
         self._lock = threading.Lock()
         #: (generation, template) -> (observations, mean realized bytes)
         self._posterior: Dict[Tuple[int, str], Tuple[int, float]] = {}
-        self._decisions = 0
-        self._agreements = 0
-        self._explored = 0
-        self._regret_bytes = 0
-        self._observations = 0
+        self._stats = ArbiterStats()
 
     # -- the ArbitrateStage policy protocol ----------------------------
 
@@ -133,13 +129,13 @@ class LearnedArbiter:
             index = (
                 int(tied[self._rng.integers(len(tied))]) if explore else greedy
             )
-            self._decisions += 1
+            self._stats.decisions += 1
             static = min(range(len(scores)), key=lambda i: scores[i])
             if index == static:
-                self._agreements += 1
+                self._stats.agreements += 1
             if explore:
-                self._explored += 1
-                self._regret_bytes += int(
+                self._stats.explored += 1
+                self._stats.regret_bytes += int(
                     round(learned[index][1] - learned[greedy][1])
                 )
             return index
@@ -158,7 +154,7 @@ class LearnedArbiter:
             count += 1
             mean += (float(stats.bytes_read) - mean) / count
             self._posterior[arm] = (count, mean)
-            self._observations += 1
+            self._stats.observations += 1
 
     # -- observability -------------------------------------------------
 
@@ -171,28 +167,14 @@ class LearnedArbiter:
 
     def stats(self) -> ArbiterStats:
         with self._lock:
-            return ArbiterStats(
-                decisions=self._decisions,
-                agreements=self._agreements,
-                explored=self._explored,
-                regret_bytes=self._regret_bytes,
-                arms_learned=len(self._posterior),
-                observations=self._observations,
-            )
+            return replace(self._stats, arms_learned=len(self._posterior))
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish a collector view of :meth:`stats` into a
+        """Publish :meth:`stats` as a view into a
         :class:`~repro.obs.registry.MetricsRegistry`."""
-
-        def rows():
-            s, c = self.stats(), "counter"
-            yield "repro_arbiter_decisions_total", s.decisions, "Arbitration decisions", c
-            yield "repro_arbiter_agreements_total", s.agreements, "Decisions matching the prior", c
-            yield "repro_arbiter_explored_total", s.explored, "Decisions taken by exploration", c
-            yield "repro_arbiter_regret_bytes_total", s.regret_bytes, "Bytes accepted to explore", c
-            yield "repro_arbiter_arms_learned", s.arms_learned, "Arms with posteriors", "gauge"
-
-        registry.register_view("learned_arbiter", labels, rows)
+        registry.register_view(
+            "learned_arbiter", labels, lambda: self.stats().rows()
+        )
 
     def report_lines(self) -> Tuple[str, ...]:
         s = self.stats()

@@ -26,8 +26,8 @@ Everything the loop needs from the database is duck-typed
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..exec import ExecContext, PruneStage, RouteStage
 from ..serve.metrics import AdaptSnapshot
@@ -38,7 +38,6 @@ __all__ = [
     "AdaptEvent",
     "AdaptPolicy",
     "Reoptimizer",
-    "ReoptimizerStats",
     "offline_blocks_cost",
 ]
 
@@ -113,19 +112,6 @@ class AdaptEvent:
         if self.incumbent_blocks <= 0:
             return 0.0
         return 1.0 - self.candidate_blocks / self.incumbent_blocks
-
-
-@dataclass(frozen=True)
-class ReoptimizerStats:
-    """Counters over the re-optimizer's lifetime."""
-
-    checks: int
-    rebuilds: int
-    swaps: int
-    rejected: int
-    in_progress: bool
-    last_error: Optional[str] = None
-    events: Tuple[AdaptEvent, ...] = field(default_factory=tuple)
 
 
 def offline_blocks_cost(
@@ -208,12 +194,7 @@ class Reoptimizer:
         self._closed = False
         self._arrivals = 0
         self._cooldown_until = 0
-        self._checks = 0
-        self._rebuilds = 0
-        self._swaps = 0
-        self._rejected = 0
-        self._last_error: Optional[str] = None
-        self._events: List[AdaptEvent] = []
+        self._ledger = AdaptSnapshot()
 
     # -- the hot-path hook ---------------------------------------------
 
@@ -240,7 +221,7 @@ class Reoptimizer:
                 return False
             if self._thread is not None and self._thread.is_alive():
                 return False
-            self._checks += 1
+            self._ledger.checks += 1
         tracer = self.tracer
         if tracer is not None:
             with tracer.control_span("drift_check") as attrs:
@@ -256,7 +237,7 @@ class Reoptimizer:
                 self._thread is not None and self._thread.is_alive()
             ):
                 return False
-            self._rebuilds += 1
+            self._ledger.rebuilds += 1
             self._thread = threading.Thread(
                 target=self._rebuild_and_decide,
                 name="repro-adapt-rebuild",
@@ -270,7 +251,7 @@ class Reoptimizer:
         the deterministic entry point tests and the CLI use.  Returns
         the decision event (``None`` if the window was empty)."""
         with self._lock:
-            self._rebuilds += 1
+            self._ledger.rebuilds += 1
         return self._rebuild_and_decide()
 
     def join(self, timeout: Optional[float] = None) -> None:
@@ -293,8 +274,8 @@ class Reoptimizer:
                 return self._traced_rebuild()
             except Exception as exc:  # the loop must never kill serving
                 with self._lock:
-                    self._last_error = f"{type(exc).__name__}: {exc}"
-                    self._rejected += 1
+                    self._ledger.last_error = f"{type(exc).__name__}: {exc}"
+                    self._ledger.rejected += 1
                     self._cooldown_until = (
                         self._arrivals + self.policy.effective_cooldown
                     )
@@ -365,8 +346,8 @@ class Reoptimizer:
                 generation=candidate.generation,
             )
             with self._lock:
-                self._swaps += 1
-                self._events.append(event)
+                self._ledger.swaps += 1
+                self._ledger.events += (event,)
             if self.on_swap is not None:
                 self.on_swap(candidate)
             self.serving = candidate
@@ -381,8 +362,8 @@ class Reoptimizer:
                 generation=candidate.generation,
             )
             with self._lock:
-                self._rejected += 1
-                self._events.append(event)
+                self._ledger.rejected += 1
+                self._ledger.events += (event,)
                 self._cooldown_until = (
                     self._arrivals + self.policy.effective_cooldown
                 )
@@ -390,55 +371,29 @@ class Reoptimizer:
 
     # -- observability -------------------------------------------------
 
-    def stats(self) -> ReoptimizerStats:
+    def stats(self) -> AdaptSnapshot:
+        """The adaptation ledger: the counters and decision events,
+        plus the point-in-time drift score, log depth, serving
+        generation and whether a rebuild is running."""
+        drift_score, log_records = self.detector.last_score, len(self.log)
         with self._lock:
-            return ReoptimizerStats(
-                checks=self._checks,
-                rebuilds=self._rebuilds,
-                swaps=self._swaps,
-                rejected=self._rejected,
+            return replace(
+                self._ledger,
+                drift_score=drift_score,
+                log_records=log_records,
+                generation=self.serving.generation,
                 in_progress=(
                     self._thread is not None and self._thread.is_alive()
                 ),
-                last_error=self._last_error,
-                events=tuple(self._events),
             )
 
-    def snapshot(self) -> AdaptSnapshot:
-        """The adaptation ledger as serving snapshots carry it."""
-        s = self.stats()
-        return AdaptSnapshot(
-            drift_score=self.detector.last_score,
-            swaps=s.swaps,
-            rebuilds=s.rebuilds,
-            rejected=s.rejected,
-            log_records=len(self.log),
-        )
+    #: The same ledger, under the name serving snapshots ask for.
+    snapshot = stats
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish the adaptation ledger into a
+        """Publish :meth:`stats` as a view into a
         :class:`~repro.obs.registry.MetricsRegistry`."""
-
-        def rows():
-            s, c, g = self.snapshot(), "counter", "gauge"
-            yield (
-                "repro_adapt_drift_score",
-                s.drift_score,
-                "Live-vs-baseline workload divergence",
-                g,
-            )
-            yield "repro_adapt_swaps_total", s.swaps, "Generation hot-swaps installed", c
-            yield "repro_adapt_rebuilds_total", s.rebuilds, "Background rebuilds attempted", c
-            yield "repro_adapt_rejected_total", s.rejected, "Candidates built but discarded", c
-            yield "repro_adapt_log_records", s.log_records, "Records in the query-log ring", g
-            yield (
-                "repro_adapt_generation",
-                self.serving.generation,
-                "Generation currently serving",
-                g,
-            )
-
-        registry.register_view("adapt", labels, rows)
+        registry.register_view("adapt", labels, lambda: self.stats().rows())
 
     def report_lines(self) -> Tuple[str, ...]:
         """The serving generation, then one line per rebuild decision."""

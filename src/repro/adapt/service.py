@@ -221,7 +221,7 @@ class AdaptiveService(Service):
         raise AssertionError("unreachable")
 
     def adapt_snapshot(self) -> AdaptSnapshot:
-        return self.reoptimizer.snapshot()
+        return self.reoptimizer.stats()
 
     @property
     def events(self):

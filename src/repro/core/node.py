@@ -296,6 +296,24 @@ class NodeDescription:
             out.categorical_masks[col.name] = bits
         return out
 
+    def tighten_to_stats(self, minmax) -> "NodeDescription":
+        """:meth:`tighten` from a block's min-max index
+        (:class:`~repro.storage.minmax.MinMaxIndex`, duck-typed)
+        instead of its rows — what reopening a saved layout has at
+        hand without decoding a single column."""
+        out = self.copy()
+        for col in self.schema.numeric_columns:
+            bounds = minmax.bounds(col.name)
+            if bounds is not None:
+                out.hypercube = out.hypercube.with_interval(
+                    col.name, Interval(bounds[0], bounds[1], True, True)
+                )
+        for col in self.schema.categorical_columns:
+            stats = minmax.column_stats(col.name)
+            if stats is not None and stats.distinct is not None:
+                out.categorical_masks[col.name] = stats.distinct.copy()
+        return out
+
     def widen(self, columns: Mapping[str, np.ndarray]) -> "NodeDescription":
         """The hull of this description and newly routed rows.
 

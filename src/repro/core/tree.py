@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..storage.catalog import write_json_atomic
 from ..storage.schema import Schema
 from ..storage.table import Table
 from .cuts import CutRegistry
@@ -276,6 +277,21 @@ class QdTree:
         self._frozen = True
         return bids
 
+    def freeze_from_store(self, store) -> None:
+        """Re-freeze a tree loaded from disk: :meth:`to_dict` persists
+        cuts only, so a reloaded tree's leaves carry just their path
+        descriptions.  Each leaf is tightened from the min-max /
+        distinct stats of the block it owns in ``store`` (a
+        :class:`~repro.storage.blocks.BlockStore`, duck-typed) —
+        exactly what :meth:`freeze` (and every ingest's widening
+        since) computed from the rows."""
+        for leaf in self.leaves():
+            if leaf.block_id in store:
+                leaf.description = leaf.description.tighten_to_stats(
+                    store.block(leaf.block_id).minmax
+                )
+        self._frozen = True
+
     # ------------------------------------------------------------------
     # Introspection / serialization
     # ------------------------------------------------------------------
@@ -372,9 +388,9 @@ class QdTree:
         return tree
 
     def save(self, path: str) -> None:
-        """Write :meth:`to_dict` as JSON."""
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
+        """Write :meth:`to_dict` as JSON (temp file + rename, so a
+        crash never leaves a torn tree under ``path``)."""
+        write_json_atomic(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str, schema: Schema, registry: CutRegistry) -> "QdTree":

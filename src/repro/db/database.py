@@ -237,6 +237,10 @@ class Database:
                     f"in its metadata; cannot rebind tree cuts"
                 )
             tree = QdTree.load(str(tree_path), store.schema, registry)
+            # The tree file holds cuts only; without this the reopened
+            # layout would route with un-tightened leaves (more
+            # candidates considered than the layout that was saved).
+            tree.freeze_from_store(store)
         generation = int(meta.get("generation", 1))
         strategy = str(meta.get("strategy") or meta.get("method") or "unknown")
         db = cls(

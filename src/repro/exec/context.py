@@ -81,3 +81,22 @@ class ExecContext:
     #: default).  Duck-typed so repro.exec never imports repro.obs at
     #: the type level; stages guard every touch with ``is not None``.
     trace: Optional[object] = None
+
+    def mark(
+        self,
+        key: str,
+        t0: float,
+        elapsed: float,
+        span: Optional[str] = None,
+        parent: Optional[str] = None,
+        **attrs: object,
+    ) -> None:
+        """Book one measured duration — the single writer of
+        ``timings`` and of trace spans, so ``ServeResult.stage_seconds``
+        and the trace are built by the same code.  ``elapsed`` adds to
+        ``timings[key]``; when the query is traced and ``span`` names
+        one, the same interval also becomes that span (a stage's
+        ``finish`` time folds into its key without a second span)."""
+        self.timings[key] = self.timings.get(key, 0.0) + elapsed
+        if span is not None and self.trace is not None:
+            self.trace.add_span(span, t0, elapsed, parent, **attrs)

@@ -120,6 +120,11 @@ class QueryPipeline:
         self._scan_stage = next(
             (s for s in self.stages if hasattr(s, "collect")), None
         )
+        #: Stages with post-result work (the base ``finish`` is a
+        #: no-op, not worth two clock reads per stage per query).
+        self._finishers = tuple(
+            s for s in self.stages if type(s).finish is not Stage.finish
+        )
 
     # ------------------------------------------------------------------
 
@@ -154,45 +159,35 @@ class QueryPipeline:
             ctx.trace = tb
         t_start = now()
         # Queue wait: admission-to-execution gap (≈0 on direct calls).
-        ctx.timings["queue"] = t_start - t_admit
-        if tb is not None:
-            tb.add_span("queue", t_admit, t_start - t_admit)
-        for stage in self.stages:
-            t0 = now()
-            stage.run(ctx)
-            elapsed = now() - t0
-            ctx.timings[stage.name] = ctx.timings.get(stage.name, 0.0) + elapsed
-            if tb is not None:
-                tb.add_span(
-                    stage.span_name or stage.name,
-                    t0,
-                    elapsed,
-                    **stage.span_attrs(ctx),
-                )
-        for stage in self.stages:
-            t0 = now()
-            stage.finish(ctx)
-            # finish-time work (result-cache publish) folds into the
-            # owning stage's key so the sum-of-stages identity holds.
-            ctx.timings[stage.name] += now() - t0
+        ctx.mark("queue", t_admit, t_start - t_admit, span="queue")
+        try:
+            for stage in self.stages:
+                t0 = now()
+                stage.run(ctx)
+                elapsed = now() - t0
+                if tb is None:  # untraced: no span, so no attrs to build
+                    ctx.mark(stage.name, t0, elapsed)
+                else:
+                    span = stage.span_name or stage.name
+                    ctx.mark(stage.name, t0, elapsed, span, **stage.span_attrs(ctx))
+            for stage in self._finishers:
+                t0 = now()
+                stage.finish(ctx)
+                # finish-time work (result-cache publish) folds into
+                # the owning stage's key so the sum-of-stages identity
+                # holds.
+                ctx.mark(stage.name, t0, now() - t0)
+        except Exception as exc:
+            # A stage raised (``stage`` / ``t0`` are its).  Close what
+            # was opened: its span and the trace carry the exception
+            # type and the error is counted, then the exception goes
+            # on to the caller / future.
+            error = type(exc).__name__
+            ctx.mark(stage.name, t0, now() - t0, span=stage.span_name or stage.name, error=error)
+            self._close(ctx, tb, now() - t_admit, error)
+            raise
         latency = now() - t_admit
-        if self.metrics is not None:
-            self.metrics.record(
-                latency, ctx.stats, cached=ctx.cached, winner=ctx.winner
-            )
-        if tb is not None:
-            stats = ctx.stats
-            tb.finish(
-                fingerprint=_fingerprint(ctx),
-                generation=ctx.generation,
-                cached=ctx.cached,
-                winner=ctx.winner,
-                blocks_scanned=stats.blocks_scanned if stats else 0,
-                tuples_scanned=stats.tuples_scanned if stats else 0,
-                bytes_read=stats.bytes_read if stats else 0,
-                rows_returned=stats.rows_returned if stats else 0,
-                latency_seconds=latency,
-            )
+        self._close(ctx, tb, latency)
         return ServeResult(
             sql=sql,
             stats=ctx.stats,
@@ -203,6 +198,32 @@ class QueryPipeline:
             stage_seconds=dict(ctx.timings),
             generation=ctx.generation,
         )
+
+    def _close(self, ctx: ExecContext, tb, latency: float, error: Optional[str] = None) -> None:
+        """Book one finished execution — served or failed — in the
+        metrics window and publish its trace."""
+        if self.metrics is not None:
+            if error is None:
+                self.metrics.record(
+                    latency, ctx.stats, cached=ctx.cached, winner=ctx.winner
+                )
+            else:
+                self.metrics.record_error()
+        if tb is not None:
+            stats = ctx.stats
+            outcome = {"error": error} if error is not None else {}
+            tb.finish(
+                fingerprint=_fingerprint(ctx),
+                generation=ctx.generation,
+                cached=ctx.cached,
+                winner=ctx.winner,
+                blocks_scanned=stats.blocks_scanned if stats else 0,
+                tuples_scanned=stats.tuples_scanned if stats else 0,
+                bytes_read=stats.bytes_read if stats else 0,
+                rows_returned=stats.rows_returned if stats else 0,
+                latency_seconds=latency,
+                **outcome,
+            )
 
     def prepare(self, sql: str) -> ExecContext:
         """Run plan/route/prune (and arbitration) only — everything a

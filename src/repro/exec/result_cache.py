@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.workload import Query
 from ..engine.executor import QueryStats
+from ..obs.stats import Stats, counter, gauge
 
 __all__ = [
     "CachedResult",
@@ -79,25 +80,29 @@ class CachedResult:
     routed_block_ids: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class ResultCacheStats:
-    """A consistent point-in-time snapshot of cache accounting."""
+@dataclass
+class ResultCacheStats(Stats):
+    """Result-cache accounting: the cache's live counters, and (as a
+    copy) a consistent point-in-time snapshot of them."""
 
-    hits: int
-    misses: int
-    entries: int
-    evictions: int
+    hits: int = counter("repro_result_cache_hits_total", "Result-cache hits")
+    misses: int = counter("repro_result_cache_misses_total", "Result-cache misses")
+    entries: int = gauge("repro_result_cache_entries", "Result-cache entries resident")
+    evictions: int = counter()
     #: Entries dropped by generation purges (ingest / swap_layout).
-    invalidated: int
+    invalidated: int = counter()
     #: Tuple-scans a fresh execution would have performed but a hit
     #: avoided — the work the cache exists to skip.
-    tuples_avoided: int
+    tuples_avoided: int = counter(
+        "repro_result_cache_tuples_avoided_total",
+        "Tuple-scans the result cache avoided",
+    )
     #: Row-id store accounting (the byte-bounded collect_row_ids memo).
-    row_id_hits: int = 0
-    row_id_misses: int = 0
-    row_id_entries: int = 0
-    row_id_bytes: int = 0
-    row_id_evictions: int = 0
+    row_id_hits: int = counter()
+    row_id_misses: int = counter()
+    row_id_entries: int = gauge()
+    row_id_bytes: int = gauge()
+    row_id_evictions: int = counter()
 
     @property
     def hit_rate(self) -> float:
@@ -108,24 +113,6 @@ class ResultCacheStats:
     def row_id_hit_rate(self) -> float:
         total = self.row_id_hits + self.row_id_misses
         return self.row_id_hits / total if total else 0.0
-
-    def since(self, earlier: "ResultCacheStats") -> "ResultCacheStats":
-        """Activity between ``earlier`` and this snapshot (counters
-        become deltas; ``entries``/``row_id_entries``/``row_id_bytes``
-        keep their point-in-time values)."""
-        return ResultCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            entries=self.entries,
-            evictions=self.evictions - earlier.evictions,
-            invalidated=self.invalidated - earlier.invalidated,
-            tuples_avoided=self.tuples_avoided - earlier.tuples_avoided,
-            row_id_hits=self.row_id_hits - earlier.row_id_hits,
-            row_id_misses=self.row_id_misses - earlier.row_id_misses,
-            row_id_entries=self.row_id_entries,
-            row_id_bytes=self.row_id_bytes,
-            row_id_evictions=self.row_id_evictions - earlier.row_id_evictions,
-        )
 
 
 class ResultCache:
@@ -156,16 +143,8 @@ class ResultCache:
         self.row_id_byte_budget = row_id_byte_budget
         self._lock = threading.Lock()
         self._entries: "OrderedDict[_Key, CachedResult]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidated = 0
-        self._tuples_avoided = 0
         self._row_ids: "OrderedDict[_Key, np.ndarray]" = OrderedDict()
-        self._row_id_bytes = 0
-        self._row_id_hits = 0
-        self._row_id_misses = 0
-        self._row_id_evictions = 0
+        self._stats = ResultCacheStats()
 
     # ------------------------------------------------------------------
 
@@ -193,11 +172,11 @@ class ResultCache:
         with self._lock:
             hit = self._entries.get(key)
             if hit is None:
-                self._misses += 1
+                self._stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
-            self._tuples_avoided += hit.stats.tuples_scanned
+            self._stats.hits += 1
+            self._stats.tuples_avoided += hit.stats.tuples_scanned
             return hit
 
     def put(
@@ -215,7 +194,7 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.cap:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._stats.evictions += 1
 
     # ------------------------------------------------------------------
     # Row-id store (byte-bounded)
@@ -233,10 +212,10 @@ class ResultCache:
         with self._lock:
             hit = self._row_ids.get(key)
             if hit is None:
-                self._row_id_misses += 1
+                self._stats.row_id_misses += 1
                 return None
             self._row_ids.move_to_end(key)
-            self._row_id_hits += 1
+            self._stats.row_id_hits += 1
             return hit
 
     def put_row_ids(
@@ -268,16 +247,16 @@ class ResultCache:
         with self._lock:
             old = self._row_ids.pop(key, None)
             if old is not None:
-                self._row_id_bytes -= old.nbytes
+                self._stats.row_id_bytes -= old.nbytes
             self._row_ids[key] = arr
-            self._row_id_bytes += arr.nbytes
+            self._stats.row_id_bytes += arr.nbytes
             while (
-                self._row_id_bytes > self.row_id_byte_budget
+                self._stats.row_id_bytes > self.row_id_byte_budget
                 or len(self._row_ids) > self.cap
             ):
                 _, dropped = self._row_ids.popitem(last=False)
-                self._row_id_bytes -= dropped.nbytes
-                self._row_id_evictions += 1
+                self._stats.row_id_bytes -= dropped.nbytes
+                self._stats.row_id_evictions += 1
             return True
 
     # ------------------------------------------------------------------
@@ -299,8 +278,8 @@ class ResultCache:
                 del self._entries[key]
             stale_ids = [k for k in self._row_ids if k[1] != generation]
             for key in stale_ids:
-                self._row_id_bytes -= self._row_ids.pop(key).nbytes
-            self._invalidated += len(stale) + len(stale_ids)
+                self._stats.row_id_bytes -= self._row_ids.pop(key).nbytes
+            self._stats.invalidated += len(stale) + len(stale_ids)
             return len(stale) + len(stale_ids)
 
     def clear(self) -> int:
@@ -309,45 +288,26 @@ class ResultCache:
             dropped = len(self._entries) + len(self._row_ids)
             self._entries.clear()
             self._row_ids.clear()
-            self._row_id_bytes = 0
-            self._invalidated += dropped
+            self._stats.row_id_bytes = 0
+            self._stats.invalidated += dropped
             return dropped
 
     # ------------------------------------------------------------------
 
     def stats(self) -> ResultCacheStats:
         with self._lock:
-            return ResultCacheStats(
-                hits=self._hits,
-                misses=self._misses,
+            return replace(
+                self._stats,
                 entries=len(self._entries),
-                evictions=self._evictions,
-                invalidated=self._invalidated,
-                tuples_avoided=self._tuples_avoided,
-                row_id_hits=self._row_id_hits,
-                row_id_misses=self._row_id_misses,
                 row_id_entries=len(self._row_ids),
-                row_id_bytes=self._row_id_bytes,
-                row_id_evictions=self._row_id_evictions,
             )
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish a collector view of :meth:`stats` into a
+        """Publish :meth:`stats` as a view into a
         :class:`~repro.obs.registry.MetricsRegistry`."""
-
-        def rows():
-            s, c = self.stats(), "counter"
-            yield "repro_result_cache_entries", s.entries, "Result-cache entries resident", "gauge"
-            yield "repro_result_cache_hits_total", s.hits, "Result-cache hits", c
-            yield "repro_result_cache_misses_total", s.misses, "Result-cache misses", c
-            yield (
-                "repro_result_cache_tuples_avoided_total",
-                s.tuples_avoided,
-                "Tuple-scans the result cache avoided",
-                c,
-            )
-
-        registry.register_view("result_cache", labels, rows)
+        registry.register_view(
+            "result_cache", labels, lambda: self.stats().rows()
+        )
 
     def report_lines(self, generation: Optional[int] = None) -> Tuple[str, ...]:
         """One operator-facing line; ``generation`` names the layout a

@@ -464,21 +464,18 @@ class ScatterScanStage(Stage):
         # clock; the spans all anchor at the scatter start because the
         # coordinator never observes per-shard dispatch instants.
         for i, part in zip(ctx.owners, ctx.parts):
-            ctx.timings[f"scan.shard{i}"] = (
-                ctx.timings.get(f"scan.shard{i}", 0.0) + part.wall_seconds
+            ctx.mark(
+                f"scan.shard{i}",
+                t0,
+                part.wall_seconds,
+                span=f"scatter_scan.shard{i}",
+                parent="scatter_scan",
+                shard=i,
+                blocks_scanned=part.blocks_scanned,
+                tuples_scanned=part.tuples_scanned,
+                bytes_read=part.bytes_read,
+                rows_returned=part.rows_returned,
             )
-            if ctx.trace is not None:
-                ctx.trace.add_span(
-                    f"scatter_scan.shard{i}",
-                    t0,
-                    part.wall_seconds,
-                    parent="scatter_scan",
-                    shard=i,
-                    blocks_scanned=part.blocks_scanned,
-                    tuples_scanned=part.tuples_scanned,
-                    bytes_read=part.bytes_read,
-                    rows_returned=part.rows_returned,
-                )
         with self._fanout_lock:
             self._fanout_queries += 1
             self._fanout_shards += len(ctx.owners)

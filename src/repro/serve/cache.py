@@ -27,72 +27,44 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.stats import Stats, counter, gauge
 from ..storage.blocks import Block
 
 __all__ = ["BlockCache", "CacheStats"]
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """A consistent point-in-time snapshot of cache accounting."""
+@dataclass
+class CacheStats(Stats):
+    """Buffer-pool accounting: the pool's live counters, and (as a
+    copy) a consistent point-in-time snapshot of them."""
 
-    hits: int
-    misses: int
-    evictions: int
-    entries: int
-    cached_bytes: int
-    budget_bytes: int
-    #: Bytes decoded on misses (the work the cache exists to avoid).
-    decoded_bytes: int
-    #: Bytes served straight from the pool (decode work avoided).
-    served_bytes: int
-    #: Inserts the LFU admission gate turned away (0 under plain LRU).
-    admission_rejections: int = 0
+    hits: int = counter("repro_cache_hits_total", "Buffer-pool hits")
+    misses: int = counter("repro_cache_misses_total", "Buffer-pool misses")
+    evictions: int = counter("repro_cache_evictions_total", "Evictions")
+    entries: int = gauge("repro_cache_entries", "Resident entries")
+    cached_bytes: int = gauge("repro_cache_bytes", "Resident bytes")
+    budget_bytes: int = gauge("repro_cache_budget_bytes", "Byte budget")
+    #: The work the cache exists to avoid.
+    decoded_bytes: int = counter("repro_cache_decoded_bytes_total", "Bytes decoded on misses")
+    #: Decode work avoided.
+    served_bytes: int = counter(
+        "repro_cache_served_bytes_total", "Bytes served straight from the pool"
+    )
+    #: 0 under plain LRU.
+    admission_rejections: int = counter(
+        "repro_cache_admission_rejections_total",
+        "Inserts the admission gate turned away",
+    )
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @classmethod
-    def merged(cls, parts: Sequence["CacheStats"]) -> "CacheStats":
-        """Aggregate accounting across shards: counters and residency
-        sum (each shard owns its own budget, like separate machines)."""
-        return cls(
-            hits=sum(p.hits for p in parts),
-            misses=sum(p.misses for p in parts),
-            evictions=sum(p.evictions for p in parts),
-            entries=sum(p.entries for p in parts),
-            cached_bytes=sum(p.cached_bytes for p in parts),
-            budget_bytes=sum(p.budget_bytes for p in parts),
-            decoded_bytes=sum(p.decoded_bytes for p in parts),
-            served_bytes=sum(p.served_bytes for p in parts),
-            admission_rejections=sum(p.admission_rejections for p in parts),
-        )
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """Activity between ``earlier`` and this snapshot: cumulative
-        counters become deltas; residency fields (entries,
-        cached/budget bytes) keep this snapshot's point-in-time
-        values."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-            entries=self.entries,
-            cached_bytes=self.cached_bytes,
-            budget_bytes=self.budget_bytes,
-            decoded_bytes=self.decoded_bytes - earlier.decoded_bytes,
-            served_bytes=self.served_bytes - earlier.served_bytes,
-            admission_rejections=(
-                self.admission_rejections - earlier.admission_rejections
-            ),
-        )
 
 
 #: Frequency counters are capped here (a key can't hoard history) and
@@ -130,13 +102,7 @@ class BlockCache:
         self.admission = admission
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[int, str], np.ndarray]" = OrderedDict()
-        self._cached_bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._decoded_bytes = 0
-        self._served_bytes = 0
-        self._admission_rejections = 0
+        self._stats = CacheStats(budget_bytes=budget_bytes)
         #: Decayed access-frequency sketch (LFU admission only).
         self._freq: Dict[Tuple[int, str], int] = {}
         self._freq_samples = 0
@@ -163,6 +129,7 @@ class BlockCache:
         out: Dict[str, np.ndarray] = {}
         missing = []
         names = sorted(set(names))
+        stats = self._stats
         with self._lock:
             for name in names:
                 key = (block.block_id, name)
@@ -171,11 +138,11 @@ class BlockCache:
                 arr = self._entries.get(key)
                 if arr is not None:
                     self._entries.move_to_end(key)
-                    self._hits += 1
-                    self._served_bytes += arr.nbytes
+                    stats.hits += 1
+                    stats.served_bytes += arr.nbytes
                     out[name] = arr
                 else:
-                    self._misses += 1
+                    stats.misses += 1
                     missing.append(name)
         # Decode outside the lock: numpy decode kernels release the GIL,
         # so concurrent misses on different blocks overlap.
@@ -189,7 +156,7 @@ class BlockCache:
             arr.setflags(write=False)
             out[name] = arr
             with self._lock:
-                self._decoded_bytes += arr.nbytes
+                stats.decoded_bytes += arr.nbytes
                 self._insert((block.block_id, name), arr)
         return out
 
@@ -218,25 +185,26 @@ class BlockCache:
         """
         if arr.nbytes > self.budget_bytes:
             return  # decode-through: can never fit
+        stats = self._stats
         existing = self._entries.pop(key, None)
         if existing is not None:
-            self._cached_bytes -= existing.nbytes
+            stats.cached_bytes -= existing.nbytes
         if self.admission == "lfu":
             freq_new = self._freq.get(key, 0)
-            while self._cached_bytes + arr.nbytes > self.budget_bytes:
+            while stats.cached_bytes + arr.nbytes > self.budget_bytes:
                 victim = next(iter(self._entries))
                 if self._freq.get(victim, 0) > freq_new:
-                    self._admission_rejections += 1
+                    stats.admission_rejections += 1
                     return
                 _, evicted = self._entries.popitem(last=False)
-                self._cached_bytes -= evicted.nbytes
-                self._evictions += 1
+                stats.cached_bytes -= evicted.nbytes
+                stats.evictions += 1
         self._entries[key] = arr
-        self._cached_bytes += arr.nbytes
-        while self._cached_bytes > self.budget_bytes:
+        stats.cached_bytes += arr.nbytes
+        while stats.cached_bytes > self.budget_bytes:
             _, evicted = self._entries.popitem(last=False)
-            self._cached_bytes -= evicted.nbytes
-            self._evictions += 1
+            stats.cached_bytes -= evicted.nbytes
+            stats.evictions += 1
 
     def invalidate(self, block_id: Optional[int] = None) -> int:
         """Drop entries for one BID (or all); returns entries dropped."""
@@ -244,55 +212,23 @@ class BlockCache:
             if block_id is None:
                 dropped = len(self._entries)
                 self._entries.clear()
-                self._cached_bytes = 0
+                self._stats.cached_bytes = 0
                 return dropped
             keys = [k for k in self._entries if k[0] == block_id]
             for key in keys:
-                self._cached_bytes -= self._entries.pop(key).nbytes
+                self._stats.cached_bytes -= self._entries.pop(key).nbytes
             return len(keys)
 
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._entries),
-                cached_bytes=self._cached_bytes,
-                budget_bytes=self.budget_bytes,
-                decoded_bytes=self._decoded_bytes,
-                served_bytes=self._served_bytes,
-                admission_rejections=self._admission_rejections,
-            )
+            return replace(self._stats, entries=len(self._entries))
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish a collector view of :meth:`stats` into a
-        :class:`~repro.obs.registry.MetricsRegistry` (thin view — the
-        :class:`CacheStats` snapshot stays the source of truth)."""
-
-        def rows():
-            s, c, g = self.stats(), "counter", "gauge"
-            yield "repro_cache_hits_total", s.hits, "Buffer-pool hits", c
-            yield "repro_cache_misses_total", s.misses, "Buffer-pool misses", c
-            yield "repro_cache_evictions_total", s.evictions, "Evictions", c
-            yield "repro_cache_decoded_bytes_total", s.decoded_bytes, "Bytes decoded on misses", c
-            yield (
-                "repro_cache_served_bytes_total",
-                s.served_bytes,
-                "Bytes served straight from the pool",
-                c,
-            )
-            yield (
-                "repro_cache_admission_rejections_total",
-                s.admission_rejections,
-                "Inserts the admission gate turned away",
-                c,
-            )
-            yield "repro_cache_entries", s.entries, "Resident entries", g
-            yield "repro_cache_bytes", s.cached_bytes, "Resident bytes", g
-            yield "repro_cache_budget_bytes", s.budget_bytes, "Byte budget", g
-
-        registry.register_view("block_cache", labels, rows)
+        """Publish :meth:`stats` as a view into a
+        :class:`~repro.obs.registry.MetricsRegistry`."""
+        registry.register_view(
+            "block_cache", labels, lambda: self.stats().rows()
+        )
 
     def __len__(self) -> int:
         with self._lock:

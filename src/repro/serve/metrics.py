@@ -12,43 +12,56 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..engine.executor import QueryStats
 from ..obs.clock import now
+from ..obs.stats import Stats, counter, gauge
 from .cache import CacheStats
 
 __all__ = ["AdaptSnapshot", "MetricsSnapshot", "ServingMetrics"]
 
 
-@dataclass(frozen=True)
-class AdaptSnapshot:
-    """Adaptation-loop observability attached to a metrics snapshot.
+@dataclass
+class AdaptSnapshot(Stats):
+    """The adaptation ledger: the re-optimizer's live counters and (as
+    a copy) the view every serving snapshot carries.
 
     Filled by the :mod:`repro.adapt` control plane (the serving tier
     itself never computes these): the current drift score, the
-    rebuild/swap ledger, and — under learned multi-layout arbitration
-    — the bandit's win/regret counters (``arbiter`` is duck-typed to
+    rebuild/swap ledger with its decision events, and — under learned
+    multi-layout arbitration — the bandit's win/regret counters
+    (``arbiter`` is duck-typed to
     :class:`repro.adapt.arbiter.ArbiterStats` so this module stays
     independent of the control plane).
     """
 
     #: Divergence between the build-time and live workload mixes.
-    drift_score: float = 0.0
-    #: Background rebuilds installed via generation swap.
-    swaps: int = 0
-    #: Rebuilds attempted (swaps + rejected + in flight).
-    rebuilds: int = 0
-    #: Candidates built but discarded (insufficient improvement).
-    rejected: int = 0
-    #: Records currently in the query-log ring.
-    log_records: int = 0
+    drift_score: float = gauge(
+        "repro_adapt_drift_score", "Live-vs-baseline workload divergence", 0.0
+    )
+    swaps: int = counter("repro_adapt_swaps_total", "Generation hot-swaps installed")
+    #: Swaps + rejected + in flight.
+    rebuilds: int = counter("repro_adapt_rebuilds_total", "Background rebuilds attempted")
+    #: Insufficient improvement, or the rebuild itself crashed
+    #: (``last_error`` tells them apart).
+    rejected: int = counter("repro_adapt_rejected_total", "Candidates built but discarded")
+    log_records: int = gauge("repro_adapt_log_records", "Records in the query-log ring")
     #: Learned-arbiter counters, when one is attached (the arbiter
     #: renders its own report line as a service resource).
     arbiter: Optional[object] = None
+    generation: int = gauge("repro_adapt_generation", "Generation currently serving")
+    #: Drift checks run (every ``check_every`` arrivals).
+    checks: int = counter()
+    #: A background rebuild is running right now.
+    in_progress: bool = False
+    last_error: Optional[str] = None
+    #: Completed rebuild decisions (:class:`repro.adapt.AdaptEvent`),
+    #: oldest first.
+    events: Tuple[object, ...] = ()
 
     def report_lines(self) -> Tuple[str, ...]:
         return (
@@ -59,9 +72,11 @@ class AdaptSnapshot:
         )
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Frozen serving metrics over one observation window.
+@dataclass
+class MetricsSnapshot(Stats):
+    """Serving metrics over one observation window: the collector's
+    live counters and (as a copy, with the window's derived gauges
+    filled in) its frozen snapshot.
 
     ``bytes_read`` counts decoded bytes queries consumed; with a
     buffer pool attached, ``cache.decoded_bytes`` /
@@ -69,23 +84,38 @@ class MetricsSnapshot:
     pool hits.
     """
 
-    queries: int
-    window_seconds: float
-    qps: float
-    latency_mean_ms: float
-    latency_p50_ms: float
-    latency_p95_ms: float
-    latency_p99_ms: float
-    blocks_scanned: int
-    tuples_scanned: int
-    rows_returned: int
-    bytes_read: int
+    queries: int = counter("repro_serve_queries_total", "Queries served")
+    window_seconds: float = gauge("repro_serve_window_seconds", "Observation window length", 0.0)
+    qps: float = gauge("repro_serve_qps", "Window throughput", 0.0)
+    latency_mean_ms: float = gauge(
+        "repro_serve_latency_mean_ms", "Mean latency over the window", 0.0
+    )
+    latency_p50_ms: float = gauge(
+        "repro_serve_latency_p50_ms", "Median latency over the window", 0.0
+    )
+    latency_p95_ms: float = gauge("repro_serve_latency_p95_ms", "p95 latency over the window", 0.0)
+    latency_p99_ms: float = gauge("repro_serve_latency_p99_ms", "p99 latency over the window", 0.0)
+    blocks_scanned: int = counter(
+        "repro_serve_blocks_scanned_total", "Blocks scanned (cache hits excluded)"
+    )
+    tuples_scanned: int = counter(
+        "repro_serve_tuples_scanned_total", "Tuples scanned (cache hits excluded)"
+    )
+    rows_returned: int = counter("repro_serve_rows_returned_total", "Rows returned to clients")
+    bytes_read: int = counter("repro_serve_bytes_read_total", "Decoded bytes queries consumed")
     cache: Optional[CacheStats] = None
     #: Multi-layout arbitration: (layout label, queries won) pairs,
     #: most wins first; empty outside multi-layout serving.
-    layout_wins: Tuple[Tuple[str, int], ...] = ()
+    layout_wins: Tuple[Tuple[str, int], ...] = counter(
+        "repro_serve_layout_wins_total",
+        "Queries each layout won under arbitration",
+        label="layout",
+        default=(),
+    )
     #: Adaptation-loop counters (``None`` outside adaptive serving).
     adapt: Optional[AdaptSnapshot] = None
+    #: Queries a raising stage aborted (they count nowhere else).
+    errors: int = counter("repro_serve_errors_total", "Queries that raised")
 
     @property
     def cache_hit_rate(self) -> float:
@@ -155,12 +185,8 @@ class ServingMetrics:
     def __init__(self, max_samples: int = 100_000) -> None:
         self._lock = threading.Lock()
         self._latencies: "deque[float]" = deque(maxlen=max_samples)
-        self._queries = 0
-        self._blocks_scanned = 0
-        self._tuples_scanned = 0
-        self._rows_returned = 0
-        self._bytes_read = 0
         self._wins: Dict[str, int] = {}
+        self._stats = MetricsSnapshot()
         self._window_start = now()
         self._last_record = self._window_start
 
@@ -185,16 +211,23 @@ class ServingMetrics:
         decision stands, the cache merely spared the scan).
         """
         with self._lock:
+            window = self._stats
             self._latencies.append(latency_seconds)
-            self._queries += 1
-            self._rows_returned += stats.rows_returned
+            window.queries += 1
+            window.rows_returned += stats.rows_returned
             if not cached:
-                self._blocks_scanned += stats.blocks_scanned
-                self._tuples_scanned += stats.tuples_scanned
-                self._bytes_read += stats.bytes_read
+                window.blocks_scanned += stats.blocks_scanned
+                window.tuples_scanned += stats.tuples_scanned
+                window.bytes_read += stats.bytes_read
             if winner is not None:
                 self._wins[winner] = self._wins.get(winner, 0) + 1
             self._last_record = now()
+
+    def record_error(self) -> None:
+        """Count one query a raising stage aborted.  ``queries`` and
+        the scan counters do not move: nothing was served."""
+        with self._lock:
+            self._stats.errors += 1
 
     def win_counts(self) -> Dict[str, int]:
         """Per-layout queries won (multi-layout serving only)."""
@@ -205,68 +238,18 @@ class ServingMetrics:
         """Start a fresh observation window."""
         with self._lock:
             self._latencies.clear()
-            self._queries = 0
-            self._blocks_scanned = 0
-            self._tuples_scanned = 0
-            self._rows_returned = 0
-            self._bytes_read = 0
             self._wins.clear()
+            self._stats = MetricsSnapshot()
             self._window_start = now()
             self._last_record = self._window_start
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish this collector into a
-        :class:`~repro.obs.registry.MetricsRegistry`.
-
-        Registers a collector callback that freezes one
-        :class:`MetricsSnapshot` per export — this object stays the
-        source of truth and its snapshot stays the API; the registry
-        merely *views* it (no behavior change, no double accounting).
-        """
-
-        def rows():
-            s, c, g = self.snapshot(), "counter", "gauge"
-            yield "repro_serve_queries_total", s.queries, "Queries served", c
-            yield (
-                "repro_serve_blocks_scanned_total",
-                s.blocks_scanned,
-                "Blocks scanned (cache hits excluded)",
-                c,
-            )
-            yield (
-                "repro_serve_tuples_scanned_total",
-                s.tuples_scanned,
-                "Tuples scanned (cache hits excluded)",
-                c,
-            )
-            yield "repro_serve_rows_returned_total", s.rows_returned, "Rows returned to clients", c
-            yield "repro_serve_bytes_read_total", s.bytes_read, "Decoded bytes queries consumed", c
-            yield "repro_serve_qps", s.qps, "Window throughput", g
-            yield "repro_serve_window_seconds", s.window_seconds, "Observation window length", g
-            yield (
-                "repro_serve_latency_mean_ms",
-                s.latency_mean_ms,
-                "Mean latency over the window",
-                g,
-            )
-            yield (
-                "repro_serve_latency_p50_ms",
-                s.latency_p50_ms,
-                "Median latency over the window",
-                g,
-            )
-            yield "repro_serve_latency_p95_ms", s.latency_p95_ms, "p95 latency over the window", g
-            yield "repro_serve_latency_p99_ms", s.latency_p99_ms, "p99 latency over the window", g
-            for layout, wins in s.layout_wins:
-                yield (
-                    "repro_serve_layout_wins_total",
-                    wins,
-                    "Queries each layout won under arbitration",
-                    c,
-                    {"layout": layout},
-                )
-
-        registry.register_view("serving_metrics", labels, rows)
+        """Publish :meth:`snapshot` as a view into a
+        :class:`~repro.obs.registry.MetricsRegistry`: one
+        :class:`MetricsSnapshot` is frozen per export."""
+        registry.register_view(
+            "serving_metrics", labels, lambda: self.snapshot().rows()
+        )
 
     def snapshot(
         self,
@@ -282,23 +265,17 @@ class ServingMetrics:
             )
             lat_ms = np.asarray(self._latencies, dtype=np.float64) * 1000.0
             window = max(self._last_record - self._window_start, 0.0)
-            queries = self._queries
             # Window spans from collector start/reset to the last
             # completion; an empty window degenerates to all zeros
             # (qps, mean and the guarded percentiles included).
-            qps = queries / window if window > 0 else 0.0
-            return MetricsSnapshot(
-                queries=queries,
+            return replace(
+                self._stats,
                 window_seconds=window,
-                qps=qps,
+                qps=self._stats.queries / window if window > 0 else 0.0,
                 latency_mean_ms=float(lat_ms.mean()) if len(lat_ms) else 0.0,
                 latency_p50_ms=_percentile(lat_ms, 50),
                 latency_p95_ms=_percentile(lat_ms, 95),
                 latency_p99_ms=_percentile(lat_ms, 99),
-                blocks_scanned=self._blocks_scanned,
-                tuples_scanned=self._tuples_scanned,
-                rows_returned=self._rows_returned,
-                bytes_read=self._bytes_read,
                 cache=cache,
                 layout_wins=wins,
                 adapt=adapt,

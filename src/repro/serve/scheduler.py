@@ -12,48 +12,41 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Tuple
 
 from ..exec.errors import AdmissionRejected
+from ..obs.stats import Stats, counter, gauge
 
 __all__ = ["AdmissionRejected", "Scheduler", "SchedulerStats"]
 
 
-@dataclass(frozen=True)
-class SchedulerStats:
+@dataclass
+class SchedulerStats(Stats):
     """Counters describing scheduler behaviour so far.
 
     The counters reconcile by construction and tests assert it:
-    ``submitted`` (admitted) = ``completed`` + ``in_flight``, and every
-    offered unit of work is either admitted or ``rejected`` (shed).
+    ``submitted`` (admitted) = ``completed`` + ``failed`` +
+    ``in_flight``, and every offered unit of work is either admitted
+    or ``rejected`` (shed).
     """
 
-    submitted: int
-    completed: int
-    rejected: int
-    max_in_flight: int
-    #: Admitted but not yet finished at snapshot time.
-    in_flight: int = 0
+    submitted: int = counter("repro_scheduler_submitted_total", "Queries admitted")
+    #: Admitted work whose future holds a result.
+    completed: int = counter("repro_scheduler_completed_total", "Queries completed")
+    rejected: int = counter("repro_scheduler_rejected_total", "Queries shed at admission")
+    #: ``merged`` sums the peaks: each shard pool peaks independently,
+    #: so the sum is the topology's peak concurrent capacity actually
+    #: used (an upper bound on the true simultaneous peak).
+    max_in_flight: int = gauge("repro_scheduler_max_in_flight", "Peak concurrent admitted work")
+    in_flight: int = gauge("repro_scheduler_in_flight", "Admitted but unfinished right now")
+    #: Admitted work whose future holds an exception (or was cancelled).
+    failed: int = counter("repro_scheduler_failed_total", "Admitted work that raised")
 
     @property
     def offered(self) -> int:
         """Everything clients tried to submit (admitted + shed)."""
         return self.submitted + self.rejected
-
-    @classmethod
-    def merged(cls, parts: Sequence["SchedulerStats"]) -> "SchedulerStats":
-        """Aggregate across shards.  ``max_in_flight`` sums: each shard
-        pool peaks independently, so the sum is the topology's peak
-        concurrent capacity actually used (an upper bound on the true
-        simultaneous peak)."""
-        return cls(
-            submitted=sum(p.submitted for p in parts),
-            completed=sum(p.completed for p in parts),
-            rejected=sum(p.rejected for p in parts),
-            max_in_flight=sum(p.max_in_flight for p in parts),
-            in_flight=sum(p.in_flight for p in parts),
-        )
 
 
 class Scheduler:
@@ -79,11 +72,7 @@ class Scheduler:
         )
         self._slots = threading.BoundedSemaphore(max_workers + queue_depth)
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._rejected = 0
-        self._in_flight = 0
-        self._max_in_flight = 0
+        self._stats = SchedulerStats()
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -107,64 +96,50 @@ class Scheduler:
             acquired = self._slots.acquire(timeout=timeout)
         else:
             acquired = self._slots.acquire(blocking=False)
+        stats = self._stats
         if not acquired:
             with self._lock:
-                self._rejected += 1
+                stats.rejected += 1
             raise AdmissionRejected(
                 f"admission queue full "
                 f"({self.max_workers} workers + {self.queue_depth} waiting)"
             )
-        with self._lock:
-            self._submitted += 1
-            self._in_flight += 1
-            self._max_in_flight = max(self._max_in_flight, self._in_flight)
         try:
             future = self._pool.submit(fn, *args, **kwargs)
         except BaseException:
             self._slots.release()
-            with self._lock:
-                self._in_flight -= 1
             raise
+        # Counted only once the pool has accepted the work, so a
+        # refusing pool leaves nothing to roll back; the release
+        # callback is attached after the count, so it can never
+        # decrement first.
+        with self._lock:
+            stats.submitted += 1
+            stats.in_flight += 1
+            stats.max_in_flight = max(stats.max_in_flight, stats.in_flight)
         future.add_done_callback(self._release)
         return future
 
-    def _release(self, _future: "Future[Any]") -> None:
+    def _release(self, future: "Future[Any]") -> None:
         self._slots.release()
+        failed = future.cancelled() or future.exception() is not None
         with self._lock:
-            self._completed += 1
-            self._in_flight -= 1
+            if failed:
+                self._stats.failed += 1
+            else:
+                self._stats.completed += 1
+            self._stats.in_flight -= 1
 
     # ------------------------------------------------------------------
 
     def stats(self) -> SchedulerStats:
         with self._lock:
-            return SchedulerStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                rejected=self._rejected,
-                max_in_flight=self._max_in_flight,
-                in_flight=self._in_flight,
-            )
+            return replace(self._stats)
 
     def publish(self, registry: object, **labels: object) -> None:
-        """Publish a collector view of :meth:`stats` into a
-        :class:`~repro.obs.registry.MetricsRegistry` (thin view — the
-        :class:`SchedulerStats` snapshot stays the source of truth)."""
-
-        def rows():
-            s, c, g = self.stats(), "counter", "gauge"
-            yield "repro_scheduler_submitted_total", s.submitted, "Queries admitted", c
-            yield "repro_scheduler_completed_total", s.completed, "Queries completed", c
-            yield "repro_scheduler_rejected_total", s.rejected, "Queries shed at admission", c
-            yield "repro_scheduler_in_flight", s.in_flight, "Admitted but unfinished right now", g
-            yield (
-                "repro_scheduler_max_in_flight",
-                s.max_in_flight,
-                "Peak concurrent admitted work",
-                g,
-            )
-
-        registry.register_view("scheduler", labels, rows)
+        """Publish :meth:`stats` as a view into a
+        :class:`~repro.obs.registry.MetricsRegistry`."""
+        registry.register_view("scheduler", labels, lambda: self.stats().rows())
 
     def report_lines(self, title: str = "scheduler") -> Tuple[str, ...]:
         s = self.stats()

@@ -14,7 +14,6 @@ persisted to disk as ``.npz`` via :mod:`repro.storage.catalog`).
 
 from __future__ import annotations
 
-from dataclasses import field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np

@@ -11,8 +11,9 @@ rebuilding min-max indexes from the raw data).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "save_layout_meta",
     "save_store",
     "save_table",
+    "write_json_atomic",
 ]
 
 _CATALOG_NAME = "catalog.json"
@@ -53,6 +55,23 @@ META_FILE = "layout-meta.json"
 SIGNATURE_KEY = "workload_signature"
 
 
+def write_json_atomic(
+    path: Union[str, Path], document: object, indent: Optional[int] = None
+) -> None:
+    """Write a JSON artifact so that a crash mid-write leaves the old
+    file or the new one under ``path``, never a torn one: dump to a
+    temp file in the same directory, then :func:`os.replace` it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(document, f, indent=indent)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def layout_tree_path(path: Union[str, Path]) -> Path:
     """Where a layout directory keeps its serialized qd-tree."""
     return Path(path) / TREE_FILE
@@ -67,7 +86,7 @@ def save_layout_meta(path: Union[str, Path], meta: Dict[str, object]) -> None:
     """Write a layout directory's metadata document."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    layout_meta_path(path).write_text(json.dumps(meta, indent=2))
+    write_json_atomic(layout_meta_path(path), meta, indent=2)
 
 
 def load_layout_meta(path: Union[str, Path]) -> Dict[str, object]:
@@ -113,8 +132,9 @@ def save_table(table: Table, path: Union[str, Path]) -> None:
     """Persist a single table (schema + one npz of all columns)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / _CATALOG_NAME, "w") as f:
-        json.dump({"schema": _schema_to_json(table.schema)}, f, indent=2)
+    write_json_atomic(
+        path / _CATALOG_NAME, {"schema": _schema_to_json(table.schema)}, indent=2
+    )
     np.savez_compressed(path / _TABLE_NAME, **table.columns())
 
 
@@ -151,8 +171,7 @@ def save_store(store: BlockStore, path: Union[str, Path]) -> None:
         "logical_rows": store.logical_rows,
         "blocks": blocks_meta,
     }
-    with open(path / _CATALOG_NAME, "w") as f:
-        json.dump(catalog, f, indent=2)
+    write_json_atomic(path / _CATALOG_NAME, catalog, indent=2)
 
 
 def load_store(

@@ -7,6 +7,9 @@ points, result-cache bit-identity and staleness) live in
 ``tests/test_db_differential.py``.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,81 @@ class TestPersistence:
             a = db.execute(sql).stats.result_key()
             b = reopened.execute(sql).stats.result_key()
             assert a == b
+
+    def test_reopened_tree_is_refrozen(self, tmp_path, schema):
+        """The tree file persists cuts only: ``open`` must re-tighten
+        each leaf from its block's min-max stats, or the reopened
+        layout routes to more candidate blocks than the saved one and
+        ``result_key()`` (which carries ``blocks_considered``) no
+        longer survives a save/open round-trip."""
+        # y tracks x, so a leaf cut on x alone holds a narrow y range
+        # only tightening knows about.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 100, 5000)
+        correlated = Table(
+            schema,
+            {
+                "x": x,
+                "y": np.clip(x / 100 + rng.normal(0, 0.02, 5000), 0, 1),
+                "kind": rng.integers(0, 3, 5000),
+            },
+        )
+        db = Database.from_table(correlated, min_block_size=200)
+        db.build_layout("greedy", workload=STATEMENTS)
+        db.ingest(correlated.take(np.arange(300)))  # widened leaves too
+        probes = [
+            f"SELECT x FROM t WHERE y >= {lo:.2f} AND y < {lo + 0.05:.2f}"
+            for lo in (0.0, 0.3, 0.5, 0.6, 0.9)
+        ]
+        before = [db.execute(sql).stats.result_key() for sql in probes]
+        db.save(tmp_path / "layout")
+        reopened = Database.open(tmp_path / "layout")
+        after = [reopened.execute(sql).stats.result_key() for sql in probes]
+        assert after == before
+        assert reopened.active_layout.tree.is_frozen
+
+    @pytest.mark.parametrize(
+        "torn", ["catalog.json", "qdtree.json", "layout-meta.json"]
+    )
+    def test_crash_mid_resave_leaves_no_torn_artifact(
+        self, db, tmp_path, monkeypatch, torn
+    ):
+        """Re-saving into an existing layout directory with the JSON
+        dump dying half-way through one artifact: every artifact is
+        still a complete file (written to a temp name, renamed into
+        place) and the directory still opens."""
+        artifacts = ("catalog.json", "qdtree.json", "layout-meta.json")
+        db.build_layout("greedy", workload=STATEMENTS)
+        target = tmp_path / "layout"
+        db.save(target)
+        before = {name: (target / name).read_bytes() for name in artifacts}
+        real_dump, dumps = json.dump, []
+
+        def dying_dump(document, f, **kwargs):
+            dumps.append(f.name)
+            if len(dumps) == artifacts.index(torn) + 1:
+                text = json.dumps(document, **kwargs)
+                f.write(text[: len(text) // 2])
+                f.flush()
+                raise OSError("disk full")
+            real_dump(document, f, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dying_dump)
+        with pytest.raises(OSError, match="disk full"):
+            db.save(target)
+        monkeypatch.undo()
+        assert Path(dumps[-1]).name.startswith(torn)  # the one we meant
+        assert {
+            name: (target / name).read_bytes() for name in artifacts
+        } == before
+        assert sorted(p.name for p in target.iterdir() if p.suffix != ".npz") == (
+            sorted(artifacts)
+        )
+        reopened = Database.open(target)
+        assert reopened.generation == db.generation
+        assert reopened.execute(STATEMENTS[0]).stats.result_key() == (
+            db.execute(STATEMENTS[0]).stats.result_key()
+        )
 
     def test_roundtrip_treeless_strategy(self, db, tmp_path):
         db.build_layout("kdtree")

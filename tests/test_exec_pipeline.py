@@ -6,8 +6,11 @@ Three layers of guarantees:
    ``adapt/`` routes, prunes, consults the result cache or scans an
    engine itself; every surface method is defined on exactly one
    service class (:class:`repro.serve.Service`), the topologies being
-   constructors; resources publish and render themselves (enforced
-   structurally, by reading the sources).
+   constructors; resources publish and render themselves; each
+   counter is declared once (``since``/``merged`` on the ``Stats``
+   base only, no metric name in a ``publish`` body) and each duration
+   booked once (``ExecContext.mark``) — enforced structurally, by
+   reading the sources.
 2. **Stage semantics** — per-stage timings, cache-hit short-circuit,
    serial configuration ≡ direct engine execution.
 3. **Row-id result caching** — the byte-bounded row-id store: repeats
@@ -22,10 +25,14 @@ import pytest
 
 from repro.db import Database
 from repro.exec import (
+    QueryPipeline,
     ResultCache,
+    Stage,
     serial_pipeline,
     single_layout_pipeline,
 )
+from repro.obs import Tracer
+from repro.serve import Scheduler, ServingMetrics
 from repro.engine import ScanEngine
 from repro.core.router import QueryRouter
 from repro.sql import SqlPlanner
@@ -200,6 +207,59 @@ def test_one_clock():
             assert "time.perf_counter" not in path.read_text(), path
 
 
+def _methods_named(*names):
+    """``(path, class name, FunctionDef)`` for every method under
+    src/repro with one of the given names."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and f.name in names:
+                        yield path, node.name, f
+
+
+def test_since_and_merged_are_derived_not_retyped():
+    """A counter is declared once, as a field of a ``Stats``
+    dataclass; windows and shard aggregates come from the base."""
+    owners = {(cls, f.name) for _, cls, f in _methods_named("since", "merged")}
+    assert owners == {("Stats", "since"), ("Stats", "merged")}
+
+
+def test_publish_names_no_metric():
+    """Metric names live on field declarations: every ``publish`` is a
+    ``register_view`` over ``rows()`` (or a loop over resources that
+    are), so none spells a family name."""
+    for path, cls, publish in _methods_named("publish"):
+        literals = [
+            n.value
+            for n in ast.walk(publish)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        ]
+        named = [v for v in literals if "repro_" in v]
+        assert not named, f"{path.name}:{cls}.publish spells {named}"
+
+
+def test_registry_has_one_way_in():
+    import repro.obs
+    import repro.obs.registry
+
+    for name in ("Counter", "Gauge", "Histogram"):
+        assert not hasattr(repro.obs, name)
+        assert not hasattr(repro.obs.registry, name)
+    for name in ("counter", "gauge", "histogram"):
+        assert not hasattr(repro.obs.MetricsRegistry, name)
+
+
+def test_durations_are_booked_through_mark_only():
+    """``ExecContext.mark`` is the single writer of stage timings and
+    trace spans, so ``stage_seconds`` and the trace cannot drift."""
+    for name in ("pipeline.py", "stages.py"):
+        source = (SRC / "exec" / name).read_text()
+        assert "add_span(" not in source, name
+        assert "timings[" not in source, name
+    assert (SRC / "exec" / "context.py").read_text().count("add_span(") == 1
+
+
 def test_stage_order_is_canonical():
     """The canonical configuration is Plan -> Route -> ResultCache ->
     Prune -> Scan -> Merge (the sharded and multi-layout variants
@@ -269,6 +329,60 @@ class TestPipelineSemantics:
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.tuples_avoided == first.stats.tuples_scanned
+
+    def test_raising_stage_closes_what_it_opened(self, db):
+        """A stage that raises on one statement: every statement still
+        gets one finished trace (the failed one tagged with the
+        exception type, on the trace and on the failing stage's span),
+        the error is counted apart from the served queries, the
+        exception reaches the caller and the future, and the next
+        statement is served normally."""
+
+        class Flaky(Stage):
+            name = "flaky"
+
+            def run(self, ctx):
+                if "x >= 80" in ctx.sql:
+                    raise RuntimeError("injected")
+
+        handle = db.active_layout
+        stages = single_layout_pipeline(
+            planner=db.planner,
+            engine=handle.engine(),
+            router=handle.router(),
+            store=handle.store,
+        ).stages
+        metrics, tracer = ServingMetrics(), Tracer()
+        pipe = QueryPipeline(
+            db.planner,
+            [*stages[:2], Flaky(), *stages[2:]],
+            metrics=metrics,
+            tracer=tracer,
+        )
+        served = [pipe.execute(STATEMENTS[0])]
+        with pytest.raises(RuntimeError, match="injected"):
+            pipe.execute(STATEMENTS[2])
+        with Scheduler(max_workers=1) as scheduler:
+            future = scheduler.submit(pipe.execute, STATEMENTS[2])
+            assert isinstance(future.exception(timeout=10), RuntimeError)
+        served.append(pipe.execute(STATEMENTS[1]))
+
+        traces = tracer.query_traces()
+        assert [t.name for t in traces] == [
+            STATEMENTS[0], STATEMENTS[2], STATEMENTS[2], STATEMENTS[1],
+        ]
+        for failed in traces[1:3]:
+            assert failed.attrs["error"] == "RuntimeError"
+            assert failed.span("flaky").attrs == {"error": "RuntimeError"}
+            assert failed.span("scan") is None  # never got that far
+        for ok in (traces[0], traces[3]):
+            assert "error" not in ok.attrs
+            assert ok.span("merge") is not None
+        snap = metrics.snapshot()
+        assert snap.errors == 2
+        assert snap.queries == len(served)
+        assert snap.tuples_scanned == sum(r.stats.tuples_scanned for r in served)
+        assert snap.rows_returned == sum(r.stats.rows_returned for r in served)
 
     def test_serial_pipeline_never_memoizes(self, db):
         """The serial baseline walks the tree on every arrival — its

@@ -1,11 +1,16 @@
-"""Tests for repro.obs: clock, metrics registry, bench trajectories."""
+"""Tests for repro.obs: clock, stats base, metrics registry, bench
+trajectories."""
 
 import json
-import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exec import ResultCacheStats
 
 from repro.obs import (
     BENCH_SCHEMA_VERSION,
@@ -20,7 +25,9 @@ from repro.obs import (
     write_bench,
 )
 from repro.obs.bench import main as bench_main
-from repro.serve.metrics import ServingMetrics
+from repro.serve.cache import CacheStats
+from repro.serve.metrics import MetricsSnapshot, ServingMetrics
+from repro.serve.scheduler import SchedulerStats
 
 
 # ----------------------------------------------------------------------
@@ -38,91 +45,88 @@ class TestClock:
 
 
 # ----------------------------------------------------------------------
-# Registry primitives
+# The Stats base: one declaration, derived since / merged / rows
 # ----------------------------------------------------------------------
 
+counts = st.integers(min_value=0, max_value=10**9)
 
-class TestPrimitives:
-    def test_counter_accumulates_per_label_set(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_test_total", "help text")
-        c.inc()
-        c.inc(2, shard=0)
-        c.inc(3, shard=0)
-        c.inc(7, shard=1)
-        assert c.value() == 1
-        assert c.value(shard=0) == 5
-        assert c.value(shard=1) == 7
 
-    def test_counter_rejects_negative(self):
-        c = MetricsRegistry().counter("repro_test_total")
-        with pytest.raises(ValueError):
-            c.inc(-1)
+def _stats_of(cls, values):
+    """``cls`` with its numeric fields filled from ``values`` in
+    declaration order."""
+    names = [f.name for f in fields(cls)]
+    return cls(**dict(zip(names, values)))
 
-    def test_gauge_set_inc_dec(self):
-        g = MetricsRegistry().gauge("repro_depth")
-        g.set(10)
-        g.inc(5)
-        g.dec(2)
-        assert g.value() == 13
 
-    def test_histogram_cumulative_buckets(self):
-        h = MetricsRegistry().histogram(
-            "repro_lat", buckets=(0.01, 0.1, 1.0)
-        )
-        for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
-        series = h.series()
-        assert series.count == 4
-        assert series.sum == pytest.approx(5.555)
-        # Cumulative: each bucket counts everything <= its bound.
-        assert series.bucket_counts == [1, 2, 3]
+def _n_fields(cls):
+    return st.lists(
+        counts, min_size=len(fields(cls)), max_size=len(fields(cls))
+    )
 
-    def test_histogram_samples_carry_inf_bucket(self):
-        h = MetricsRegistry().histogram("repro_lat", buckets=(0.1,))
-        h.observe(10.0)
-        names = {(s.name, s.labels) for s in h.samples()}
-        assert ("repro_lat_bucket", (("le", "+Inf"),)) in names
-        assert ("repro_lat_sum", ()) in names
-        assert ("repro_lat_count", ()) in names
 
-    def test_invalid_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("0bad")
-        c = reg.counter("repro_ok_total")
-        with pytest.raises(ValueError):
-            c.inc(1, **{"bad-label": 1})
+#: Per class: the fields the deleted hand-written ``since`` kept at the
+#: later snapshot's value (everything else subtracted).
+KEPT_BY_SINCE = {
+    CacheStats: {"entries", "cached_bytes", "budget_bytes"},
+    ResultCacheStats: {"entries", "row_id_entries", "row_id_bytes"},
+    SchedulerStats: {"in_flight", "max_in_flight"},
+}
 
-    def test_get_or_create_is_idempotent_but_kind_checked(self):
-        reg = MetricsRegistry()
-        a = reg.counter("repro_x_total")
-        assert reg.counter("repro_x_total") is a
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("repro_x_total")
 
-    def test_concurrent_increments_reconcile(self):
-        """8 threads x 1000 increments: no lost updates."""
-        reg = MetricsRegistry()
-        c = reg.counter("repro_hammer_total")
-        h = reg.histogram("repro_hammer_lat", buckets=(0.5,))
-        barrier = threading.Barrier(8)
+class TestStatsBase:
+    @pytest.mark.parametrize("cls", sorted(KEPT_BY_SINCE, key=lambda c: c.__name__))
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_since_matches_the_hand_written_formula(self, cls, data):
+        later = _stats_of(cls, data.draw(_n_fields(cls)))
+        earlier = _stats_of(cls, data.draw(_n_fields(cls)))
+        delta = later.since(earlier)
+        assert type(delta) is cls
+        for f in fields(cls):
+            got = getattr(delta, f.name)
+            if f.name in KEPT_BY_SINCE[cls]:
+                assert got == getattr(later, f.name), f.name
+            else:
+                assert got == getattr(later, f.name) - getattr(
+                    earlier, f.name
+                ), f.name
 
-        def work(tid):
-            barrier.wait()
-            for _ in range(1000):
-                c.inc(1, thread=tid % 2)
-                h.observe(0.1)
-
-        threads = [
-            threading.Thread(target=work, args=(i,)) for i in range(8)
+    @pytest.mark.parametrize("cls", [CacheStats, SchedulerStats])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_merged_sums_every_field(self, cls, data):
+        parts = [
+            _stats_of(cls, values)
+            for values in data.draw(st.lists(_n_fields(cls), max_size=4))
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value(thread=0) + c.value(thread=1) == 8000
-        assert h.series().count == 8000
+        merged = cls.merged(parts)
+        for f in fields(cls):
+            assert getattr(merged, f.name) == sum(
+                getattr(p, f.name) for p in parts
+            ), f.name
+
+    def test_rows_come_from_the_field_declarations(self):
+        rows = list(CacheStats(hits=3, entries=2).rows())
+        assert ("repro_cache_hits_total", 3, "Buffer-pool hits", "counter") in rows
+        assert ("repro_cache_entries", 2, "Resident entries", "gauge") in rows
+        # Fields declared without a metric name are kept, not exported.
+        exported = {row[0] for row in ResultCacheStats(invalidated=9).rows()}
+        assert exported == {
+            "repro_result_cache_hits_total",
+            "repro_result_cache_misses_total",
+            "repro_result_cache_entries",
+            "repro_result_cache_tuples_avoided_total",
+        }
+
+    def test_labelled_field_expands_into_one_row_per_key(self):
+        snap = MetricsSnapshot(layout_wins=(("by-x", 4), ("by-y", 1)))
+        wins = [r for r in snap.rows() if r[0] == "repro_serve_layout_wins_total"]
+        assert [(r[1], r[4]) for r in wins] == [
+            (4, {"layout": "by-x"}),
+            (1, {"layout": "by-y"}),
+        ]
+        # ...and is left alone by since(): a tuple is not a delta.
+        assert snap.since(MetricsSnapshot()).layout_wins == snap.layout_wins
 
 
 # ----------------------------------------------------------------------
@@ -130,40 +134,58 @@ class TestPrimitives:
 # ----------------------------------------------------------------------
 
 
+def _view(reg, rows, **labels):
+    reg.register_view("test", labels, lambda: rows)
+
+
 class TestExports:
+    def test_invalid_names_rejected(self):
+        with pytest.raises(ValueError):
+            Sample.of("0bad", 1)
+        with pytest.raises(ValueError):
+            Sample.of("repro_ok_total", 1, {"bad-label": 1})
+
     def test_prometheus_text_shape(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_q_total", "Queries served")
-        c.inc(3, service="a")
+        _view(
+            reg,
+            [("repro_q_total", 3, "Queries served", "counter")],
+            service="a",
+        )
         text = reg.to_prometheus_text()
         assert "# HELP repro_q_total Queries served" in text
         assert "# TYPE repro_q_total counter" in text
         assert 'repro_q_total{service="a"} 3' in text
         assert text.endswith("\n")
 
-    def test_prometheus_histogram_family_shares_type_line(self):
+    def test_row_labels_join_the_view_labels(self):
         reg = MetricsRegistry()
-        reg.histogram("repro_lat", "Latency", buckets=(0.1,)).observe(0.05)
-        text = reg.to_prometheus_text()
-        assert text.count("# TYPE repro_lat histogram") == 1
-        assert 'repro_lat_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_bucket{le="+Inf"} 1' in text
-        assert "repro_lat_count 1" in text
+        _view(
+            reg,
+            [("repro_wins_total", 2, "", "counter", {"layout": "by-x"})],
+            service="a",
+        )
+        assert (
+            'repro_wins_total{layout="by-x",service="a"} 2'
+            in reg.to_prometheus_text()
+        )
 
     def test_label_values_escaped(self):
         reg = MetricsRegistry()
-        reg.counter("repro_q_total").inc(1, q='say "hi"\n')
+        _view(reg, [("repro_q_total", 1, "", "counter")], q='say "hi"\n')
         text = reg.to_prometheus_text()
         assert 'q="say \\"hi\\"\\n"' in text
 
-    def test_untouched_metric_still_exported(self):
+    def test_zero_counters_still_exported(self):
+        """A resource that has done nothing yet still exports its
+        series, so dashboards see they exist."""
         reg = MetricsRegistry()
-        reg.gauge("repro_idle", "never set")
-        assert "repro_idle 0" in reg.to_prometheus_text()
+        ServingMetrics().publish(reg)
+        assert "repro_serve_errors_total 0" in reg.to_prometheus_text()
 
     def test_json_export_round_trips(self):
         reg = MetricsRegistry()
-        reg.counter("repro_q_total", "Queries").inc(2, s="x")
+        _view(reg, [("repro_q_total", 2, "Queries", "counter")], s="x")
         doc = json.loads(json.dumps(reg.to_json()))
         fam = doc["repro_q_total"]
         assert fam["type"] == "counter"
@@ -247,8 +269,6 @@ class TestBench:
         validate_bench(doc)  # no raise
 
     def test_plain_flattens_numpy_and_dataclasses(self):
-        from repro.serve.cache import CacheStats
-
         flattened = plain(
             {
                 "n": np.int64(3),

@@ -23,6 +23,7 @@ from repro.bench import build_greedy_layout
 from repro.serve import (
     AdmissionRejected,
     BlockCache,
+    Scheduler,
     SchedulerStats,
     ShardedLayoutService,
 )
@@ -335,6 +336,86 @@ def test_shed_counters_reconcile_sharded_service():
     # Shard pools never shed scattered work and fully drained too.
     assert agg.in_flight == 0
     assert agg.submitted == agg.completed
+
+
+def _reconciles(stats, offered: int) -> None:
+    """Every offered unit is shed or admitted; everything admitted
+    completed, failed or is still in flight."""
+    assert stats.offered == stats.submitted + stats.rejected == offered
+    assert stats.submitted == stats.completed + stats.failed + stats.in_flight
+
+
+def test_scheduler_books_failures_apart_from_successes(monkeypatch):
+    """Succeeding, raising and shed work on a plain scheduler: a
+    future that raised is ``failed``, never ``completed``; a pool that
+    refuses the work leaves nothing counted and no slot held."""
+    gate = threading.Event()
+
+    def work(ok: bool) -> int:
+        gate.wait(10)
+        if not ok:
+            raise ValueError("boom")
+        return 1
+
+    scheduler = Scheduler(max_workers=1, queue_depth=2)
+    futures, shed = [], 0
+    for i in range(10):
+        try:
+            futures.append(scheduler.submit(work, i % 2 == 0, block=False))
+        except AdmissionRejected:
+            shed += 1
+    gate.set()
+    futures += [scheduler.submit(work, i % 3 == 0) for i in range(9)]
+    raised = sum(f.exception(timeout=10) is not None for f in futures)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            scheduler._pool, "submit", lambda *a, **k: 1 / 0
+        )
+        with pytest.raises(ZeroDivisionError):
+            scheduler.submit(work, True)
+    futures.append(scheduler.submit(work, True))  # the slot came back
+    scheduler.close()
+    stats = scheduler.stats()
+    assert shed > 0 and raised > 0
+    assert stats.rejected == shed
+    assert stats.failed == raised
+    assert stats.completed == len(futures) - raised
+    assert stats.in_flight == 0
+    _reconciles(stats, offered=len(futures) + shed)
+
+
+def test_failed_counters_reconcile_sharded_service():
+    """Good, unplannable and shed statements through the sharded
+    coordinator: the raising ones land in the coordinator's
+    ``failed``, and both scheduler layers still reconcile."""
+    db = small_layout()
+    statements = SHED_STATEMENTS + ["SELECT nope FROM t WHERE nope < 1"]
+    futures, shed = [], 0
+    with db.serve(
+        shards=2,
+        partition="rr",
+        max_workers=1,
+        queue_depth=1,
+        coordinator_workers=2,
+        result_cache=False,
+    ) as service:
+        for i in range(90):
+            try:
+                futures.append(
+                    service.submit_sql(statements[i % 3], block=False)
+                )
+            except AdmissionRejected:
+                shed += 1
+        futures += [service.submit_sql(sql) for sql in statements]
+        raised = sum(f.exception(timeout=30) is not None for f in futures)
+        drain(service)
+        coord, pools = service.scheduler_stats()
+    assert shed > 0 and raised > 0
+    assert coord.failed == raised
+    assert coord.rejected == shed
+    _reconciles(coord, offered=len(futures) + shed)
+    assert pools.in_flight == 0 and pools.failed == 0
+    _reconciles(pools, offered=pools.submitted + pools.rejected)
 
 
 def drain_single(service, timeout: float = 5.0) -> None:

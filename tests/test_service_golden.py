@@ -13,10 +13,14 @@ The replay is sequential and drained after every query, so every
 counter is exact; only wall-clock quantities (window, throughput,
 latency) are masked.
 
-One deliberate difference from the parent is recorded in
+The deliberate differences from the parent are recorded in
 ``ADDED_SINCE_PARENT``: the sharded and multi-layout services used to
 print a result-cache line in ``report()`` but forgot to publish its
-counters; with one resource loop they publish whatever they report.
+counters (with one resource loop they publish whatever they report),
+and two failure counters arrived as one field declaration each —
+``repro_serve_errors_total`` wherever a ``ServingMetrics`` publishes,
+``repro_scheduler_failed_total`` wherever a ``Scheduler`` does (the
+adaptive service publishes no per-generation pool).
 """
 
 import json
@@ -56,11 +60,12 @@ _RESULT_CACHE_FAMILIES = {
     "repro_result_cache_misses_total",
     "repro_result_cache_tuples_avoided_total",
 }
+_FAILURE_FAMILIES = {"repro_scheduler_failed_total", "repro_serve_errors_total"}
 ADDED_SINCE_PARENT = {
-    "single": set(),
-    "sharded": _RESULT_CACHE_FAMILIES,
-    "multi": _RESULT_CACHE_FAMILIES,
-    "adaptive": set(),
+    "single": _FAILURE_FAMILIES,
+    "sharded": _RESULT_CACHE_FAMILIES | _FAILURE_FAMILIES,
+    "multi": _RESULT_CACHE_FAMILIES | _FAILURE_FAMILIES,
+    "adaptive": {"repro_serve_errors_total"},
 }
 
 
