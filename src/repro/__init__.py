@@ -27,8 +27,8 @@ Subpackages
 ``repro.engine``
     Scan-oriented execution engine with pluggable cost profiles.
 ``repro.exec``
-    The unified query pipeline: plan/route/result-cache/prune/scan/
-    merge stages over an explicit execution context; every execution
+    The unified query pipeline: plan/route/result-cache/scan/merge
+    stages over an explicit execution context; every execution
     path is a thin configuration of it.
 ``repro.serve``
     Concurrent query serving: thread-pool scheduling, buffer-pool

@@ -9,8 +9,8 @@ When the :class:`~repro.adapt.drift.DriftDetector` fires, the
    without touching the serving path (``activate=False`` — just
    another immutable generation);
 2. **evaluate offline** — incumbent and candidate are compared on the
-   logged window with the blocks-scanned cost model (route + min-max
-   prune per query, frequency-weighted; no wall-clock, so the verdict
+   logged window with the blocks-scanned cost model (one routing
+   pass per query, frequency-weighted; no wall-clock, so the verdict
    is deterministic and single-core-fair);
 3. **install or discard** — only a candidate beating the incumbent by
    ``min_improvement`` is installed, through the existing generation
@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..exec import ExecContext, PruneStage, RouteStage
+from ..exec import route_and_count
 from ..serve.metrics import AdaptSnapshot
 from .drift import DriftDetector
 from .log import QueryLog
@@ -120,21 +120,17 @@ def offline_blocks_cost(
 ) -> int:
     """Blocks a layout would scan serving the weighted query list.
 
-    Route (when the layout has a tree) + min-max prune per unique
-    query, times its observed frequency — the avoided-work cost model
-    every layout decision in this codebase reduces to, computed by
-    the same (memo-less) pipeline stages that serve queries.  No data
-    is scanned and no wall-clock is read.
+    Survivors of the routing pass per unique query, times its
+    observed frequency — the avoided-work cost model every layout
+    decision in this codebase reduces to, computed by the same
+    function that routes served queries.  No data is scanned and no
+    wall-clock is read.
     """
-    route = RouteStage(handle.router(), handle.store)
-    prune = PruneStage(handle.engine())
-    total = 0
-    for query, count in weighted_queries:
-        ctx = ExecContext(sql="", admitted_at=0.0, query=query)
-        route.run(ctx)
-        prune.run(ctx)
-        total += count * len(ctx.survivors)
-    return total
+    router, engine = handle.router(), handle.engine()
+    return sum(
+        count * len(route_and_count(router, engine, query)[2])
+        for query, count in weighted_queries
+    )
 
 
 class Reoptimizer:

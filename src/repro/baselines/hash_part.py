@@ -51,5 +51,8 @@ class HashPartitioner:
             values = table.column(column)
             # Quantize floats so equal values hash equally.
             ints = np.round(values * 1_000_003).astype(np.int64).view(np.uint64)
-            acc ^= _mix(ints + np.uint64(i * 0x9E3779B97F4A7C15))
+            # Per-column salt, wrapped mod 2**64 (the product overflows
+            # uint64 from the third column on).
+            salt = np.uint64(i * 0x9E3779B97F4A7C15 % 2**64)
+            acc ^= _mix(ints + salt)
         return (acc % np.uint64(self.num_blocks)).astype(np.int64)

@@ -296,11 +296,14 @@ class NodeDescription:
             out.categorical_masks[col.name] = bits
         return out
 
-    def tighten_to_stats(self, minmax) -> "NodeDescription":
+    def tighten_to_stats(self, minmax, dictionaries: bool = True) -> "NodeDescription":
         """:meth:`tighten` from a block's min-max index
         (:class:`~repro.storage.minmax.MinMaxIndex`, duck-typed)
-        instead of its rows — what reopening a saved layout has at
-        hand without decoding a single column."""
+        instead of its rows — the one constructor of a layout
+        generation's per-block pruning metadata (see
+        :func:`repro.core.router.block_descriptions`).  Without block
+        ``dictionaries`` (or where the index kept none) only a
+        categorical column's code range is known."""
         out = self.copy()
         for col in self.schema.numeric_columns:
             bounds = minmax.bounds(col.name)
@@ -310,45 +313,15 @@ class NodeDescription:
                 )
         for col in self.schema.categorical_columns:
             stats = minmax.column_stats(col.name)
-            if stats is not None and stats.distinct is not None:
+            if stats is None:
+                continue
+            if dictionaries and stats.distinct is not None:
                 out.categorical_masks[col.name] = stats.distinct.copy()
+            else:
+                mask = out.categorical_masks[col.name]
+                mask[: max(int(stats.minimum), 0)] = False
+                mask[int(stats.maximum) + 1 :] = False
         return out
-
-    def widen(self, columns: Mapping[str, np.ndarray]) -> "NodeDescription":
-        """The hull of this description and newly routed rows.
-
-        The counterpart of :meth:`tighten` for rows that arrive after
-        freezing: each numeric interval grows to cover the rows'
-        [min, max] and each categorical mask gains their distinct
-        values; nothing ever shrinks, so whatever matched before still
-        matches — routing stays conservative for every generation
-        sharing the tree.  Returns a new description; ``self`` is
-        never mutated.
-        """
-        intervals = {}
-        for name in self.hypercube.columns():
-            iv = self.hypercube.interval(name)
-            arr = columns[name]
-            lo, hi = float(arr.min()), float(arr.max())
-            if not (iv.contains(lo) and iv.contains(hi)):
-                iv = Interval(
-                    min(iv.lo, lo),
-                    max(iv.hi, hi),
-                    iv.lo_inclusive or lo <= iv.lo,
-                    iv.hi_inclusive or hi >= iv.hi,
-                )
-            intervals[name] = iv
-        masks = {}
-        for name, bits in self.categorical_masks.items():
-            masks[name] = bits.copy()
-            masks[name][columns[name].astype(np.int64)] = True
-        return NodeDescription(
-            self.schema,
-            Hypercube(intervals),
-            masks,
-            self.adv_true.copy(),
-            self.adv_false.copy(),
-        )
 
     def __repr__(self) -> str:
         return (

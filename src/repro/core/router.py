@@ -12,6 +12,7 @@ clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..obs.clock import now
+from ..storage.blocks import BlockStore
 from ..storage.table import Table
+from .node import NodeDescription
 from .tree import QdTree
 from .workload import Query, Workload
 
@@ -29,6 +32,7 @@ __all__ = [
     "QueryRouter",
     "RoutedQuery",
     "RoutingStats",
+    "block_descriptions",
     "subtree_shard_assignment",
 ]
 
@@ -167,27 +171,86 @@ class RoutedQuery:
     latency_seconds: float
 
 
+def block_descriptions(
+    store: BlockStore,
+    tree: Optional[QdTree] = None,
+    num_advanced_cuts: int = 0,
+    dictionaries: bool = True,
+) -> Dict[int, NodeDescription]:
+    """The pruning table of one layout generation: BID -> what the
+    block may contain.
+
+    Each entry is the block's own min-max / distinct stats — the
+    tightening of paper Sec. 3.2, read off the stats the store already
+    keeps — plus, for a tree-backed layout, the owning leaf's
+    advanced-cut bits and path cuts; a leaf that owns no block keeps
+    its own description.  Tree-less layouts have stats only, and honour
+    a cost profile without block ``dictionaries``.  This is the only
+    place the descriptions of a generation's blocks are constructed,
+    and the result is never mutated: an ingest builds the next
+    generation's table from the next generation's store.
+    """
+    if tree is None:
+        root = NodeDescription.root(store.schema, num_advanced_cuts)
+        return {
+            block.block_id: root.tighten_to_stats(block.minmax, dictionaries)
+            for block in store
+        }
+    return {
+        leaf.block_id: leaf.description.tighten_to_stats(
+            store.block(leaf.block_id).minmax
+        )
+        if leaf.block_id in store
+        else leaf.description
+        for leaf in tree.leaves()
+    }
+
+
 class QueryRouter:
     """Intercepts queries and augments them with BID filters.
 
     The paper routes queries by scanning leaf metadata; latencies here
-    are real wall-clock per-query routing times (Fig. 6b).
+    are real wall-clock per-query routing times (Fig. 6b).  With a
+    ``store`` the metadata scanned is the layout generation's
+    :func:`block_descriptions` table, built once here — route and
+    min-max prune are then one pass, and the tree is only read.
+    Without one the tree's own leaf descriptions are scanned (the
+    paper-figure path, and the reference the table is tested against).
     """
 
-    def __init__(self, tree: QdTree, max_latency_samples: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        tree: QdTree,
+        store: Optional[BlockStore] = None,
+        max_latency_samples: Optional[int] = None,
+    ) -> None:
         self.tree = tree
         if any(leaf.block_id is None for leaf in tree.leaves()):
             tree.assign_block_ids()
+        self._descriptions = (
+            block_descriptions(store, tree) if store is not None else None
+        )
         # With a cap, only the most recent samples are retained so a
-        # long-lived router cannot grow without bound.
+        # long-lived router cannot grow without bound.  The lock keeps
+        # concurrent walks from interleaving their samples.
         self._latencies: "deque[float]" = deque(maxlen=max_latency_samples)
+        self._lock = threading.Lock()
 
     def route(self, query: Query) -> RoutedQuery:
         """Prune blocks for one query, recording latency."""
-        t0 = now()
-        bids = tuple(self.tree.route_query(query.predicate))
-        latency = now() - t0
-        self._latencies.append(latency)
+        predicate = query.predicate
+        with self._lock:
+            t0 = now()
+            if self._descriptions is None:
+                bids = tuple(self.tree.route_query(predicate))
+            else:
+                bids = tuple(
+                    bid
+                    for bid, description in self._descriptions.items()
+                    if description.may_match(predicate)
+                )
+            latency = now() - t0
+            self._latencies.append(latency)
         return RoutedQuery(query=query, block_ids=bids, latency_seconds=latency)
 
     def route_workload(self, workload: Workload) -> List[RoutedQuery]:

@@ -224,37 +224,6 @@ class QdTree:
                 bids.append(bid)
         return bids
 
-    def route_query_leaves(self, query: Predicate) -> List[QdNode]:
-        """Leaf nodes (not BIDs) intersecting ``query``."""
-        return [
-            leaf for leaf in self.leaves() if leaf.description.may_match(query)
-        ]
-
-    def route_query_descent(self, query: Predicate) -> List[int]:
-        """The alternative routing of Sec. 3.3: descend the tree.
-
-        Instead of scanning all leaf metadata, walk down from the root
-        and prune whole subtrees whose descriptions cannot intersect
-        the query.  Returns the same BID set as :meth:`route_query`
-        (descriptions only narrow along a path), but visits fewer
-        nodes when large subtrees are prunable.
-        """
-        bids: List[int] = []
-
-        def visit(node: QdNode) -> None:
-            if not node.description.may_match(query):
-                return
-            if node.is_leaf:
-                bid = node.block_id if node.block_id is not None else node.node_id
-                bids.append(bid)
-                return
-            assert node.left is not None and node.right is not None
-            visit(node.left)
-            visit(node.right)
-
-        visit(self.root)
-        return bids
-
     # ------------------------------------------------------------------
     # Freezing (min-max tightening, Sec. 3.2)
     # ------------------------------------------------------------------
@@ -276,21 +245,6 @@ class QdTree:
             leaf.description = leaf.description.tighten(leaf_cols)
         self._frozen = True
         return bids
-
-    def freeze_from_store(self, store) -> None:
-        """Re-freeze a tree loaded from disk: :meth:`to_dict` persists
-        cuts only, so a reloaded tree's leaves carry just their path
-        descriptions.  Each leaf is tightened from the min-max /
-        distinct stats of the block it owns in ``store`` (a
-        :class:`~repro.storage.blocks.BlockStore`, duck-typed) —
-        exactly what :meth:`freeze` (and every ingest's widening
-        since) computed from the rows."""
-        for leaf in self.leaves():
-            if leaf.block_id in store:
-                leaf.description = leaf.description.tighten_to_stats(
-                    store.block(leaf.block_id).minmax
-                )
-        self._frozen = True
 
     # ------------------------------------------------------------------
     # Introspection / serialization

@@ -134,9 +134,10 @@ class LayoutHandle:
         return self._engine
 
     def router(self) -> Optional[QueryRouter]:
-        """This handle's query router (``None`` for tree-less layouts)."""
+        """This handle's query router, over this generation's own
+        pruning table (``None`` for tree-less layouts)."""
         if self.tree is not None and self._router is None:
-            self._router = QueryRouter(self.tree)
+            self._router = QueryRouter(self.tree, self.store)
         return self._router
 
     def __repr__(self) -> str:
@@ -237,10 +238,6 @@ class Database:
                     f"in its metadata; cannot rebind tree cuts"
                 )
             tree = QdTree.load(str(tree_path), store.schema, registry)
-            # The tree file holds cuts only; without this the reopened
-            # layout would route with un-tightened leaves (more
-            # candidates considered than the layout that was saved).
-            tree.freeze_from_store(store)
         generation = int(meta.get("generation", 1))
         strategy = str(meta.get("strategy") or meta.get("method") or "unknown")
         db = cls(
@@ -506,6 +503,10 @@ class Database:
         instead a new handle with a merged store and the next
         generation number is built, activated, and returned — which
         also invalidates all cached results of older generations.
+        The tree is shared and only read: each generation routes over
+        a pruning table derived from its *own* blocks' stats
+        (:meth:`LayoutHandle.router`), so the new rows are found here
+        and older generations' answers do not move.
         """
         active = self._resolve(None)
         if active.tree is None:
@@ -524,20 +525,11 @@ class Database:
         store = active.store
         base = store.logical_rows
         descriptions = active.tree.leaf_descriptions()
-        leaves = {leaf.block_id: leaf for leaf in active.tree.leaves()}
         merged: Dict[int, Block] = {}
         for bid in np.unique(bids):
             bid = int(bid)
             mask = bids == bid
             rows = batch.filter(mask)
-            # Freezing tightened this leaf to its build-time min-max;
-            # rows the cuts route here may lie outside it, and query
-            # routing would then prune the leaf that holds them.  Grow
-            # it (replacing the object, never mutating it: readers on
-            # older generations share the tree and stay correct with
-            # the wider description).
-            leaf = leaves[bid]
-            leaf.description = leaf.description.widen(rows.columns())
             new_ids = base + np.flatnonzero(mask)
             if bid in store:
                 old = store.block(bid)

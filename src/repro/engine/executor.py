@@ -10,6 +10,13 @@ The engine executes a query in the paper's two modes:
   prunes — the baseline partition-pruning path every modern engine
   implements.
 
+The min-max index is the stats-only
+:func:`~repro.core.router.block_descriptions` table, built the first
+time :meth:`ScanEngine.prune_blocks` needs it.  The query pipeline
+(:mod:`repro.exec`) needs it only for tree-less layouts: a
+``QueryRouter(tree, store)`` already routes over the same block stats,
+so its result goes straight to :meth:`ScanEngine.execute_pruned`.
+
 Every retrieved block is fully scanned (filter evaluated over its
 rows), matching scan-oriented processing; per-query statistics capture
 blocks/tuples scanned and both modeled and wall-clock runtime.
@@ -31,8 +38,8 @@ from typing import (
 
 import numpy as np
 
-from ..core.hypercube import Hypercube, Interval
 from ..core.node import NodeDescription
+from ..core.router import block_descriptions
 from ..core.workload import Query, Workload
 from ..obs.clock import now
 from ..storage.blocks import Block, BlockStore
@@ -108,43 +115,13 @@ class ScanEngine:
         self._num_advanced = num_advanced_cuts
         self._column_reader: ColumnReader = column_reader or default_column_reader
         self._store_bids = store.bid_set
-        # Min-max metadata is held as NodeDescriptions so the same
-        # conservative intersection logic drives SMA pruning.
-        self._block_descriptions: Dict[int, NodeDescription] = {}
-        for block in store:
-            self._block_descriptions[block.block_id] = self._describe(block)
-
-    def _describe(self, block: Block) -> NodeDescription:
-        intervals: Dict[str, Interval] = {}
-        masks: Dict[str, np.ndarray] = {}
-        for col in block.schema.numeric_columns:
-            bounds = block.minmax.bounds(col.name)
-            if bounds is not None:
-                intervals[col.name] = Interval(bounds[0], bounds[1], True, True)
-        for col in block.schema.categorical_columns:
-            stats = block.minmax.column_stats(col.name)
-            if (
-                self.profile.block_dictionaries
-                and stats is not None
-                and stats.distinct is not None
-            ):
-                masks[col.name] = stats.distinct
-            elif stats is not None:
-                # Without dictionaries only the code range is known.
-                dom = col.domain_size
-                bits = np.zeros(dom, dtype=bool)
-                lo = max(int(stats.minimum), 0)
-                hi = min(int(stats.maximum), dom - 1)
-                bits[lo : hi + 1] = True
-                masks[col.name] = bits
-            else:
-                masks[col.name] = np.ones(col.domain_size, dtype=bool)
-        # Min-max metadata carries no advanced-cut information: both
-        # possibility bits stay set (cannot prune on them).
-        ones = np.ones(self._num_advanced, dtype=bool)
-        return NodeDescription(
-            block.schema, Hypercube(intervals), masks, ones, ones.copy()
-        )
+        #: The stats-only pruning table, built on first use: only a
+        #: tree-less layout (and the legacy ``execute(query, bids)``
+        #: entry point) prunes here — a tree-backed pipeline gets its
+        #: survivors from the router's single pass, so constructing an
+        #: engine (one per shard) walks no blocks.  Threads racing the
+        #: first use build equal tables; the last assignment wins.
+        self._block_descriptions: Optional[Dict[int, NodeDescription]] = None
 
     # ------------------------------------------------------------------
 
@@ -152,6 +129,12 @@ class ScanEngine:
         self, query: Query, candidate_bids: Optional[Iterable[int]] = None
     ) -> List[int]:
         """BIDs surviving min-max pruning within the candidate set."""
+        if self._block_descriptions is None:
+            self._block_descriptions = block_descriptions(
+                self.store,
+                num_advanced_cuts=self._num_advanced,
+                dictionaries=self.profile.block_dictionaries,
+            )
         if candidate_bids is None:
             candidates = list(self.store.block_ids)
         else:
@@ -219,11 +202,11 @@ class ScanEngine:
         """Serving fast path: scan an already-pruned survivor list.
 
         ``survivors`` must be exactly what :meth:`prune_blocks` would
-        return for this query (the serving tier memoizes it per
-        predicate fingerprint); ``blocks_considered`` is the pre-prune
-        candidate count so the stats match :meth:`execute` bit for bit
-        on every deterministic field (``wall_seconds`` here covers the
-        scan only — the pruning it skipped is the point).
+        return for this query (the pipeline's routing pass yields it,
+        memoized per predicate fingerprint); ``blocks_considered`` is
+        the candidate count so the stats match :meth:`execute` bit for
+        bit on every deterministic field (``wall_seconds`` here covers
+        the scan only).
         """
         return self._scan(query, list(survivors), blocks_considered)
 

@@ -6,19 +6,21 @@ library path (``Database.execute``) and every
 scatter-gather, multi-layout arbiter, adaptive) — is a thin
 *configuration* of one staged :class:`QueryPipeline`::
 
-    PlanStage -> RouteStage -> ResultCacheStage -> PruneStage
-              -> ScanStage -> MergeStage
+    PlanStage -> RouteStage -> ResultCacheStage -> ScanStage -> MergeStage
 
 Each stage is a small object operating on an explicit
 :class:`ExecContext` (query fingerprint, layout generation, routed /
-pruned block sets, per-stage timings).  Configurations differ only in
-which collaborators a stage is given: the serial baseline routes and
-prunes from scratch on every arrival (no memo, no cache); the library
-path adds the generation-keyed result cache and per-handle memos; the
-serving facade adds metrics; the sharded coordinator swaps the scan
-stage for a scatter-gather over per-shard schedulers; the multi-layout
-arbiter swaps the route stage for a cost-model arbitration across
-several layouts (see :class:`ArbitrateStage`).
+surviving block sets, per-stage timings).  Routing and min-max pruning
+are one pass (:func:`route_and_count`) over the layout generation's
+pruning table (:func:`repro.core.router.block_descriptions`), so there
+is no prune stage.  Configurations differ only in which collaborators
+a stage is given: the serial baseline routes from scratch on every
+arrival (no memo, no cache); the library path adds the generation-keyed
+result cache and a per-handle memo; the serving facade adds metrics;
+the sharded coordinator swaps the scan stage for a scatter-gather over
+per-shard schedulers; the multi-layout arbiter swaps the route stage
+for a cost-model arbitration across several layouts (see
+:class:`ArbitrateStage`).
 
 The shared primitives the pipeline is built from — the routing memo,
 the generation-keyed result cache, the admission-rejection error and
@@ -41,14 +43,13 @@ from .stages import (
     ArbitrateStage,
     MergeStage,
     PlanStage,
-    PruneStage,
     RecordStage,
     ResultCacheStage,
     RouteStage,
     ScanStage,
     ScatterScanStage,
-    ShardPruneStage,
     Stage,
+    route_and_count,
 )
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "LayoutBinding",
     "MergeStage",
     "PlanStage",
-    "PruneStage",
     "QueryPipeline",
     "RecordStage",
     "ResultCache",
@@ -70,9 +70,9 @@ __all__ = [
     "ScanStage",
     "ScatterScanStage",
     "ServeResult",
-    "ShardPruneStage",
     "Stage",
     "multi_layout_pipeline",
+    "route_and_count",
     "serial_pipeline",
     "sharded_pipeline",
     "single_layout_pipeline",

@@ -53,12 +53,12 @@ class ExecContext:
     winner: Optional[str] = None
     #: Routed BID list (``None`` for tree-less layouts).
     routed: Optional[Tuple[int, ...]] = None
-    #: Pre-prune candidate count, deduped against the full store.
+    #: Candidate count, deduped against the full store.
     considered: int = 0
-    #: SMA-surviving BIDs (single-engine scan path).
+    #: BIDs to scan: what the routing pass left of the store.
     survivors: Optional[Tuple[int, ...]] = None
-    #: Sharded path: per-shard survivor lists / candidate counts and
-    #: the indices of shards owning at least one survivor.
+    #: Sharded path: ``survivors`` split by owning shard, per-shard
+    #: candidate counts and the indices of shards owning a survivor.
     per_shard: Optional[Tuple[Tuple[int, ...], ...]] = None
     shard_considered: Optional[Tuple[int, ...]] = None
     owners: Optional[Tuple[int, ...]] = None

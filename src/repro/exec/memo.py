@@ -22,10 +22,9 @@ class RouteMemo:
     """Predicate-fingerprint -> entry memo used by pipeline stages.
 
     :class:`~repro.exec.stages.RouteStage` memoizes ``(routed BIDs,
-    candidate count)``, :class:`~repro.exec.stages.PruneStage` the SMA
-    survivor list, the sharded prune stage per-shard survivor lists,
-    and :class:`~repro.exec.stages.ArbitrateStage` whole arbitration
-    choices — all through this one class.
+    candidate count, survivors)`` — one memo per pipeline — and
+    :class:`~repro.exec.stages.ArbitrateStage` that triple plus the
+    score for every candidate layout, both through this one class.
     """
 
     def __init__(self, cap: int = 16384) -> None:

@@ -1,7 +1,7 @@
 """The staged query pipeline and its canonical configurations.
 
 :class:`QueryPipeline` is the one place a query's journey — plan,
-route, result-cache, prune, scan, merge — is spelled out; the four
+route, result-cache, scan, merge — is spelled out; the four
 execution paths in this codebase (serial baseline, ``Database.execute``,
 :class:`~repro.serve.LayoutService`, the sharded coordinator)
 plus the multi-layout arbiter are built by the factory functions at
@@ -29,13 +29,11 @@ from .stages import (
     ArbitrateStage,
     MergeStage,
     PlanStage,
-    PruneStage,
     RecordStage,
     ResultCacheStage,
     RouteStage,
     ScanStage,
     ScatterScanStage,
-    ShardPruneStage,
     Stage,
 )
 
@@ -226,7 +224,7 @@ class QueryPipeline:
             )
 
     def prepare(self, sql: str) -> ExecContext:
-        """Run plan/route/prune (and arbitration) only — everything a
+        """Run plan and route (or arbitration) only — everything a
         non-scan consumer like ``collect_row_ids`` needs, without
         touching the result cache or scanning."""
         ctx = ExecContext(sql=sql, admitted_at=now())
@@ -289,8 +287,8 @@ def serial_pipeline(
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """The pre-serving baseline: no memo, no cache, no metrics —
-    every arrival plans (memoized planner), routes, prunes and scans
-    from scratch, one at a time."""
+    every arrival plans (memoized planner), routes and scans from
+    scratch, one at a time."""
     return single_layout_pipeline(
         planner=planner,
         engine=engine,
@@ -320,9 +318,8 @@ def single_layout_pipeline(
     metrics) are both this configuration."""
     stages = [
         PlanStage(planner),
-        RouteStage(router, store, memo=RouteMemo() if memoize else None),
+        RouteStage(router, engine, memo=RouteMemo() if memoize else None),
         ResultCacheStage(result_cache, generation, profile=engine.profile),
-        PruneStage(engine, memo=RouteMemo() if memoize else None),
         ScanStage(engine),
         MergeStage(engine.profile, store.schema),
     ]
@@ -336,25 +333,25 @@ def sharded_pipeline(
     planner: SqlPlanner,
     shards: Sequence[object],
     router: Optional[QueryRouter],
-    store: BlockStore,
-    profile: CostProfile,
+    engine: ScanEngine,
     result_cache: Optional[ResultCache] = None,
     generation: int = 0,
     metrics: Optional[object] = None,
     record_sink: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
-    """The scatter-gather coordinator: routing and pruning happen once
-    at the coordinator (per-shard survivor lists), the scan stage fans
-    out to the shard schedulers, and the merge stage folds the parts
-    into one bit-identical result."""
+    """The scatter-gather coordinator: routing happens once, at the
+    coordinator, over the full store (``engine`` is the coordinator's
+    own, over all blocks — it never scans), the scan stage splits the
+    survivors by owning shard and fans out to the shard schedulers,
+    and the merge stage folds the parts into one bit-identical
+    result."""
     stages = [
         PlanStage(planner),
-        RouteStage(router, store, memo=RouteMemo()),
-        ResultCacheStage(result_cache, generation, profile=profile),
-        ShardPruneStage(shards, memo=RouteMemo()),
+        RouteStage(router, engine, memo=RouteMemo()),
+        ResultCacheStage(result_cache, generation, profile=engine.profile),
         ScatterScanStage(shards),
-        MergeStage(profile, store.schema),
+        MergeStage(engine.profile, engine.store.schema),
     ]
     return QueryPipeline(
         planner, _with_record(stages, record_sink), metrics=metrics,
@@ -373,8 +370,8 @@ def multi_layout_pipeline(
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """Cost-arbitrated serving over several layouts of one table: the
-    arbitration stage routes + prunes against every layout and binds
-    the cheapest — by the static (blocks-surviving, bytes-scanned)
+    arbitration stage routes against every layout and binds the
+    cheapest — by the static (blocks-surviving, bytes-scanned)
     argmin, or by ``arbiter_policy`` (e.g. the learned bandit in
     :mod:`repro.adapt.arbiter`) when one is given — a policy that
     implements ``observe(ctx)`` is fed every finished execution ahead

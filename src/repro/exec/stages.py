@@ -7,11 +7,11 @@ Each stage is a small object with one job, operating only on the
 Stage                Responsibility
 ===================  ====================================================
 :class:`PlanStage`   SQL text -> planned :class:`Query` (memoized planner)
-:class:`RouteStage`  qd-tree walk -> routed BID list + candidate count
+:class:`RouteStage`  one pass over the layout generation's pruning table
+                     -> routed BID list, candidate count and survivors
 :class:`ResultCacheStage`
                      generation-keyed full-result memo (get on the way
                      down, put in ``finish`` on the way back up)
-:class:`PruneStage`  per-block min-max (SMA) intersection -> survivors
 :class:`ScanStage`   scan the survivors on one engine
 :class:`MergeStage`  fold scatter-gather parts into one result
 :class:`RecordStage` feed the finished execution to a query-log sink
@@ -20,12 +20,16 @@ Stage                Responsibility
 ===================  ====================================================
 
 Two substitutions cover the wider topologies: the sharded coordinator
-replaces prune/scan with :class:`ShardPruneStage` (per-shard survivor
-lists) and :class:`ScatterScanStage` (fan out to per-shard schedulers,
-gather parts); the multi-layout arbiter replaces route (and absorbs
-prune) with :class:`ArbitrateStage`, which scores every candidate
-layout with a blocks-surviving × bytes-scanned cost model and binds
-the argmin layout to the context.
+replaces scan with :class:`ScatterScanStage` (split the survivors by
+owning shard, fan out to the per-shard schedulers, gather parts); the
+multi-layout arbiter replaces route with :class:`ArbitrateStage`,
+which scores every candidate layout with a blocks-surviving ×
+bytes-scanned cost model and binds the argmin layout to the context.
+
+There is no separate prune stage: a generation's pruning table
+(:func:`repro.core.router.block_descriptions`) *is* the block min-max,
+so :func:`route_and_count` — the one caller of ``may_match`` on the
+query path — yields the survivors in the same pass that routes.
 
 Stages guard themselves: a stage whose output is already present (a
 cache hit filled ``ctx.stats``, the arbiter filled ``ctx.survivors``)
@@ -46,7 +50,6 @@ from ..engine.executor import QueryStats, ScanEngine
 from ..engine.profiles import CostProfile
 from ..obs.clock import now
 from ..sql.planner import SqlPlanner
-from ..storage.blocks import BlockStore
 from ..storage.schema import Schema
 from .context import ExecContext, LayoutBinding
 from .errors import AdmissionRejected
@@ -58,13 +61,11 @@ __all__ = [
     "ArbiterChoice",
     "MergeStage",
     "PlanStage",
-    "PruneStage",
     "RecordStage",
     "ResultCacheStage",
     "RouteStage",
     "ScanStage",
     "ScatterScanStage",
-    "ShardPruneStage",
     "Stage",
     "route_and_count",
 ]
@@ -136,41 +137,39 @@ class PlanStage(Stage):
 
 
 def route_and_count(
-    router: Optional[QueryRouter],
-    store: BlockStore,
-    query: Query,
-    lock: threading.Lock,
-) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """One qd-tree walk plus the candidate count, shared by every
-    routing consumer (:class:`RouteStage` and the multi-layout
-    arbiter) so the dedup rule cannot diverge between them.
+    router: Optional[QueryRouter], engine: ScanEngine, query: Query
+) -> Tuple[Optional[Tuple[int, ...]], int, Tuple[int, ...]]:
+    """``(routed, considered, survivors)`` from one pass over the
+    layout's pruning table, shared by every routing consumer
+    (:class:`RouteStage`, the multi-layout arbiter and the adapt
+    loop's offline cost) so no rule can diverge between them.
 
-    The candidate count is deduped against the *full* store: a BID is
-    counted once no matter how shards partition (or a future layout
-    replicates) it.  ``lock`` serializes tree walks because the
-    router keeps latency-sample state.
+    Tree-backed: the router's table is the block min-max plus the
+    leaves' advanced-cut bits, so every routed block the store holds
+    survives — a BID is counted once no matter how shards partition
+    (or a future layout replicates) it.  Tree-less: nothing is routed,
+    every block is a candidate and the engine's stats-only table
+    prunes.
     """
     if router is None:
-        return None, store.num_blocks
-    with lock:
-        routed = router.route(query).block_ids
-    return routed, len(set(routed) & store.bid_set)
+        survivors = tuple(engine.prune_blocks(query))
+        return None, engine.store.num_blocks, survivors
+    routed = router.route(query).block_ids
+    survivors = tuple(sorted(set(routed) & engine.store.bid_set))
+    return routed, len(survivors), survivors
 
 
 class RouteStage(Stage):
-    """Qd-tree routing: the ``BID IN (...)`` rewrite (paper Sec. 3.3).
+    """Routing and pruning in one pass: the ``BID IN (...)`` rewrite
+    (paper Sec. 3.3) over min-max-tight metadata (Sec. 3.2).
 
-    The candidate count is deduped against the *full* store so a BID is
-    counted once no matter how shards partition (or a future layout
-    replicates) it.  With a memo, repeated predicate shapes cost two
-    dict lookups; without one (the serial baseline), every arrival
-    walks the tree from scratch — exactly the pre-serving cost model.
-    A small lock serializes tree walks because the router keeps
-    latency-sample state.
+    With a memo, repeated predicate shapes cost two dict lookups;
+    without one (the serial baseline), every arrival scans the table
+    from scratch — exactly the pre-serving cost model.
 
     Routing runs *before* the result-cache stage (the canonical stage
     order) — a deliberate tradeoff: a cache hit pays the memoized
-    route (two dict lookups), and a hit can only re-walk the tree if
+    route (two dict lookups), and a hit can only re-scan the table if
     the predicate fell out of the route memo, which cannot happen for
     a fully cached workload because the result cache holds fewer
     entries (8192) than the route memo (16384).
@@ -181,16 +180,15 @@ class RouteStage(Stage):
     def __init__(
         self,
         router: Optional[QueryRouter],
-        store: BlockStore,
+        engine: ScanEngine,
         memo: Optional[RouteMemo] = None,
     ) -> None:
         self.router = router
-        self.store = store
+        self.engine = engine
         self.memo = memo
-        self._lock = threading.Lock()
 
     def run(self, ctx: ExecContext) -> None:
-        if ctx.routed is not None or ctx.binding is not None:
+        if ctx.survivors is not None:
             return
         if self.memo is not None:
             entry = self.memo.get_or_compute(
@@ -198,15 +196,17 @@ class RouteStage(Stage):
             )
         else:
             entry = self._route(ctx.query)
-        ctx.routed, ctx.considered = entry
+        ctx.routed, ctx.considered, ctx.survivors = entry
 
-    def _route(
-        self, query: Query
-    ) -> Tuple[Optional[Tuple[int, ...]], int]:
-        return route_and_count(self.router, self.store, query, self._lock)
+    def _route(self, query: Query):
+        return route_and_count(self.router, self.engine, query)
 
     def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
-        return {"considered": ctx.considered, "routed": _count(ctx.routed)}
+        return {
+            "considered": ctx.considered,
+            "routed": _count(ctx.routed),
+            "survivors": _count(ctx.survivors),
+        }
 
     def report_lines(self) -> Tuple[str, ...]:
         if self.router is None or self.memo is None:
@@ -278,34 +278,6 @@ class ResultCacheStage(Stage):
         return self.cache.report_lines(self.generation)
 
 
-class PruneStage(Stage):
-    """Per-block min-max (SMA) pruning within the routed candidates."""
-
-    name = "prune"
-
-    def __init__(
-        self, engine: ScanEngine, memo: Optional[RouteMemo] = None
-    ) -> None:
-        self.engine = engine
-        self.memo = memo
-
-    def run(self, ctx: ExecContext) -> None:
-        if ctx.stats is not None or ctx.survivors is not None:
-            return
-        if self.memo is not None:
-            ctx.survivors = self.memo.get_or_compute(
-                ctx.query.predicate,
-                lambda: tuple(self.engine.prune_blocks(ctx.query, ctx.routed)),
-            )
-        else:
-            ctx.survivors = tuple(
-                self.engine.prune_blocks(ctx.query, ctx.routed)
-            )
-
-    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
-        return {"survivors": _count(ctx.survivors)}
-
-
 class ScanStage(Stage):
     """Scan the survivor list on one engine (the single-layout path).
 
@@ -341,68 +313,16 @@ class ScanStage(Stage):
         )
 
 
-class ShardPruneStage(Stage):
-    """Sharded SMA pruning: per-shard survivor lists + owner set.
-
-    Shards are duck-typed: anything with ``engine`` and ``store``
-    attributes qualifies (in practice :class:`repro.serve.Shard`
-    records).
-    """
-
-    name = "prune"
-
-    def __init__(
-        self, shards: Sequence[object], memo: Optional[RouteMemo] = None
-    ) -> None:
-        self.shards = tuple(shards)
-        self.memo = memo
-
-    def run(self, ctx: ExecContext) -> None:
-        if ctx.stats is not None or ctx.per_shard is not None:
-            return
-        if self.memo is not None:
-            entry = self.memo.get_or_compute(
-                ctx.query.predicate,
-                lambda: self._prune(ctx.query, ctx.routed),
-            )
-        else:
-            entry = self._prune(ctx.query, ctx.routed)
-        ctx.per_shard, ctx.shard_considered, ctx.owners = entry
-
-    def _prune(self, query: Query, routed: Optional[Tuple[int, ...]]):
-        per_shard = tuple(
-            tuple(shard.engine.prune_blocks(query, routed))
-            for shard in self.shards
-        )
-        if routed is not None:
-            routed_set = set(routed)
-            shard_considered = tuple(
-                len(routed_set & shard.store.bid_set) for shard in self.shards
-            )
-        else:
-            shard_considered = tuple(
-                shard.store.num_blocks for shard in self.shards
-            )
-        owners = tuple(i for i, surv in enumerate(per_shard) if surv)
-        return per_shard, shard_considered, owners
-
-    def span_attrs(self, ctx: ExecContext) -> Dict[str, object]:
-        if ctx.per_shard is None:  # result-cache hit: nothing pruned
-            return {"survivors": None}
-        return {
-            "survivors": sum(len(s) for s in ctx.per_shard),
-            "owners": _count(ctx.owners),
-        }
-
-
 class ScatterScanStage(Stage):
-    """Scatter pre-pruned scans to shard schedulers; gather the parts.
+    """Split the survivors by owning shard, scatter the pre-pruned
+    scans to the shard schedulers, gather the parts.
 
-    Shards are duck-typed records (``engine``, ``scheduler``,
-    ``metrics`` — in practice :class:`repro.serve.Shard`): the
-    coordinator pipeline owns planning, routing and the survivor memo;
-    a shard owns its scan, its buffer pool and its local accounting,
-    and this stage is the only code that drives one.
+    Shards are duck-typed records (``store``, ``engine``,
+    ``scheduler``, ``metrics`` — in practice
+    :class:`repro.serve.Shard`): the coordinator pipeline owns
+    planning, routing and the survivor memo; a shard owns its scan,
+    its buffer pool and its local accounting, and this stage is the
+    only code that drives one.
 
     Only shards owning surviving blocks see the query.  Two-phase so
     one saturated shard cannot head-of-line-block the fan-out: a
@@ -417,6 +337,11 @@ class ScatterScanStage(Stage):
 
     def __init__(self, shards: Sequence[object]) -> None:
         self.shards = tuple(shards)
+        self._owner = {
+            bid: i
+            for i, shard in enumerate(self.shards)
+            for bid in shard.store.block_ids
+        }
         self._fanout_lock = threading.Lock()
         self._fanout_queries = 0
         self._fanout_shards = 0
@@ -431,6 +356,21 @@ class ScatterScanStage(Stage):
         stats = shard.engine.execute_pruned(query, survivors, considered)
         shard.metrics.record(now() - t0, stats)
         return stats
+
+    def _split(self, ctx: ExecContext) -> None:
+        """Per-shard survivor lists, candidate counts and the indices
+        of the shards owning at least one survivor."""
+        per_shard = [[] for _ in self.shards]
+        for bid in ctx.survivors:
+            per_shard[self._owner[bid]].append(bid)
+        ctx.per_shard = tuple(tuple(part) for part in per_shard)
+        # Tree-backed, a shard's candidates are its survivors (one
+        # pass routed and pruned); tree-less, all of its blocks.
+        ctx.shard_considered = tuple(
+            shard.store.num_blocks if ctx.routed is None else len(part)
+            for shard, part in zip(self.shards, ctx.per_shard)
+        )
+        ctx.owners = tuple(i for i, part in enumerate(ctx.per_shard) if part)
 
     def _submit(self, ctx: ExecContext, i: int, block: bool):
         shard = self.shards[i]
@@ -447,6 +387,7 @@ class ScatterScanStage(Stage):
         if ctx.stats is not None:
             return
         t0 = now()
+        self._split(ctx)
         futures = {}
         deferred = []
         for i in ctx.owners:
@@ -485,6 +426,7 @@ class ScatterScanStage(Stage):
 
     def collect(self, ctx: ExecContext) -> np.ndarray:
         """Matched row ids, unioned across owning shards."""
+        self._split(ctx)
         parts = [
             self.shards[i].engine.collect_row_ids(
                 ctx.query, ctx.per_shard[i], pruned=True
@@ -604,13 +546,13 @@ class ArbiterChoice:
 
 
 class ArbitrateStage(Stage):
-    """Cost-model arbitration across several layouts (route + prune).
+    """Cost-model arbitration across several layouts.
 
-    For each unique predicate, the query is routed against every
-    layout's qd-tree (when it has one) and SMA-pruned against every
-    layout's blocks; each layout is scored with the min-max stats as
-    priors: **(blocks surviving, estimated bytes the filter columns
-    occupy across those blocks)**.  That per-layout work is
+    For each unique predicate, the query takes the one routing pass
+    (:func:`route_and_count`) over every layout's pruning table; each
+    layout is scored with the min-max stats as priors: **(blocks
+    surviving, estimated bytes the filter columns occupy across those
+    blocks)**.  That per-layout work is
     deterministic for a fixed set of layouts, so it is memoized per
     predicate; the *decision* on top of it is pluggable:
 
@@ -621,7 +563,7 @@ class ArbitrateStage(Stage):
       scores) -> index``, e.g.
       :class:`repro.adapt.arbiter.LearnedArbiter`), the decision is
       re-evaluated on every arrival so a learning policy can fold
-      realized costs back into arbitration while the routed/pruned
+      realized costs back into arbitration while the routed
       entries stay memoized.
 
     The winning layout is bound to the context and its generation keys
@@ -643,7 +585,6 @@ class ArbitrateStage(Stage):
         self.bindings = tuple(bindings)
         self.memo = memo if memo is not None else RouteMemo()
         self.policy = policy
-        self._lock = threading.Lock()
 
     def choice_for(self, query: Query) -> ArbiterChoice:
         """The arbitration decision for a query — the public explain
@@ -697,15 +638,14 @@ class ArbitrateStage(Stage):
         )
 
     def _score(self, query: Query) -> Tuple[tuple, ...]:
-        """Route + prune + score the query against every layout (the
+        """Route + score the query against every layout (the
         deterministic, memoizable part of arbitration)."""
         filter_columns = sorted(query.predicate.referenced_columns())
         entries = []
         for binding in self.bindings:
-            routed, considered = route_and_count(
-                binding.router, binding.store, query, self._lock
+            routed, considered, survivors = route_and_count(
+                binding.router, binding.engine, query
             )
-            survivors = tuple(binding.engine.prune_blocks(query, routed))
             bytes_est = sum(
                 binding.store.block(bid).decoded_nbytes(filter_columns)
                 for bid in survivors

@@ -3,7 +3,7 @@
 A :class:`Tracer` turns each pipeline execution into one
 :class:`Trace` — a stable trace id (query fingerprint + arrival
 sequence number) plus one :class:`Span` per pipeline stage
-(``plan``/``route``/``result_cache``/``prune``/``scan``/``merge``, the
+(``plan``/``route``/``result_cache``/``scan``/``merge``, the
 multi-layout ``arbitrate`` variant, per-shard ``scatter_scan.shard<i>``
 child spans) — and the control plane records ``drift_check`` /
 ``rebuild`` / ``generation_swap`` control traces through the same

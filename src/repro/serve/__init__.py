@@ -3,7 +3,7 @@
 The paper evaluates layouts one query at a time; this subsystem turns
 a finished layout into something that serves traffic.  There is one
 serving surface, :class:`Service`: it owns a :mod:`repro.exec` query
-pipeline (the plan/route/cache/prune/scan/merge logic), a front
+pipeline (the plan/route/cache/scan/merge logic), a front
 :class:`Scheduler`, a :class:`ServingMetrics` window and a flat list
 of *resources* (everything holding counters or threads), and
 implements the client calls, the replay drivers, ``snapshot`` /
@@ -30,8 +30,8 @@ configuration:
 :class:`ResultCache` (in :mod:`repro.exec.result_cache`, re-exported
 here) layers full result memoization over the routing memo: finished
 :class:`~repro.engine.executor.QueryStats` are keyed by (query
-fingerprint, layout generation), so repeated queries skip pruning and
-scanning entirely, and a generation change (ingest or layout swap
+fingerprint, layout generation), so repeated queries skip scanning
+entirely, and a generation change (ingest or layout swap
 through :class:`repro.db.Database`) can never serve a stale result.
 The cache's byte-bounded row-id store makes repeated
 ``collect_row_ids`` calls free as well.

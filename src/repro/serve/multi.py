@@ -5,10 +5,10 @@ that skips the most blocks.  :class:`MultiLayoutService` delivers the
 multi-layout version of that promise: the same table is served under
 several :class:`~repro.db.LayoutHandle`-style layouts at once, and a
 cost-model arbiter (:class:`~repro.exec.stages.ArbitrateStage`) routes
-each unique predicate against every layout's qd-tree, scores the
+each unique predicate against every layout's pruning table, scores the
 candidates with a **blocks-surviving × bytes-scanned** model (min-max
-stats as the priors that drive the prune), and executes on the argmin
-layout.  Per-layout win counts land in :class:`ServingMetrics`
+stats as the priors), and executes on the argmin layout.  Per-layout
+win counts land in :class:`ServingMetrics`
 (``snapshot().layout_wins``), so a skewed workload visibly splits its
 templates across the layouts that serve them cheapest.
 
@@ -75,7 +75,9 @@ def _bindings_for(
                 generation=getattr(handle, "generation", 0),
                 store=handle.store,
                 engine=engine,
-                router=serving_router(getattr(handle, "tree", None)),
+                router=serving_router(
+                    getattr(handle, "tree", None), handle.store
+                ),
             )
         )
         caches.append(cache)

@@ -4,7 +4,7 @@
 clients) talks to, whatever the topology behind it.  It owns no
 execution logic: a call travels the service's
 :class:`~repro.exec.pipeline.QueryPipeline` (plan → route →
-result-cache → prune → scan → merge; see :mod:`repro.exec`), with
+result-cache → scan → merge; see :mod:`repro.exec`), with
 :class:`ServingMetrics` recording latency/QPS/cache accounting per
 completed query.  Concurrency comes from
 :class:`~repro.serve.scheduler.Scheduler`: a bounded thread pool whose
@@ -69,7 +69,7 @@ def run_serial_baseline(
     A memo-less, cache-less :func:`~repro.exec.pipeline.serial_pipeline`
     configuration: statements are planned once up front (planning was
     never part of the measured serial cost), then every arrival
-    routes, SMA-prunes and scans from scratch, one at a time — exactly
+    routes and scans from scratch, one at a time — exactly
     what executing the workload cost before :class:`LayoutService`
     existed.  Returns ``(sustained QPS, per-query stats)``.
     ``record_sink`` (e.g. a :class:`repro.adapt.log.QueryLog`) observes
@@ -78,7 +78,7 @@ def run_serial_baseline(
     engine = ScanEngine(store, profile, num_advanced_cuts=num_advanced_cuts)
     if planner is None:
         planner = SqlPlanner(store.schema)
-    router = QueryRouter(tree) if tree is not None else None
+    router = QueryRouter(tree, store) if tree is not None else None
     pipeline = serial_pipeline(
         planner, engine, router, store, record_sink=record_sink
     )
@@ -133,12 +133,15 @@ def pooled_engine(
     return engine, cache
 
 
-def serving_router(tree: Optional[QdTree]) -> Optional[QueryRouter]:
-    """The tree's query router, latency samples bounded for a
-    long-lived service (``None`` for a tree-less layout)."""
+def serving_router(
+    tree: Optional[QdTree], store: BlockStore
+) -> Optional[QueryRouter]:
+    """The query router over this generation's pruning table, latency
+    samples bounded for a long-lived service (``None`` for a tree-less
+    layout)."""
     if tree is None:
         return None
-    return QueryRouter(tree, max_latency_samples=10_000)
+    return QueryRouter(tree, store, max_latency_samples=10_000)
 
 
 #: One serving resource and the labels its samples carry.  A resource
@@ -153,7 +156,7 @@ class Service:
     """The one serving surface: SQL in, scheduled pipeline runs out.
 
     A service owns a :class:`~repro.exec.pipeline.QueryPipeline` (the
-    *logic*: plan/route/cache/prune/scan/merge), a front
+    *logic*: plan/route/cache/scan/merge), a front
     :class:`Scheduler`, a :class:`ServingMetrics` window and a flat,
     ordered list of labelled *resources* (everything that keeps
     counters or threads: metrics, schedulers, buffer pools, the stages
@@ -380,7 +383,7 @@ class LayoutService(Service):
         Optional :class:`~repro.exec.ResultCache` plus
         the generation of the layout this service fronts.  When given,
         repeated queries return the memoized
-        :class:`~repro.engine.executor.QueryStats` without pruning or
+        :class:`~repro.engine.executor.QueryStats` without
         scanning; entries are keyed under ``generation`` so a database
         that swaps or re-ingests layouts can never serve a stale
         result through a cache shared across generations.
@@ -423,7 +426,7 @@ class LayoutService(Service):
         self.engine, self.cache = pooled_engine(
             store, profile, num_advanced_cuts, cache_budget_bytes, admission
         )
-        self.router = serving_router(tree)
+        self.router = serving_router(tree, store)
         metrics = metrics if metrics is not None else ServingMetrics()
         scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
         pipeline = single_layout_pipeline(

@@ -5,18 +5,20 @@
 (round-robin by BID, or by qd-tree subtree to preserve routing
 locality), gives each one a :class:`Shard` record — store, engine,
 buffer pool, scheduler, metrics, and nothing else: shards never plan,
-route or cache results — and fronts them with a scatter-gather
+route, prune or cache results (a shard's engine builds no block
+metadata) — and fronts them with a scatter-gather
 coordinator.  The coordinator is a configuration of the shared
 :class:`~repro.exec.pipeline.QueryPipeline`::
 
     SQL text
       -> PlanStage         (shared, memoized)
-      -> RouteStage        (one tree walk per unique predicate)
+      -> RouteStage        (one pass over the generation's pruning
+                           table per unique predicate: routed BIDs
+                           and survivors, memoized)
       -> ResultCacheStage  (a hit skips the whole scatter — no shard
                            sees the query at all)
-      -> ShardPruneStage   (one SMA prune per unique predicate,
-                           memoized as per-shard survivor lists)
-      -> ScatterScanStage  (submit shard-local scans ONLY to the
+      -> ScatterScanStage  (split the survivors by owning shard and
+                           submit shard-local scans ONLY to the
                            shards owning surviving blocks)
       -> MergeStage        (per-shard QueryStats folded into one
                            result with the same ``result_key`` as
@@ -267,7 +269,7 @@ class ShardedLayoutService(Service):
             )
             for i, sub in enumerate(shard_stores)
         )
-        self.router = serving_router(tree)
+        self.router = serving_router(tree, store)
         metrics = ServingMetrics()
         scheduler = Scheduler(
             max_workers=(
@@ -281,8 +283,7 @@ class ShardedLayoutService(Service):
             planner=planner if planner is not None else SqlPlanner(store.schema),
             shards=self.shards,
             router=self.router,
-            store=store,
-            profile=profile,
+            engine=ScanEngine(store, profile, num_advanced_cuts),
             result_cache=result_cache,
             generation=generation,
             metrics=metrics,

@@ -159,24 +159,50 @@ def test_no_shard_scan_entry_points_on_services():
 
 
 def test_serving_modules_never_execute_themselves():
-    """The duplicated plan->route->cache->prune->scan loop the exec
-    refactor deleted must not grow back: routing, cache consultation,
-    survivor pruning and engine scans live only in repro/exec."""
-    for path in SERVING_MODULES + [SRC / "db" / "database.py"]:
+    """The duplicated plan->route->cache->scan loop the exec refactor
+    deleted must not grow back: routing, cache consultation and engine
+    scans live only in repro/exec — and the single routing pass
+    (``may_match`` over descriptions built by ``tighten_to_stats``)
+    lives below it, in repro/core and repro/engine."""
+    for path in SERVING_MODULES + sorted((SRC / "db").glob("*.py")):
         source = path.read_text()
         for needle in (
             "router.route(",      # qd-tree query walks belong to RouteStage
             ".route(query",       # (ingest's DataRouter batch routing is fine)
             "result_cache.get(",  # cache gets belong to ResultCacheStage
             "result_cache.put(",  # cache puts belong to ResultCacheStage
-            "prune_blocks(",      # SMA pruning belongs to PruneStage
+            "prune_blocks(",      # the stats-only pass is route_and_count's
             ".execute_pruned(",   # scans belong to Scan/ScatterScanStage
             ".execute(query",     # the engine's route+prune+scan entry point
+            "may_match(",         # the routing pass has one home
+            "tighten_to_stats(",  # so does building what it scans
         ):
             assert needle not in source, (
                 f"{path.name} contains {needle!r} — execution logic "
                 f"belongs in repro.exec stages"
             )
+
+
+def test_adapt_imports_no_stage_class():
+    """The control plane reads the routing pass as a function; it
+    builds no pipeline stage of its own."""
+    import repro.exec
+
+    stages = {
+        name
+        for name in repro.exec.__all__
+        if isinstance(getattr(repro.exec, name), type)
+        and issubclass(getattr(repro.exec, name), Stage)
+    }
+    assert "RouteStage" in stages
+    for path in (SRC / "adapt").glob("*.py"):
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & stages, (path.name, imported & stages)
 
 
 def test_every_service_module_runs_the_shared_pipeline():
@@ -262,8 +288,8 @@ def test_durations_are_booked_through_mark_only():
 
 def test_stage_order_is_canonical():
     """The canonical configuration is Plan -> Route -> ResultCache ->
-    Prune -> Scan -> Merge (the sharded and multi-layout variants
-    substitute stages but keep the order)."""
+    Scan -> Merge (the sharded and multi-layout variants substitute
+    stages but keep the order)."""
     planner = SqlPlanner(
         Schema([numeric("x", (0.0, 1.0))])
     )
@@ -276,7 +302,7 @@ def test_stage_order_is_canonical():
         planner=planner, engine=engine, router=None, store=store
     )
     assert [s.name for s in pipe.stages] == [
-        "plan", "route", "result_cache", "prune", "scan", "merge",
+        "plan", "route", "result_cache", "scan", "merge",
     ]
 
 
@@ -304,7 +330,7 @@ class TestPipelineSemantics:
         handle = db.active_layout
         pipe = db._pipeline_for(handle)
         result = pipe.execute(STATEMENTS[0])
-        for name in ("plan", "route", "result_cache", "prune", "scan", "merge"):
+        for name in ("plan", "route", "result_cache", "scan", "merge"):
             assert name in result.stage_seconds
             assert result.stage_seconds[name] >= 0.0
 

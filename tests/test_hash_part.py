@@ -59,3 +59,22 @@ class TestHashPartitioner:
         engine = ScanEngine(store, SPARK_PARQUET)
         stats = engine.execute(Query(column_lt("salary", 50_000), name="q"))
         assert stats.blocks_scanned == store.num_blocks
+
+    def test_hash_strategy_builds_without_options_on_a_wide_table(self):
+        """``db.build_layout("hash")`` hashes every numeric column; the
+        per-column salt used to overflow uint64 at the third one."""
+        from repro.db import Database
+        from repro.workloads.tpch import generate_table
+
+        table = generate_table(3000, seed=0)
+        assert len(table.schema.numeric_columns) >= 3
+        db = Database.from_table(table, min_block_size=300)
+        handle = db.build_layout("hash")
+        assert handle.store.logical_rows == table.num_rows
+        sql = "SELECT l_quantity FROM t WHERE l_quantity < 10 AND l_discount >= 0.05"
+        mask = db.planner.plan(sql).query.predicate.evaluate(table.columns())
+        assert mask.any()
+        np.testing.assert_array_equal(
+            db.collect_row_ids(sql), np.flatnonzero(mask)
+        )
+        assert db.execute(sql).stats.rows_returned == int(mask.sum())

@@ -199,33 +199,3 @@ class TestTighten:
         sub = mixed_table.filter(mixed_table.column("salary") > 100_000)
         tight = root_desc.tighten(sub.columns())
         assert tight.matches_rows(sub.columns()).all()
-
-
-class TestWiden:
-    def test_widen_is_the_hull_and_never_mutates(self, root_desc, mixed_table):
-        young = mixed_table.filter(mixed_table.column("age") < 20)
-        old = mixed_table.filter(mixed_table.column("age") >= 60)
-        frozen = root_desc.tighten(young.columns())
-        before = frozen.hypercube.interval("age")
-        wide = frozen.widen(old.columns())
-        both = young.concat(old)
-        assert wide.matches_rows(both.columns()).all()
-        iv = wide.hypercube.interval("age")
-        assert (iv.lo, iv.hi) == (both.column("age").min(), both.column("age").max())
-        assert frozen.hypercube.interval("age") == before  # replaced, not mutated
-        assert not frozen.matches_rows(old.columns()).any()
-
-    def test_widen_adds_categorical_values(self, root_desc, mixed_table):
-        frozen = root_desc.tighten(
-            mixed_table.filter(mixed_table.column("city") == 2).columns()
-        )
-        wide = frozen.widen(
-            mixed_table.filter(mixed_table.column("city") == 0).columns()
-        )
-        assert wide.categorical_masks["city"].tolist() == [True, False, True, False]
-        assert frozen.categorical_masks["city"].tolist() == [False, False, True, False]
-
-    def test_widen_inside_the_description_changes_nothing(self, root_desc, mixed_table):
-        frozen = root_desc.tighten(mixed_table.columns())
-        sub = mixed_table.filter(mixed_table.column("age") < 20)
-        assert frozen.widen(sub.columns()).hypercube == frozen.hypercube

@@ -323,23 +323,3 @@ class TestMaskedSoftmaxProperties:
         np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-9)
         assert np.isfinite(lp[0][mask[0]]).all()
         assert (np.exp(lp[0][~mask[0]]) < 1e-30).all()
-
-
-class TestDescentEquivalence:
-    @given(
-        st.lists(
-            st.one_of(unary_predicates(), cat_predicates()),
-            min_size=1,
-            max_size=5,
-        ),
-        boolean_predicates(),
-        st.integers(0, 1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_descent_equals_metadata_scan(self, cuts, query, seed):
-        """Sec. 3.3's two query-routing implementations agree."""
-        table = make_table(seed % 7)
-        tree = grow_random_tree(table, cuts, seed)
-        assert sorted(tree.route_query_descent(query)) == sorted(
-            tree.route_query(query)
-        )

@@ -69,7 +69,7 @@ class TestTraceIntegrity:
         for trace in traces:
             names = [s.name for s in trace.spans]
             for required in ("queue", "plan", "route", "result_cache",
-                            "prune", "merge"):
+                            "merge"):
                 assert required in names, (trace.trace_id, names)
             # Cached hits short-circuit before the scan stage runs
             # real work, but the span still exists (zero-ish time).
@@ -240,7 +240,7 @@ class TestStageSeconds:
         for result in replay.results:
             ss = result.stage_seconds
             for key in ("queue", "plan", "route", "result_cache",
-                        "prune", "scan", "merge"):
+                        "scan", "merge"):
                 assert key in ss, (result.sql, sorted(ss))
             undotted = sum(
                 v for k, v in ss.items() if "." not in k

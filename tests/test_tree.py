@@ -116,10 +116,6 @@ class TestQueryRouting:
         needed = set(np.unique(bids_per_row[matching_rows]))
         assert needed <= routed
 
-    def test_route_query_leaves(self, small_tree):
-        leaves = small_tree.route_query_leaves(column_lt("age", 10))
-        assert all(l.is_leaf for l in leaves)
-
 
 class TestFreeze:
     def test_freeze_tightens(self, small_tree, mixed_table):
@@ -213,32 +209,3 @@ class TestIntrospection:
         descs = small_tree.leaf_descriptions()
         assert set(descs) == {0, 1, 2}
         assert any("age" in d for d in descs.values())
-
-
-class TestDescentRouting:
-    def test_matches_metadata_scan(self, small_tree, mixed_table):
-        small_tree.assign_block_ids()
-        for pred in (
-            column_ge("age", 80),
-            column_eq("city", 1),
-            column_lt("age", 10),
-        ):
-            assert sorted(small_tree.route_query_descent(pred)) == sorted(
-                small_tree.route_query(pred)
-            )
-
-    def test_matches_after_freeze(self, small_tree, mixed_table):
-        small_tree.freeze(mixed_table)
-        for pred in (
-            column_ge("age", 80),
-            column_eq("city", 2),
-            column_lt("salary", 1000),
-        ):
-            assert sorted(small_tree.route_query_descent(pred)) == sorted(
-                small_tree.route_query(pred)
-            )
-
-    def test_descent_on_singleton_tree(self, mixed_schema):
-        tree = QdTree(mixed_schema)
-        tree.assign_block_ids()
-        assert tree.route_query_descent(column_lt("age", 10)) == [0]
