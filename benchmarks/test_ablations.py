@@ -17,15 +17,25 @@ from repro.bench import (
     run_physical,
 )
 from repro.core import (
+    ConstructionEnv,
     CutRegistry,
     GreedyConfig,
     build_greedy_tree,
     leaf_sizes,
     scan_ratio,
 )
+from repro.core.greedy import cut_gains
 from repro.engine import SPARK_PARQUET
 from repro.workloads import tpch_dataset
 from repro.workloads.tpch import generate_workload
+
+
+def choose_zero_gain(episode, node, options):
+    """Algorithm 1 with the bar lowered: take the best legal cut even
+    when it skips nothing yet (a third policy over the shared walk)."""
+    gains = cut_gains(episode, node, options)
+    best = int(gains.argmax())
+    return best if gains[best] >= 0 else None
 
 
 def test_a1_zero_gain_splitting(benchmark, tpch, tpch_registry):
@@ -36,10 +46,10 @@ def test_a1_zero_gain_splitting(benchmark, tpch, tpch_registry):
             tpch.schema, tpch_registry, tpch.table, tpch.workload,
             GreedyConfig(tpch.min_block_size),
         )
-        eager = build_greedy_tree(
+        eager = ConstructionEnv(
             tpch.schema, tpch_registry, tpch.table, tpch.workload,
-            GreedyConfig(tpch.min_block_size, allow_zero_gain=True),
-        )
+            tpch.min_block_size,
+        ).walk(choose_zero_gain).tree
         s_ratio = scan_ratio(
             strict, tpch.workload, leaf_sizes(strict, tpch.table)
         )

@@ -134,19 +134,16 @@ def select_features(
 
 
 def _split_large_groups(bids: np.ndarray, max_block_size: int) -> np.ndarray:
-    """Re-chunk each logical group into physical blocks of at most
-    ``max_block_size`` rows (dense BIDs, row order preserved)."""
+    """Re-chunk each logical group into the fewest physical blocks of
+    at most ``max_block_size`` rows, balanced to within one row so no
+    chunk is a runt (dense BIDs, row order preserved)."""
     if max_block_size < 1:
         raise ValueError("max_block_size must be >= 1")
     out = np.empty_like(bids)
     next_bid = 0
     for group in np.unique(bids):
         rows = np.flatnonzero(bids == group)
-        num_chunks = max(1, int(np.ceil(len(rows) / max_block_size)))
-        for chunk_index in range(num_chunks):
-            chunk = rows[
-                chunk_index * max_block_size : (chunk_index + 1) * max_block_size
-            ]
+        for chunk in np.array_split(rows, -(-len(rows) // max_block_size)):
             out[chunk] = next_bid
             next_bid += 1
     return out

@@ -42,9 +42,7 @@ Subcommands
 ``serve-bench`` and ``adapt-report`` also take ``--json`` (one JSON
 document on stdout, human report on stderr), ``--trace PREFIX``
 (per-query + control-plane traces as ``PREFIX.jsonl`` and the
-Perfetto-loadable ``PREFIX.trace.json``) and ``--emit-bench DIR
---scenario S`` (schema-versioned ``BENCH_S.json`` trajectory file,
-validated by ``python -m repro.obs.bench``).
+Perfetto-loadable ``PREFIX.trace.json``).
 
 Example::
 
@@ -73,7 +71,7 @@ from typing import List, Optional
 
 from .adapt import AdaptPolicy
 from .db import Database, get_strategy, strategy_names
-from .obs import MetricsRegistry, Tracer, bench_document, plain, write_bench
+from .obs import MetricsRegistry, Tracer, plain
 from .serve import ResultCache, run_serial_baseline
 from .storage.catalog import load_table
 
@@ -105,8 +103,8 @@ def _strategy_options(args: argparse.Namespace) -> dict:
 
 
 def _replay_summary(replay) -> dict:
-    """Machine-readable replay outcome shared by --json and
-    --emit-bench across serve-bench and adapt-report."""
+    """Machine-readable replay outcome of the --json document of
+    serve-bench and adapt-report."""
     return {
         "issued": replay.issued,
         "completed": replay.completed,
@@ -242,8 +240,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _emit_exports(args, info, tracer, command, snapshot, replay, extra) -> None:
     """The shared tail of ``serve-bench`` and ``adapt-report``: trace
-    exports (``--trace``), the trajectory file (``--emit-bench``) and
-    the one-document stdout (``--json``)."""
+    exports (``--trace``) and the one-document stdout (``--json``)."""
     if tracer is not None:
         summary = _write_trace_exports(tracer, args.trace)
         print(
@@ -253,16 +250,6 @@ def _emit_exports(args, info, tracer, command, snapshot, replay, extra) -> None:
             file=info,
         )
         extra["trace"] = summary
-    if args.emit_bench:
-        doc = bench_document(
-            scenario=args.scenario,
-            source=command,
-            snapshot=snapshot,
-            replay=_replay_summary(replay),
-            extra=extra,
-        )
-        path = write_bench(args.emit_bench, doc)
-        print(f"wrote trajectory file {path}", file=info)
     if args.json:
         import json as _json
 
@@ -554,12 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record per-query traces; writes "
                               "PREFIX.jsonl and PREFIX.trace.json "
                               "(Chrome trace-event / Perfetto format)")
-    p_serve.add_argument("--emit-bench", metavar="DIR",
-                         help="write a schema-versioned "
-                              "BENCH_<scenario>.json trajectory file "
-                              "under DIR")
     p_serve.add_argument("--scenario", default="serve",
-                         help="scenario name for --emit-bench / --json")
+                         help="label of the --json document")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
     p_adapt = sub.add_parser(
@@ -594,10 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record query + control-plane traces; "
                               "writes PREFIX.jsonl and "
                               "PREFIX.trace.json")
-    p_adapt.add_argument("--emit-bench", metavar="DIR",
-                         help="write BENCH_<scenario>.json under DIR")
     p_adapt.add_argument("--scenario", default="adapt",
-                         help="scenario name for --emit-bench / --json")
+                         help="label of the --json document")
     p_adapt.set_defaults(func=_cmd_adapt_report)
 
     p_metrics = sub.add_parser(

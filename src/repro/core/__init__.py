@@ -2,8 +2,9 @@
 
 Exports the predicate algebra, node descriptions, the
 :class:`~repro.core.tree.QdTree` itself, candidate-cut extraction, the
-skipping cost model, greedy construction, data/query routers, and the
-Sec. 6 extensions (overlap, two-tree replication).
+skipping cost model, the construction environment and its greedy policy,
+data/query routers, and the Sec. 6 extensions (overlap, two-tree
+replication).
 """
 
 from .cost import (
@@ -15,6 +16,7 @@ from .cost import (
     subtree_skips,
     tuples_accessed,
 )
+from .construct import ConstructionEnv
 from .cuts import CutRegistry, extract_candidate_cuts
 from .greedy import GreedyConfig, build_greedy_tree
 from .ingest import IngestionPipeline, SegmentInfo
@@ -49,6 +51,7 @@ __all__ = [
     "AdvancedCut",
     "And",
     "ColumnPredicate",
+    "ConstructionEnv",
     "CutRegistry",
     "DataRouter",
     "GreedyConfig",

@@ -1,0 +1,222 @@
+"""The tree-construction MDP shared by Greedy and Woodblock.
+
+Paper Sec. 4 (Algorithm 1) and Sec. 5.2 search the same space: a
+*state* is a node's sub-space plus the sample records routed to it, an
+*action* is a cut from the registry, an action is *legal* when both
+children keep at least ``b`` sample records (Sec. 5.2.1; Sec. 6.2
+relaxes this to one child), and the *value* of a subtree is ``S(n)``,
+the (record, query) pairs it lets the workload skip (Sec. 5.2.2).
+
+:class:`ConstructionEnv` is built once per ``(schema, registry, sample,
+workload, b)`` and holds what every walk reuses — the ``cuts x rows``
+outcome matrix and, per cut, the queries whose hit status the cut can
+change.  :class:`Episode` is the scratch state of one walk: the tree
+under construction, each open leaf's sample rows and each node's query
+hit vector.  A construction algorithm is a *chooser* handed to
+:meth:`ConstructionEnv.walk`; nothing of the episode is stored on the
+:class:`~repro.core.tree.QdTree` it returns.
+
+Two monotonicity facts keep hit vectors incremental: descriptions only
+narrow, so a query that misses a node misses its children; and a split
+can only change the status of queries that reference the cut's column
+(or advanced-cut slot).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ..storage.schema import Schema
+from ..storage.table import Table
+from .cuts import CutRegistry
+from .node import NodeDescription, QdNode
+from .predicates import AdvancedCut, ColumnPredicate
+from .tree import QdTree
+from .workload import Workload
+
+__all__ = ["Chooser", "ConstructionEnv", "CutOptions", "Episode"]
+
+
+class CutOptions(NamedTuple):
+    """What every candidate cut would do to one node's sample rows."""
+
+    legal: np.ndarray  #: bool per cut — the action mask
+    left_sizes: np.ndarray  #: rows satisfying each cut
+    right_sizes: np.ndarray
+
+
+HitPair = Tuple[np.ndarray, np.ndarray]
+
+#: A construction policy: the registry index of the cut to apply at
+#: ``node`` (one of ``options.legal``), or ``None`` to leave it a leaf.
+Chooser = Callable[["Episode", QdNode, CutOptions], Optional[int]]
+
+
+class ConstructionEnv:
+    """Legality, transitions and rewards of qd-tree construction.
+
+    ``min_leaf_size`` is ``b`` in *sample* rows;
+    ``allow_small_children`` is the Sec. 6.2 relaxation (one child may
+    fall below ``b``, neither may be empty).
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        registry: CutRegistry,
+        sample: Table,
+        workload: Workload,
+        min_leaf_size: int,
+        allow_small_children: bool = False,
+    ) -> None:
+        self.schema = schema
+        self.registry = registry
+        self.sample = sample
+        self.workload = workload
+        self.min_leaf_size = min_leaf_size
+        self.allow_small_children = allow_small_children
+        self.cut_masks = registry.evaluate_all(sample.columns(), sample.num_rows)
+        self._affected = _affected_queries(registry, workload)
+        root = NodeDescription.root(
+            schema, num_advanced_cuts=registry.num_advanced_cuts
+        )
+        self._root_hits = np.array(
+            [root.may_match(q.predicate) for q in workload], dtype=bool
+        )
+
+    def legal_cuts(self, rows: np.ndarray) -> CutOptions:
+        """Child sizes of every cut over ``rows`` and which are legal."""
+        left = self.cut_masks[:, rows].sum(axis=1)
+        right = len(rows) - left
+        b = self.min_leaf_size
+        if self.allow_small_children:
+            legal = (left >= 1) & (right >= 1) & (np.maximum(left, right) >= b)
+        else:
+            legal = (left >= b) & (right >= b)
+        return CutOptions(legal, left, right)
+
+    def walk(self, choose: Chooser, max_depth: Optional[int] = None) -> "Episode":
+        """Grow one tree breadth-first, asking ``choose`` at every node
+        that has a legal cut; returns the finished episode."""
+        episode = Episode(self)
+        queue = [episode.tree.root]
+        while queue:
+            node = queue.pop(0)
+            if max_depth is not None and node.depth >= max_depth:
+                continue
+            options = self.legal_cuts(episode.rows[node.node_id])
+            if not options.legal.any():
+                continue
+            action = choose(episode, node, options)
+            if action is not None:
+                queue.extend(episode.split(node, action))
+            episode._scored.clear()  # scores of a decided node are dead
+        episode.tree.assign_block_ids()
+        return episode
+
+
+class Episode:
+    """One tree under construction plus the walk's scratch state."""
+
+    def __init__(self, env: ConstructionEnv) -> None:
+        self.env = env
+        self.tree = QdTree(env.schema, env.registry)
+        #: open leaf id -> sample row indices routed to it
+        self.rows: Dict[int, np.ndarray] = {0: np.arange(env.sample.num_rows)}
+        #: node id -> sample row count
+        self.sizes: Dict[int, int] = {0: env.sample.num_rows}
+        #: node id -> bool per query: may the query touch the node?
+        self.hits: Dict[int, np.ndarray] = {0: env._root_hits}
+        self._scored: Dict[Tuple[int, int], HitPair] = {}
+
+    def child_hits(self, node: QdNode, action: int) -> HitPair:
+        """Hit vectors the children of ``node`` would get from cut
+        ``action`` — what a chooser scores; :meth:`split` reuses it."""
+        cut = self.env.registry.cut(action)
+        pair = self._propagate(node, action, *node.description.split(cut))
+        self._scored[node.node_id, action] = pair
+        return pair
+
+    def split(self, node: QdNode, action: int) -> Tuple[QdNode, QdNode]:
+        """Apply ``T ⊕ (cut, node)``: grow the tree, partition the
+        node's sample rows, derive the children's hit vectors."""
+        left, right = self.tree.apply_cut(node, self.env.registry.cut(action))
+        hits = self._scored.get((node.node_id, action)) or self._propagate(
+            node, action, left.description, right.description
+        )
+        rows = self.rows.pop(node.node_id)
+        goes_left = self.env.cut_masks[action, rows]
+        for child, child_rows, child_hits in (
+            (left, rows[goes_left], hits[0]),
+            (right, rows[~goes_left], hits[1]),
+        ):
+            self.rows[child.node_id] = child_rows
+            self.sizes[child.node_id] = len(child_rows)
+            self.hits[child.node_id] = child_hits
+        return left, right
+
+    def _propagate(
+        self,
+        node: QdNode,
+        action: int,
+        left_desc: NodeDescription,
+        right_desc: NodeDescription,
+    ) -> HitPair:
+        parent_hits = self.hits[node.node_id]
+        left_hits = parent_hits.copy()
+        right_hits = parent_hits.copy()
+        workload = self.env.workload
+        for qi in self.env._affected[action]:
+            if parent_hits[qi]:
+                pred = workload[qi].predicate
+                left_hits[qi] = left_desc.may_match(pred)
+                right_hits[qi] = right_desc.may_match(pred)
+        return left_hits, right_hits
+
+    def subtree_skips(self) -> Dict[int, int]:
+        """Per-node ``S(n)`` over the sample (Sec. 5.2.2), from the
+        cached hit vectors: ``|leaf| x missed queries``, summed up."""
+        num_queries = len(self.env.workload)
+        skips: Dict[int, int] = {}
+        # Children have larger ids than their parent, so one reverse
+        # pass sees both children before every internal node.
+        for node in reversed(self.tree.nodes()):
+            if node.is_leaf:
+                missed = num_queries - int(self.hits[node.node_id].sum())
+                skips[node.node_id] = self.sizes[node.node_id] * missed
+            else:
+                assert node.left is not None and node.right is not None
+                skips[node.node_id] = (
+                    skips[node.left.node_id] + skips[node.right.node_id]
+                )
+        return skips
+
+    def scan_ratio(self) -> float:
+        """Fraction of (sample row, query) pairs the tree scans."""
+        total = self.env.sample.num_rows * len(self.env.workload)
+        return 1.0 - (self.subtree_skips()[0] / total if total else 0.0)
+
+
+def _affected_queries(registry: CutRegistry, workload: Workload) -> List[List[int]]:
+    """Per cut: the query ids whose hit status a split on it can change
+    (those referencing the cut's column or advanced-cut slot)."""
+    by_column: Dict[str, set] = {}
+    by_adv: Dict[int, set] = {}
+    for qi, query in enumerate(workload):
+        for leaf in query.predicate.leaves():
+            if isinstance(leaf, ColumnPredicate):
+                by_column.setdefault(leaf.column, set()).add(qi)
+            elif isinstance(leaf, AdvancedCut):
+                by_adv.setdefault(leaf.index, set()).add(qi)
+    affected: List[List[int]] = []
+    for cut in registry.cuts:
+        if isinstance(cut, AdvancedCut):
+            ids = by_adv.get(cut.index, set())
+        else:
+            ids = set().union(
+                *(by_column.get(c, set()) for c in cut.referenced_columns())
+            )
+        affected.append(sorted(ids))
+    return affected

@@ -12,13 +12,18 @@ This module computes the paper's *logical* metrics over a qd-tree:
 * total skipped tuples ``C(P)``,
 * the **access percentage** reported in Table 2
   (``accessed / (|W| * |V|)``),
-* per-node subtree skips ``S(n)`` used as the RL reward signal
-  (Sec. 5.2.2).
+* per-node subtree skips ``S(n)`` (Sec. 5.2.2).
+
+Everything here is computed from scratch over any tree and any table:
+``may_match`` on every (leaf, query) pair, sizes from
+:func:`leaf_sizes`.  Construction keeps the same quantities
+incrementally over its sample (:mod:`repro.core.construct`); the tests
+hold the two equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -45,19 +50,6 @@ def leaf_sizes(tree: QdTree, table: Table) -> Dict[int, int]:
     sizes = {int(i): int(c) for i, c in zip(ids, counts)}
     for leaf in tree.leaves():
         sizes.setdefault(leaf.node_id, 0)
-    return sizes
-
-
-def sample_leaf_sizes(tree: QdTree) -> Dict[int, int]:
-    """Leaf node id -> construction-sample row count.
-
-    Requires :meth:`QdTree.attach_sample` to have been called.
-    """
-    sizes: Dict[int, int] = {}
-    for leaf in tree.leaves():
-        if leaf.sample_indices is None:
-            raise ValueError("tree has no attached sample")
-        sizes[leaf.node_id] = int(len(leaf.sample_indices))
     return sizes
 
 
@@ -120,16 +112,13 @@ def access_percentage(tree: QdTree, workload: Workload, table: Table) -> float:
 
 
 def subtree_skips(
-    tree: QdTree, workload: Workload, sizes: Optional[Mapping[int, int]] = None
+    tree: QdTree, workload: Workload, sizes: Mapping[int, int]
 ) -> Dict[int, int]:
     """Per-node ``S(n)``: skipped tuples under each node (Sec. 5.2.2).
 
     ``S(leaf) = C(leaf.records)`` (Eq. 1 restricted to the leaf) and
-    ``S(n) = S(n.left) + S(n.right)`` for internal nodes.  Sizes default
-    to the attached construction sample.
+    ``S(n) = S(n.left) + S(n.right)`` for internal nodes.
     """
-    if sizes is None:
-        sizes = sample_leaf_sizes(tree)
     skips: Dict[int, int] = {}
 
     def visit(node: QdNode) -> int:

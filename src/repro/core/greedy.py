@@ -5,33 +5,28 @@ the cut that maximizes the skipping objective ``C(T ⊕ (p, n))``; a
 split is kept only when it strictly improves ``C`` (the paper proves
 approximation guarantees for this scheme under tree-submodularity).
 
-Sizes and gains are computed over the construction sample, mirroring
-how the RL agent approximates the ``|block| >= b`` constraint
-(Sec. 5.2.1).  The implementation exploits two monotonicity facts to
-avoid re-testing every (cut, query) pair:
-
-* a query that does not intersect a node cannot intersect its children
-  (descriptions only narrow);
-* splitting on a cut can only change the intersection status of
-  queries that reference the cut's column (or advanced-cut slot).
+Greedy is one *chooser* over the construction walk of
+:mod:`repro.core.construct`, which states legality, the row partition
+and the incremental query-hit vectors; this module only scores the
+legal cuts of a node (:func:`cut_gains`) and picks the best one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..storage.schema import Schema
 from ..storage.table import Table
+from .construct import ConstructionEnv, CutOptions, Episode
 from .cuts import CutRegistry
 from .node import QdNode
-from .predicates import AdvancedCut, ColumnPredicate, Predicate
 from .tree import QdTree
-from .workload import Query, Workload
+from .workload import Workload
 
-__all__ = ["GreedyConfig", "build_greedy_tree", "choose_best_cut"]
+__all__ = ["GreedyConfig", "build_greedy_tree", "choose_max_gain", "cut_gains"]
 
 
 @dataclass
@@ -47,111 +42,40 @@ class GreedyConfig:
     allow_small_children:
         The Sec. 6.2 relaxation: permit one child below ``b`` (used
         before overlap-based replication).
-    allow_zero_gain:
-        Accept cuts with zero immediate gain (Algorithm 1 requires
-        strictly positive gain; this knob exists for the ablation
-        study).
     max_depth:
         Optional hard depth cap.
     """
 
     min_leaf_size: int
     allow_small_children: bool = False
-    allow_zero_gain: bool = False
     max_depth: Optional[int] = None
 
 
-def _queries_referencing(
-    workload: Workload,
-) -> Tuple[Dict[str, List[int]], Dict[int, List[int]]]:
-    """Indexes: column -> query ids, advanced-cut index -> query ids."""
-    by_column: Dict[str, List[int]] = {}
-    by_adv: Dict[int, List[int]] = {}
-    for qi, query in enumerate(workload):
-        for leaf in query.predicate.leaves():
-            if isinstance(leaf, ColumnPredicate):
-                by_column.setdefault(leaf.column, []).append(qi)
-            elif isinstance(leaf, AdvancedCut):
-                by_adv.setdefault(leaf.index, []).append(qi)
-    # Deduplicate while keeping order.
-    for key in by_column:
-        by_column[key] = sorted(set(by_column[key]))
-    for key in by_adv:
-        by_adv[key] = sorted(set(by_adv[key]))
-    return by_column, by_adv
+def cut_gains(episode: Episode, node: QdNode, options: CutOptions) -> np.ndarray:
+    """``C(T ⊕ (p, node)) - C(T)`` per candidate cut ``p`` over the
+    sample: ``>= 0`` for a legal cut, ``-1`` for an illegal one."""
+    hits = episode.hits[node.node_id]
+    num_queries = len(hits)
+    base_skips = episode.sizes[node.node_id] * (num_queries - int(hits.sum()))
+    gains = np.full(len(options.legal), -1, dtype=np.int64)
+    for action in np.flatnonzero(options.legal):
+        left_hits, right_hits = episode.child_hits(node, int(action))
+        gains[action] = (
+            int(options.left_sizes[action]) * (num_queries - int(left_hits.sum()))
+            + int(options.right_sizes[action]) * (num_queries - int(right_hits.sum()))
+            - base_skips
+        )
+    return gains
 
 
-def _affected_queries(
-    cut: Predicate,
-    by_column: Dict[str, List[int]],
-    by_adv: Dict[int, List[int]],
-) -> List[int]:
-    """Query ids whose intersection status a split on ``cut`` can change."""
-    if isinstance(cut, AdvancedCut):
-        return by_adv.get(cut.index, [])
-    affected: Set[int] = set()
-    for column in cut.referenced_columns():
-        affected.update(by_column.get(column, []))
-    return sorted(affected)
-
-
-def choose_best_cut(
-    node: QdNode,
-    tree: QdTree,
-    workload: Workload,
-    cut_masks: np.ndarray,
-    parent_hits: np.ndarray,
-    config: GreedyConfig,
-    by_column: Dict[str, List[int]],
-    by_adv: Dict[int, List[int]],
-) -> Optional[Tuple[Predicate, int, np.ndarray, np.ndarray]]:
-    """The gain-maximizing legal cut for ``node``, or ``None``.
-
-    Returns ``(cut, gain, left_hits, right_hits)`` where the hit arrays
-    record which queries intersect each child (reused by the caller to
-    seed the children's own searches).
-    """
-    indices = node.sample_indices
-    assert indices is not None, "attach a sample before construction"
-    size = len(indices)
-    b = config.min_leaf_size
-    num_queries = len(workload)
-    parent_miss = num_queries - int(parent_hits.sum())
-    base_skips = size * parent_miss
-
-    best: Optional[Tuple[Predicate, int, np.ndarray, np.ndarray]] = None
-    # Algorithm 1 keeps a split only when C strictly improves; the
-    # zero-gain ablation lowers the bar so structurally useful but
-    # immediately-neutral cuts are taken too.
-    best_gain = -1 if config.allow_zero_gain else 0
-    registry = tree.registry
-    for ci, cut in enumerate(registry.cuts):
-        left_size = int(cut_masks[ci, indices].sum())
-        right_size = size - left_size
-        if left_size == 0 or right_size == 0:
-            continue
-        if config.allow_small_children:
-            if max(left_size, right_size) < b:
-                continue
-        else:
-            if left_size < b or right_size < b:
-                continue
-        left_desc, right_desc = node.description.split(cut)
-        left_hits = parent_hits.copy()
-        right_hits = parent_hits.copy()
-        for qi in _affected_queries(cut, by_column, by_adv):
-            if not parent_hits[qi]:
-                continue  # cannot start hitting a narrower description
-            pred = workload[qi].predicate
-            left_hits[qi] = left_desc.may_match(pred)
-            right_hits[qi] = right_desc.may_match(pred)
-        left_miss = num_queries - int(left_hits.sum())
-        right_miss = num_queries - int(right_hits.sum())
-        gain = left_size * left_miss + right_size * right_miss - base_skips
-        if gain > best_gain:
-            best = (cut, gain, left_hits, right_hits)
-            best_gain = gain
-    return best
+def choose_max_gain(
+    episode: Episode, node: QdNode, options: CutOptions
+) -> Optional[int]:
+    """Algorithm 1's policy: the first cut (registry order) of maximal
+    gain, kept only when it strictly improves ``C``."""
+    gains = cut_gains(episode, node, options)
+    best = int(gains.argmax())
+    return best if gains[best] > 0 else None
 
 
 def build_greedy_tree(
@@ -168,36 +92,12 @@ def build_greedy_tree(
     """
     if config.min_leaf_size < 1:
         raise ValueError("min_leaf_size must be >= 1")
-    tree = QdTree(schema, registry)
-    tree.attach_sample(sample)
-    cut_masks = registry.evaluate_all(sample.columns(), sample.num_rows)
-    by_column, by_adv = _queries_referencing(workload)
-
-    root_hits = np.array(
-        [tree.root.description.may_match(q.predicate) for q in workload],
-        dtype=bool,
+    env = ConstructionEnv(
+        schema,
+        registry,
+        sample,
+        workload,
+        config.min_leaf_size,
+        config.allow_small_children,
     )
-    frontier: List[Tuple[QdNode, np.ndarray]] = [(tree.root, root_hits)]
-    while frontier:
-        node, hits = frontier.pop(0)
-        size = len(node.sample_indices) if node.sample_indices is not None else 0
-        min_parent = (
-            config.min_leaf_size + 1
-            if config.allow_small_children
-            else 2 * config.min_leaf_size
-        )
-        if size < min_parent:
-            continue
-        if config.max_depth is not None and node.depth >= config.max_depth:
-            continue
-        choice = choose_best_cut(
-            node, tree, workload, cut_masks, hits, config, by_column, by_adv
-        )
-        if choice is None:
-            continue
-        cut, _gain, left_hits, right_hits = choice
-        left, right = tree.apply_cut(node, cut)
-        frontier.append((left, left_hits))
-        frontier.append((right, right_hits))
-    tree.assign_block_ids()
-    return tree
+    return env.walk(choose_max_gain, max_depth=config.max_depth).tree

@@ -350,8 +350,6 @@ class QdNode:
 
     Internal nodes carry a ``cut``; the left child satisfies it and the
     right child its negation (Sec. 3).  Leaves carry a ``block_id``.
-    ``sample_indices`` holds the construction-sample rows routed to the
-    node (used by both construction algorithms and for rewards).
     """
 
     __slots__ = (
@@ -363,7 +361,6 @@ class QdNode:
         "parent",
         "depth",
         "block_id",
-        "sample_indices",
     )
 
     def __init__(
@@ -381,7 +378,6 @@ class QdNode:
         self.parent = parent
         self.depth = depth
         self.block_id: Optional[int] = None
-        self.sample_indices: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:

@@ -15,6 +15,11 @@ with the exact statistics of its records.
 
 Trees serialize to/from plain dicts (:meth:`to_dict`/:meth:`from_dict`)
 so learned layouts can be persisted next to the block catalog.
+
+A tree is structure and descriptions only.  The sample rows, query-hit
+vectors and cut-outcome matrix that construction needs live in
+:mod:`repro.core.construct` for the duration of one walk and are never
+attached to the tree that is saved, shared across generations or served.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ class QdTree:
         """Apply action ``a = (cut, node)``: split a leaf into two.
 
         Returns the (left, right) children.  The left child's sub-space
-        satisfies ``cut``; the right satisfies its negation.
+        satisfies ``cut``; the right satisfies its negation.  Pure
+        structure: no row data is read or kept.
         """
         if self._frozen:
             raise RuntimeError("cannot grow a frozen qd-tree")
@@ -121,31 +127,7 @@ class QdTree:
         node.cut = cut
         node.left = left
         node.right = right
-        if node.sample_indices is not None:
-            # Propagate the construction sample down the new edge.
-            sample_cols = self._sample_columns
-            assert sample_cols is not None
-            idx = node.sample_indices
-            mask = cut.evaluate({k: v[idx] for k, v in sample_cols.items()})
-            left.sample_indices = idx[mask]
-            right.sample_indices = idx[~mask]
         return left, right
-
-    _sample_columns: Optional[Dict[str, np.ndarray]] = None
-
-    def attach_sample(self, sample: Table) -> None:
-        """Attach the construction sample (Sec. 5.2.1) to the root.
-
-        Subsequent :meth:`apply_cut` calls keep per-node sample index
-        arrays up to date, which construction algorithms use for the
-        minimum-size legality test and reward computation.
-        """
-        self._sample_columns = sample.columns()
-        self.root.sample_indices = np.arange(sample.num_rows)
-
-    @property
-    def sample_columns(self) -> Optional[Dict[str, np.ndarray]]:
-        return self._sample_columns
 
     # ------------------------------------------------------------------
     # Data routing (Sec. 3.1)

@@ -197,11 +197,10 @@ class GreedyStrategy(LayoutStrategy):
 
     def build(self, ctx: BuildContext) -> BuiltLayout:
         workload, registry = ctx.require_workload(self.name)
-        allow_small, allow_zero, max_depth = _take(
+        allow_small, max_depth = _take(
             dict(ctx.options),
             self.name,
             allow_small_children=False,
-            allow_zero_gain=False,
             max_depth=None,
         )
         tree = build_greedy_tree(
@@ -212,7 +211,6 @@ class GreedyStrategy(LayoutStrategy):
             GreedyConfig(
                 min_leaf_size=ctx.sample_block_size,
                 allow_small_children=bool(allow_small),
-                allow_zero_gain=bool(allow_zero),
                 max_depth=max_depth,
             ),
         )
@@ -322,7 +320,11 @@ class RandomStrategy(LayoutStrategy):
 
 
 class BottomUpStrategy(LayoutStrategy):
-    """Bottom-Up row grouping (Sun et al.), the paper's SOTA baseline."""
+    """Bottom-Up row grouping (Sun et al.), the paper's SOTA baseline.
+
+    Clustering only guarantees groups of *at least* ``b`` rows, so the
+    adapter stores each group as balanced blocks of at most ``2b``.
+    """
 
     name = "bottom_up"
 
@@ -334,7 +336,7 @@ class BottomUpStrategy(LayoutStrategy):
             max_features=15,
             frequency_threshold=1,
             selectivity_threshold=None,
-            max_block_size=None,
+            max_block_size=2 * ctx.min_block_size,
         )
         partitioner = BottomUpPartitioner(
             registry,

@@ -16,9 +16,8 @@ through:
   :meth:`MetricsRegistry.to_json` (one JSON document).
 
 :meth:`repro.serve.Service.publish_metrics` loops over the resources'
-``publish`` hooks; the CLI's ``metrics-export`` subcommand and the
-``BENCH_*.json`` trajectory emitter (:mod:`repro.obs.bench`) are the
-first consumers.
+``publish`` hooks; the CLI's ``metrics-export`` subcommand is the
+first consumer.
 """
 
 from __future__ import annotations

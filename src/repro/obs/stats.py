@@ -19,10 +19,10 @@ declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Iterator, Mapping, Sequence
 
-__all__ = ["Stats", "counter", "gauge"]
+__all__ = ["Stats", "counter", "gauge", "plain"]
 
 
 def counter(metric: str = "", help: str = "", label: str = "", default=0):
@@ -77,3 +77,32 @@ class Stats:
                     yield name, n, help, kind, {meta["label"]: key}
             else:
                 yield name, getattr(self, f.name), help, kind
+
+
+def plain(value: Any) -> Any:
+    """Recursively reduce snapshots to JSON-serializable plain data.
+
+    Handles nested dataclasses (``MetricsSnapshot`` carries
+    ``CacheStats``/``AdaptSnapshot``/``ArbiterStats``), numpy scalars,
+    mappings, and sequences.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [plain(v) for v in value]
+    if isinstance(value, (str, bool)) or value is None:
+        return value
+    if isinstance(value, (int, float)):
+        return value
+    # numpy scalars (and anything else numeric) expose item();
+    # fall back to str for the truly exotic rather than crashing an
+    # export path.
+    item = getattr(value, "item", None)
+    if callable(item):
+        try:
+            return plain(item())
+        except Exception:
+            pass
+    return str(value)

@@ -14,17 +14,23 @@ normalized reward ``R = S(n) / (|W| * |n.records|)`` (Sec. 5.2.2) where
 subtree, and PPO updates the policy.  The best tree seen (by sample
 scan ratio) is tracked continuously, so a layout can be deployed at any
 time/compute budget — the anytime behaviour behind paper Fig. 8.
+
+The MDP itself — legality, the row partition, query-hit vectors and
+``S(n)`` — is :mod:`repro.core.construct`, shared with Greedy; this
+module is the policy (featurize, forward, sample from the masked
+logits), the transition log and the PPO training loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.construct import ConstructionEnv, CutOptions, Episode
 from ..core.cuts import CutRegistry
-from ..core.greedy import _affected_queries, _queries_referencing
+from ..core.node import QdNode
 from ..core.tree import QdTree
 from ..core.workload import Workload
 from ..obs.clock import now
@@ -123,11 +129,16 @@ class Woodblock:
             raise ValueError("candidate cut set is empty")
         if config.min_leaf_size < 1:
             raise ValueError("min_leaf_size must be >= 1")
-        self.schema = schema
         self.registry = registry
-        self.sample = sample
-        self.workload = workload
         self.config = config
+        self.env = ConstructionEnv(
+            schema,
+            registry,
+            sample,
+            workload,
+            config.min_leaf_size,
+            config.allow_small_children,
+        )
         self.featurizer = Featurizer(schema, registry)
         self.net = PolicyValueNet(
             self.featurizer.dim,
@@ -137,38 +148,11 @@ class Woodblock:
         )
         self.trainer = PPOTrainer(self.net, config.ppo)
         self.rng = np.random.default_rng(config.seed)
-        # Cut outcomes over the sample are reused by every episode.
-        self._cut_masks = registry.evaluate_all(sample.columns(), sample.num_rows)
-        self._by_column, self._by_adv = _queries_referencing(workload)
-        self._num_queries = len(workload)
-
-    # ------------------------------------------------------------------
-    # Legality (stopping condition, Sec. 5.2.1)
-    # ------------------------------------------------------------------
 
     def legal_actions(self, sample_indices: np.ndarray) -> np.ndarray:
-        """Mask of cuts whose children both meet the size constraint."""
-        mask, _, _ = self._legal_actions_with_sizes(sample_indices)
-        return mask
-
-    def _legal_actions_with_sizes(
-        self, sample_indices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(legal mask, left sizes, right sizes) per candidate cut."""
-        size = len(sample_indices)
-        left_sizes = self._cut_masks[:, sample_indices].sum(axis=1)
-        right_sizes = size - left_sizes
-        b = self.config.min_leaf_size
-        if self.config.allow_small_children:
-            # Sec. 6.2 relaxation: one child may fall below b.
-            mask = (
-                (left_sizes >= 1)
-                & (right_sizes >= 1)
-                & (np.maximum(left_sizes, right_sizes) >= b)
-            )
-        else:
-            mask = (left_sizes >= b) & (right_sizes >= b)
-        return mask, left_sizes, right_sizes
+        """Mask of cuts legal at a node holding these sample rows (the
+        stopping condition of Sec. 5.2.1: none legal -> leaf)."""
+        return self.env.legal_cuts(sample_indices).legal
 
     # ------------------------------------------------------------------
     # Episodes
@@ -176,95 +160,49 @@ class Woodblock:
 
     def run_episode(self, deterministic: bool = False) -> EpisodeResult:
         """Construct one tree and compute its rewards."""
-        tree = QdTree(self.schema, self.registry)
-        tree.attach_sample(self.sample)
-        root_hits = np.array(
-            [tree.root.description.may_match(q.predicate) for q in self.workload],
-            dtype=bool,
-        )
         transitions: List[_Transition] = []
-        # node_id -> #queries that intersect the node (for leaf rewards).
-        hit_counts: Dict[int, int] = {}
-        queue: List[Tuple[int, np.ndarray]] = [(0, root_hits)]
-        while queue:
-            node_id, hits = queue.pop(0)
-            node = tree.node(node_id)
-            indices = node.sample_indices
-            assert indices is not None
-            mask, left_sizes, right_sizes = self._legal_actions_with_sizes(indices)
-            if not mask.any():
-                hit_counts[node_id] = int(hits.sum())
-                continue
+
+        def choose(_episode: Episode, node: QdNode, options: CutOptions) -> int:
             cut_state = np.empty(2 * len(self.registry))
-            cut_state[0::2] = left_sizes > 0
-            cut_state[1::2] = right_sizes > 0
+            cut_state[0::2] = options.left_sizes > 0
+            cut_state[1::2] = options.right_sizes > 0
             features = self.featurizer.featurize(node.description, cut_state)
             logits, values = self.net.forward(features[None, :])
             if deterministic:
-                masked = np.where(mask, logits[0], -np.inf)
+                masked = np.where(options.legal, logits[0], -np.inf)
                 action = int(masked.argmax())
                 log_prob = 0.0
             else:
-                action, log_prob = masked_sample(logits[0], mask, self.rng)
-            cut = self.registry.cut(action)
-            left, right = tree.apply_cut(node, cut)
-            left_desc, right_desc = left.description, right.description
-            left_hits = hits.copy()
-            right_hits = hits.copy()
-            for qi in _affected_queries(cut, self._by_column, self._by_adv):
-                if not hits[qi]:
-                    continue
-                pred = self.workload[qi].predicate
-                left_hits[qi] = left_desc.may_match(pred)
-                right_hits[qi] = right_desc.may_match(pred)
+                action, log_prob = masked_sample(logits[0], options.legal, self.rng)
             transitions.append(
                 _Transition(
-                    features, action, mask, log_prob, float(values[0]), node_id
+                    features,
+                    action,
+                    options.legal,
+                    log_prob,
+                    float(values[0]),
+                    node.node_id,
                 )
             )
-            queue.append((left.node_id, left_hits))
-            queue.append((right.node_id, right_hits))
+            return action
 
-        skips = self._subtree_skips(tree, hit_counts)
-        total = self.sample.num_rows * self._num_queries
-        scan_ratio = 1.0 - (skips[0] / total if total else 0.0)
-        tree.assign_block_ids()
-        rewards = self._rewards(tree, transitions, skips)
-        return EpisodeResult(
-            tree=tree, transitions=transitions, rewards=rewards, scan_ratio=scan_ratio
+        episode = self.env.walk(choose)
+        # R((n, p)) = S(n) / (|W| * |n.records|) per transition.
+        skips = episode.subtree_skips()
+        num_queries = len(self.env.workload)
+        rewards = np.array(
+            [
+                skips[tr.node_id]
+                / (num_queries * max(episode.sizes[tr.node_id], 1))
+                for tr in transitions
+            ]
         )
-
-    def _subtree_skips(
-        self, tree: QdTree, leaf_hit_counts: Dict[int, int]
-    ) -> Dict[int, int]:
-        """Per-node S(n) from cached leaf hit counts (Sec. 5.2.2)."""
-        skips: Dict[int, int] = {}
-        # Children always have larger ids than their parent, so one
-        # reverse pass computes every subtree sum.
-        for node in reversed(tree.nodes()):
-            if node.is_leaf:
-                assert node.sample_indices is not None
-                size = len(node.sample_indices)
-                missed = self._num_queries - leaf_hit_counts.get(node.node_id, 0)
-                skips[node.node_id] = size * missed
-            else:
-                assert node.left is not None and node.right is not None
-                skips[node.node_id] = (
-                    skips[node.left.node_id] + skips[node.right.node_id]
-                )
-        return skips
-
-    def _rewards(
-        self, tree: QdTree, transitions: List[_Transition], skips: Dict[int, int]
-    ) -> np.ndarray:
-        """R((n, p)) = S(n) / (|W| * |n.records|) per transition."""
-        rewards = np.empty(len(transitions))
-        for i, tr in enumerate(transitions):
-            node = tree.node(tr.node_id)
-            assert node.sample_indices is not None
-            size = max(len(node.sample_indices), 1)
-            rewards[i] = skips[tr.node_id] / (self._num_queries * size)
-        return rewards
+        return EpisodeResult(
+            tree=episode.tree,
+            transitions=transitions,
+            rewards=rewards,
+            scan_ratio=episode.scan_ratio(),
+        )
 
     # ------------------------------------------------------------------
     # Training loop

@@ -34,31 +34,6 @@ class ColumnStats:
     maximum: float
     distinct: Optional[np.ndarray] = field(default=None)
 
-    def contains_value(self, value: float) -> bool:
-        """May the block contain ``value``? Exact for categoricals."""
-        if not self.minimum <= value <= self.maximum:
-            return False
-        if self.distinct is not None:
-            idx = int(value)
-            if 0 <= idx < len(self.distinct):
-                return bool(self.distinct[idx])
-            return False
-        return True
-
-    def overlaps_range(
-        self,
-        lo: float,
-        hi: float,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> bool:
-        """May the block contain any value in the given interval?"""
-        if hi < self.minimum or (hi == self.minimum and not hi_inclusive):
-            return False
-        if lo > self.maximum or (lo == self.maximum and not lo_inclusive):
-            return False
-        return True
-
 
 class MinMaxIndex:
     """The SMA index over one block's rows.
@@ -121,15 +96,6 @@ class MinMaxIndex:
         if stats is None:
             return None
         return stats.minimum, stats.maximum
-
-    def without_dictionaries(self) -> "MinMaxIndex":
-        """A copy that dropped all categorical distinct-value sets."""
-        return MinMaxIndex(
-            {
-                name: ColumnStats(s.minimum, s.maximum, None)
-                for name, s in self._stats.items()
-            }
-        )
 
     def __repr__(self) -> str:
         return f"MinMaxIndex(columns={list(self._stats)})"

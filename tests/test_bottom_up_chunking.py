@@ -33,6 +33,20 @@ class TestSplitLargeGroups:
         with pytest.raises(ValueError):
             _split_large_groups(np.zeros(3, dtype=np.int64), 0)
 
+    def test_chunks_are_balanced_not_runts(self):
+        """413 rows under a 400 cap are 207 + 206, never 400 + 13."""
+        out = _split_large_groups(np.zeros(413, dtype=np.int64), 400)
+        _, counts = np.unique(out, return_counts=True)
+        assert sorted(counts) == [206, 207]
+
+    def test_floor_survives_a_ceiling_of_twice_the_floor(self):
+        """Any group of >= b rows chunks into blocks within [b, 2b]."""
+        b = 7
+        for n in range(b, 12 * b):
+            out = _split_large_groups(np.zeros(n, dtype=np.int64), 2 * b)
+            _, counts = np.unique(out, return_counts=True)
+            assert b <= counts.min() and counts.max() <= 2 * b, n
+
     def test_noop_when_under_cap(self):
         bids = np.array([0, 1, 2], dtype=np.int64)
         out = _split_large_groups(bids, max_block_size=10)
@@ -94,3 +108,27 @@ class TestPartitionerChunking:
             BottomUpConfig(min_block_size=100, max_block_size=120),
         ).partition(mixed_table)
         assert scanned(chunked) <= scanned(plain)
+
+
+class TestStrategyDefaults:
+    """``db.build_layout("bottom_up")`` with no options (ROADMAP 1c):
+    clustering alone returned a handful of giant groups."""
+
+    def test_blocks_within_floor_and_twice_floor_and_answers_exact(self):
+        from repro.db import Database
+        from repro.workloads import tpch_dataset
+
+        ds = tpch_dataset(num_rows=20_000, seeds_per_template=2, seed=0)
+        b = 200
+        db = Database.from_table(ds.table, min_block_size=b)
+        handle = db.build_layout("bottom_up", workload=ds.workload)
+        sizes = np.array([block.num_rows for block in handle.store.blocks()])
+        assert sizes.sum() == ds.table.num_rows
+        assert b <= sizes.min() and sizes.max() <= 2 * b
+        sql = "SELECT l_quantity FROM t WHERE l_quantity < 10 AND l_discount >= 0.05"
+        columns = ds.table.columns()
+        expected = np.flatnonzero(
+            (columns["l_quantity"] < 10) & (columns["l_discount"] >= 0.05)
+        )
+        assert db.execute(sql).stats.rows_returned == len(expected)
+        np.testing.assert_array_equal(db.collect_row_ids(sql), expected)

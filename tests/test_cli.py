@@ -416,29 +416,6 @@ class TestObservabilityFlags:
         # The human report moved to stderr, untouched.
         assert "cache hit rate" in captured.err
 
-    def test_emit_bench_writes_schema_valid_file(
-        self, layout_dir, tmp_path, capsys
-    ):
-        from repro.obs import validate_bench
-
-        bench_dir = tmp_path / "bench-out"
-        code = main(
-            [
-                "serve-bench",
-                "--layout", str(layout_dir),
-                "--repeat", "3",
-                "--emit-bench", str(bench_dir),
-                "--scenario", "cli_smoke",
-            ]
-        )
-        assert code == 0
-        path = bench_dir / "BENCH_cli_smoke.json"
-        assert path.exists()
-        doc = json.loads(path.read_text())
-        validate_bench(doc)  # no raise
-        assert doc["source"] == "serve-bench"
-        assert doc["replay"]["completed"] == 9
-
     def test_trace_flag_writes_both_exports(
         self, layout_dir, tmp_path, capsys
     ):

@@ -16,7 +16,7 @@ from repro.core import (
     subtree_skips,
     tuples_accessed,
 )
-from repro.core.cost import access_percentage, sample_leaf_sizes
+from repro.core.cost import access_percentage
 
 
 @pytest.fixture
@@ -24,7 +24,6 @@ def cut_tree(mixed_schema, mixed_table):
     reg = CutRegistry(mixed_schema)
     reg.add(column_lt("age", 40))
     tree = QdTree(mixed_schema, reg)
-    tree.attach_sample(mixed_table)
     tree.apply_cut(tree.root, column_lt("age", 40))
     tree.assign_block_ids()
     return tree
@@ -49,14 +48,15 @@ class TestLeafSizes:
         sizes = leaf_sizes(cut_tree, mixed_table)
         assert set(sizes) == {l.node_id for l in cut_tree.leaves()}
 
-    def test_sample_leaf_sizes(self, cut_tree):
-        sizes = sample_leaf_sizes(cut_tree)
+    def test_sample_leaf_sizes(self, cut_tree, mixed_table):
+        sizes = leaf_sizes(cut_tree, mixed_table)
         assert sum(sizes.values()) == 2000
 
-    def test_sample_leaf_sizes_without_sample_raises(self, mixed_schema):
+    def test_sample_leaf_sizes_without_sample_raises(self, mixed_schema, age_workload):
+        """No implicit sample: the tree carries none, sizes are an argument."""
         tree = QdTree(mixed_schema)
-        with pytest.raises(ValueError):
-            sample_leaf_sizes(tree)
+        with pytest.raises(TypeError):
+            subtree_skips(tree, age_workload)
 
 
 class TestAccessMetrics:
@@ -112,13 +112,20 @@ class TestSubtreeSkips:
         skips = subtree_skips(cut_tree, age_workload, sizes)
         assert skips[0] == skipped_tuples(cut_tree, age_workload, sizes)
 
-    def test_internal_is_sum_of_children(self, cut_tree, age_workload):
-        skips = subtree_skips(cut_tree, age_workload)
+    def test_internal_is_sum_of_children(self, cut_tree, mixed_table, age_workload):
+        sizes = leaf_sizes(cut_tree, mixed_table)
+        skips = subtree_skips(cut_tree, age_workload, sizes)
         root = cut_tree.root
         assert skips[root.node_id] == (
             skips[root.left.node_id] + skips[root.right.node_id]
         )
 
-    def test_uses_sample_sizes_by_default(self, cut_tree, age_workload):
-        skips = subtree_skips(cut_tree, age_workload)
+    def test_uses_sample_sizes_by_default(self, cut_tree, mixed_table, age_workload):
+        """The sizes passed in are the ones used: doubling them doubles S(n)."""
+        sizes = leaf_sizes(cut_tree, mixed_table)
+        skips = subtree_skips(cut_tree, age_workload, sizes)
+        doubled = subtree_skips(
+            cut_tree, age_workload, {k: 2 * v for k, v in sizes.items()}
+        )
         assert skips[0] > 0
+        assert doubled[0] == 2 * skips[0]

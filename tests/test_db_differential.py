@@ -172,7 +172,9 @@ LEGACY = {
 
 def legacy_bottom_up_builder(schema, table, workload, registry):
     partitioner = BottomUpPartitioner(
-        registry, workload, BottomUpConfig(min_block_size=BLOCK)
+        registry,
+        workload,
+        BottomUpConfig(min_block_size=BLOCK, max_block_size=2 * BLOCK),
     )
     return BlockStore.from_assignment(table, partitioner.partition(table)), None
 

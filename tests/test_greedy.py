@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ConstructionEnv,
     CutRegistry,
     GreedyConfig,
     Query,
@@ -13,6 +14,7 @@ from repro.core import (
     leaf_sizes,
     scan_ratio,
 )
+from repro.core.greedy import cut_gains
 from repro.workloads import disjunctive_dataset
 
 
@@ -23,8 +25,7 @@ class TestConstruction:
         tree = build_greedy_tree(
             mixed_schema, reg, mixed_table, mixed_workload, GreedyConfig(b)
         )
-        for leaf in tree.leaves():
-            assert len(leaf.sample_indices) >= b
+        assert min(leaf_sizes(tree, mixed_table).values()) >= b
 
     def test_improves_over_single_block(
         self, mixed_schema, mixed_table, mixed_workload
@@ -116,13 +117,14 @@ class TestRelaxations:
         strict = build_greedy_tree(
             mixed_schema, reg, mixed_table, mixed_workload, GreedyConfig(100)
         )
-        eager = build_greedy_tree(
-            mixed_schema,
-            reg,
-            mixed_table,
-            mixed_workload,
-            GreedyConfig(100, allow_zero_gain=True),
-        )
+
+        def zero_gain(episode, node, options):
+            gains = cut_gains(episode, node, options)
+            best = int(gains.argmax())
+            return best if gains[best] >= 0 else None
+
+        env = ConstructionEnv(mixed_schema, reg, mixed_table, mixed_workload, 100)
+        eager = env.walk(zero_gain).tree
         assert len(eager.leaves()) >= len(strict.leaves())
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.storage import MinMaxIndex, Schema, Table, categorical, numeric
-from repro.storage.minmax import ColumnStats
 
 
 @pytest.fixture
@@ -21,31 +20,6 @@ def block_table():
     )
 
 
-class TestColumnStats:
-    def test_contains_value_range(self):
-        s = ColumnStats(10.0, 30.0)
-        assert s.contains_value(10.0) and s.contains_value(30.0)
-        assert not s.contains_value(9.9) and not s.contains_value(31.0)
-
-    def test_contains_value_with_dictionary(self):
-        s = ColumnStats(0.0, 2.0, distinct=np.array([True, False, True]))
-        assert s.contains_value(0)
-        assert not s.contains_value(1)  # in range but absent
-        assert not s.contains_value(5)  # out of dictionary
-
-    def test_overlaps_range_inclusive_edges(self):
-        s = ColumnStats(10.0, 30.0)
-        assert s.overlaps_range(30.0, 50.0)
-        assert not s.overlaps_range(30.0, 50.0, lo_inclusive=False)
-        assert s.overlaps_range(0.0, 10.0)
-        assert not s.overlaps_range(0.0, 10.0, hi_inclusive=False)
-
-    def test_overlaps_disjoint(self):
-        s = ColumnStats(10.0, 30.0)
-        assert not s.overlaps_range(31.0, 40.0)
-        assert not s.overlaps_range(-5.0, 9.0)
-
-
 class TestMinMaxIndex:
     def test_build_bounds(self, block_table):
         idx = MinMaxIndex.build(block_table)
@@ -59,11 +33,6 @@ class TestMinMaxIndex:
     def test_build_without_dictionaries(self, block_table):
         idx = MinMaxIndex.build(block_table, with_dictionaries=False)
         assert idx.column_stats("c").distinct is None
-
-    def test_without_dictionaries_copy(self, block_table):
-        idx = MinMaxIndex.build(block_table).without_dictionaries()
-        assert idx.column_stats("c").distinct is None
-        assert idx.bounds("c") == (0.0, 2.0)
 
     def test_untracked_column(self, block_table):
         idx = MinMaxIndex.build(block_table, columns=["x"])

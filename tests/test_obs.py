@@ -1,5 +1,4 @@
-"""Tests for repro.obs: clock, stats base, metrics registry, bench
-trajectories."""
+"""Tests for repro.obs: clock, stats base, metrics registry."""
 
 import json
 import time
@@ -12,19 +11,7 @@ from hypothesis import strategies as st
 
 from repro.exec import ResultCacheStats
 
-from repro.obs import (
-    BENCH_SCHEMA_VERSION,
-    MetricsRegistry,
-    Sample,
-    bench_document,
-    bench_path,
-    now,
-    plain,
-    validate_bench,
-    wall_time,
-    write_bench,
-)
-from repro.obs.bench import main as bench_main
+from repro.obs import MetricsRegistry, Sample, now, plain, wall_time
 from repro.serve.cache import CacheStats
 from repro.serve.metrics import MetricsSnapshot, ServingMetrics
 from repro.serve.scheduler import SchedulerStats
@@ -245,29 +232,11 @@ class TestExports:
 
 
 # ----------------------------------------------------------------------
-# Bench trajectories
+# The --json document encoder
 # ----------------------------------------------------------------------
 
 
-def _snapshot_like() -> dict:
-    return {
-        "queries": 9,
-        "latency_mean_ms": 1.5,
-        "latency_p95_ms": 3.0,
-    }
-
-
 class TestBench:
-    def test_document_shape(self):
-        doc = bench_document(
-            "smoke", "serve-bench", _snapshot_like(),
-            replay={"qps": 100.0},
-        )
-        assert doc["schema_version"] == BENCH_SCHEMA_VERSION
-        assert doc["scenario"] == "smoke"
-        assert doc["created_unix"] > 0
-        validate_bench(doc)  # no raise
-
     def test_plain_flattens_numpy_and_dataclasses(self):
         flattened = plain(
             {
@@ -282,45 +251,3 @@ class TestBench:
         assert flattened["stats"]["hits"] == 1
         assert flattened["seq"] == [1, 2]
         json.dumps(flattened)  # everything is serializable
-
-    def test_invalid_scenario_rejected(self):
-        with pytest.raises(ValueError, match="scenario"):
-            bench_document("no spaces", "x", _snapshot_like())
-
-    def test_validate_reports_all_errors_at_once(self):
-        doc = bench_document("ok", "serve-bench", _snapshot_like())
-        doc["schema_version"] = 99
-        doc["source"] = ""
-        doc["surprise"] = {}
-        with pytest.raises(ValueError) as err:
-            validate_bench(doc)
-        message = str(err.value)
-        assert "schema_version" in message
-        assert "source" in message
-        assert "surprise" in message
-
-    def test_validate_requires_metric_keys(self):
-        doc = bench_document("ok", "serve-bench", _snapshot_like())
-        del doc["metrics"]["latency_p95_ms"]
-        with pytest.raises(ValueError, match="latency_p95_ms"):
-            validate_bench(doc)
-
-    def test_write_bench_lands_named_file(self, tmp_path):
-        doc = bench_document("smoke", "serve-bench", _snapshot_like())
-        path = write_bench(tmp_path, doc)
-        assert path == bench_path(tmp_path, "smoke")
-        assert json.loads(path.read_text())["scenario"] == "smoke"
-
-    def test_cli_validator_exit_codes(self, tmp_path, capsys):
-        good = write_bench(
-            tmp_path, bench_document("g", "serve-bench", _snapshot_like())
-        )
-        assert bench_main([str(good)]) == 0
-        assert "ok" in capsys.readouterr().out
-
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"schema_version": 0}')
-        assert bench_main([str(bad)]) == 2
-        assert "INVALID" in capsys.readouterr().err
-
-        assert bench_main([str(tmp_path / "missing.json")]) == 2

@@ -200,22 +200,20 @@ def grow_random_tree(table, cuts, seed):
     for cut in cuts:
         registry.add(cut)
     tree = QdTree(table.schema, registry)
-    tree.attach_sample(table)
     rng = np.random.default_rng(seed)
-    frontier = [tree.root]
+    frontier = [(tree.root, np.arange(table.num_rows))]
     for _ in range(6):
         if not frontier:
             break
-        node = frontier.pop(int(rng.integers(0, len(frontier))))
+        node, idx = frontier.pop(int(rng.integers(0, len(frontier))))
         candidates = list(registry.cuts)
         rng.shuffle(candidates)
         for cut in candidates:
-            idx = node.sample_indices
             sub = {k: v[idx] for k, v in table.columns().items()}
             mask = cut.evaluate(sub)
             if 0 < mask.sum() < len(mask):
                 left, right = tree.apply_cut(node, cut)
-                frontier.extend([left, right])
+                frontier.extend([(left, idx[mask]), (right, idx[~mask])])
                 break
     tree.assign_block_ids()
     return tree

@@ -70,8 +70,7 @@ class TestEpisodes:
         ds, registry = small_setup
         agent = make_agent(ds, registry)
         result = agent.run_episode()
-        for leaf in result.tree.leaves():
-            assert len(leaf.sample_indices) >= 1
+        assert min(leaf_sizes(result.tree, ds.table).values()) >= 1
         assert 0.0 <= result.scan_ratio <= 1.0
 
     def test_episode_rewards_in_unit_interval(self, small_setup):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ConstructionEnv,
     CutRegistry,
     QdTree,
+    Workload,
     column_eq,
     column_ge,
     column_lt,
 )
+from repro.core.construct import Episode
 
 
 @pytest.fixture
@@ -146,19 +149,26 @@ class TestFreeze:
 
 
 class TestSample:
+    """The construction sample is walked by the environment, not the tree."""
+
     def test_attach_sample_propagates(self, mixed_schema, registry, mixed_table):
-        tree = QdTree(mixed_schema, registry)
-        tree.attach_sample(mixed_table)
-        left, right = tree.apply_cut(tree.root, column_lt("age", 40))
+        env = ConstructionEnv(mixed_schema, registry, mixed_table, Workload([]), 1)
+        episode = Episode(env)
+        action = registry.index_of(column_lt("age", 40))
+        left, right = episode.split(episode.tree.root, action)
         n_young = int((mixed_table.column("age") < 40).sum())
-        assert len(left.sample_indices) == n_young
-        assert len(right.sample_indices) == mixed_table.num_rows - n_young
+        assert episode.sizes[left.node_id] == n_young
+        assert episode.sizes[right.node_id] == mixed_table.num_rows - n_young
 
     def test_sample_indices_partition(self, mixed_schema, registry, mixed_table):
-        tree = QdTree(mixed_schema, registry)
-        tree.attach_sample(mixed_table)
-        left, right = tree.apply_cut(tree.root, column_lt("age", 40))
-        merged = np.sort(np.concatenate([left.sample_indices, right.sample_indices]))
+        env = ConstructionEnv(mixed_schema, registry, mixed_table, Workload([]), 1)
+        episode = Episode(env)
+        action = registry.index_of(column_lt("age", 40))
+        left, right = episode.split(episode.tree.root, action)
+        assert set(episode.rows) == {left.node_id, right.node_id}
+        merged = np.sort(
+            np.concatenate([episode.rows[left.node_id], episode.rows[right.node_id]])
+        )
         np.testing.assert_array_equal(merged, np.arange(mixed_table.num_rows))
 
 
