@@ -52,12 +52,10 @@ class Interval:
             return False
         return True
 
-    def intersects(self, other: "Interval") -> bool:
-        """Do the two intervals share at least one point?"""
-        return not self.intersect(other).is_empty
-
-    def intersect(self, other: "Interval") -> "Interval":
-        """The intersection (may be empty; never raises)."""
+    def _meet(self, other: "Interval") -> Tuple[float, bool, float, bool]:
+        """``(lo, lo_inclusive, hi, hi_inclusive)`` of the overlap with
+        ``other``: the tighter bound on each side, exclusive winning a
+        tie.  ``lo > hi`` when the two are disjoint."""
         if self.lo > other.lo:
             lo, lo_inc = self.lo, self.lo_inclusive
         elif self.lo < other.lo:
@@ -70,6 +68,19 @@ class Interval:
             hi, hi_inc = other.hi, other.hi_inclusive
         else:
             hi, hi_inc = self.hi, self.hi_inclusive and other.hi_inclusive
+        return lo, lo_inc, hi, hi_inc
+
+    def intersects(self, other: "Interval") -> bool:
+        """Do the two intervals share at least one point?  (The hit
+        test of layout construction: no interval is built.)"""
+        lo, lo_inc, hi, hi_inc = self._meet(other)
+        if lo > hi:
+            return False
+        return lo < hi or (lo_inc and hi_inc)
+
+    def intersect(self, other: "Interval") -> "Interval":
+        """The intersection (may be empty; never raises)."""
+        lo, lo_inc, hi, hi_inc = self._meet(other)
         if lo > hi:
             return Interval.empty()
         return Interval(lo, hi, lo_inc, hi_inc)
@@ -125,6 +136,11 @@ class Interval:
         return f"{lo_b}{self.lo}, {self.hi}{hi_b}"
 
 
+#: What :meth:`Hypercube.interval` answers for an untracked column;
+#: intervals are frozen, so every miss can share the one instance.
+_UNBOUNDED = Interval()
+
+
 class Hypercube:
     """Per-numeric-column intervals describing a node's range.
 
@@ -134,20 +150,17 @@ class Hypercube:
 
     def __init__(self, intervals: Optional[Mapping[str, Interval]] = None) -> None:
         self._intervals: Dict[str, Interval] = dict(intervals or {})
+        #: True iff any dimension's interval is empty.
+        self.is_empty: bool = any(iv.is_empty for iv in self._intervals.values())
 
     # ------------------------------------------------------------------
 
     def interval(self, column: str) -> Interval:
         """The interval for ``column`` (unbounded when untracked)."""
-        return self._intervals.get(column, Interval.everything())
+        return self._intervals.get(column, _UNBOUNDED)
 
     def columns(self) -> Tuple[str, ...]:
         return tuple(self._intervals)
-
-    @property
-    def is_empty(self) -> bool:
-        """True iff any dimension's interval is empty."""
-        return any(iv.is_empty for iv in self._intervals.values())
 
     # ------------------------------------------------------------------
 

@@ -28,6 +28,7 @@ Descriptions support three operations used throughout the system:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -231,10 +232,10 @@ class NodeDescription:
             codes = codes[(codes >= 0) & (codes < len(mask))]
             if positive:
                 return bool(mask[codes].any()) if len(codes) else False
-            # May a value OUTSIDE the literal set appear?
-            outside = mask.copy()
-            outside[codes] = False
-            return bool(outside.any())
+            # May a value OUTSIDE the literal set appear?  Iff the mask
+            # holds more values than the literals account for.
+            present = codes[mask[codes]]
+            return np.count_nonzero(mask) > len(set(present.tolist()))
         # Numeric (or categorical used with a range op over codes).
         node_iv = self.hypercube.interval(pred.column)
         if pred.op is Op.IN:
@@ -296,33 +297,6 @@ class NodeDescription:
             out.categorical_masks[col.name] = bits
         return out
 
-    def tighten_to_stats(self, minmax, dictionaries: bool = True) -> "NodeDescription":
-        """:meth:`tighten` from a block's min-max index
-        (:class:`~repro.storage.minmax.MinMaxIndex`, duck-typed)
-        instead of its rows — the one constructor of a layout
-        generation's per-block pruning metadata (see
-        :func:`repro.core.router.block_descriptions`).  Without block
-        ``dictionaries`` (or where the index kept none) only a
-        categorical column's code range is known."""
-        out = self.copy()
-        for col in self.schema.numeric_columns:
-            bounds = minmax.bounds(col.name)
-            if bounds is not None:
-                out.hypercube = out.hypercube.with_interval(
-                    col.name, Interval(bounds[0], bounds[1], True, True)
-                )
-        for col in self.schema.categorical_columns:
-            stats = minmax.column_stats(col.name)
-            if stats is None:
-                continue
-            if dictionaries and stats.distinct is not None:
-                out.categorical_masks[col.name] = stats.distinct.copy()
-            else:
-                mask = out.categorical_masks[col.name]
-                mask[: max(int(stats.minimum), 0)] = False
-                mask[int(stats.maximum) + 1 :] = False
-        return out
-
     def __repr__(self) -> str:
         return (
             f"NodeDescription(range={self.hypercube!r}, "
@@ -332,13 +306,16 @@ class NodeDescription:
 
 
 def _interval_complement(interval: Interval) -> List[Interval]:
-    """The complement of an interval as 0, 1 or 2 intervals."""
+    """The complement of an interval as 0, 1 or 2 intervals.  A side
+    is unbounded — and has no piece beyond it — only when it is
+    infinite *and* inclusive: ``x > inf`` is bounded below, by a bound
+    nothing clears, and its complement is everything."""
     pieces: List[Interval] = []
-    if np.isfinite(interval.lo):
+    if not (interval.lo == -math.inf and interval.lo_inclusive):
         pieces.append(
             Interval(hi=interval.lo, hi_inclusive=not interval.lo_inclusive)
         )
-    if np.isfinite(interval.hi):
+    if not (interval.hi == math.inf and interval.hi_inclusive):
         pieces.append(
             Interval(lo=interval.hi, lo_inclusive=not interval.hi_inclusive)
         )

@@ -141,7 +141,10 @@ class ColumnPredicate(Predicate):
         self.column = column
         self.op = op
         self.values: Tuple[float, ...] = tuple(float(v) for v in values)
-        self._value_set = frozenset(self.values)
+        # What equality and hashing compare: IN is a set of literals;
+        # a comparison's single literal needs no second container (a
+        # serving tier memoises thousands of these per template).
+        self._value_set = frozenset(self.values) if op is Op.IN else self.values
 
     @property
     def value(self) -> float:

@@ -8,6 +8,13 @@ the GIL).
 
 :class:`QueryRouter` rewrites queries with an explicit ``BID IN (...)``
 clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).
+Given the layout generation's block store it routes the way the paper
+says — "by scanning leaf metadata" — over a :class:`PruningTable`:
+the generation's blocks as stacked arrays (:func:`block_descriptions`),
+matched against a predicate in one numpy pass.
+``NodeDescription.may_match`` stays the scalar definition of that test
+(layout construction, the cost model and ``QdTree.route_query`` use
+it; ``tests/test_pruning_table.py`` holds the table to it).
 """
 
 from __future__ import annotations
@@ -16,19 +23,34 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import reduce
+from itertools import compress
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.clock import now
 from ..storage.blocks import BlockStore
+from ..storage.minmax import MinMaxIndex
+from ..storage.schema import Column, Schema
 from ..storage.table import Table
 from .node import NodeDescription
+from .predicates import (
+    AdvancedCut,
+    And,
+    ColumnPredicate,
+    Not,
+    Op,
+    Or,
+    Predicate,
+    TruePredicate,
+)
 from .tree import QdTree
 from .workload import Query, Workload
 
 __all__ = [
     "DataRouter",
+    "PruningTable",
     "QueryRouter",
     "RoutedQuery",
     "RoutingStats",
@@ -171,39 +193,254 @@ class RoutedQuery:
     latency_seconds: float
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: One block of a generation as the table's constructor reads it: its
+#: BID, the owning leaf's description (the root's, for a tree-less
+#: layout) and the block's own stats (``None``: a leaf owning no block).
+_Row = Tuple[int, NodeDescription, Optional[MinMaxIndex]]
+
+#: NOT over a range comparison is the opposite comparison — the scalar
+#: rule's one-piece interval complement.
+_NEGATED = {Op.LT: Op.GE, Op.LE: Op.GT, Op.GT: Op.LE, Op.GE: Op.LT}
+
+
+def _interval(
+    column: Column, description: NodeDescription, minmax: Optional[MinMaxIndex]
+) -> Tuple[float, float, bool, bool]:
+    """``(lo, hi, lo_inclusive, hi_inclusive)`` of one block on one
+    column: its own min-max where the store kept one (the tightening
+    of paper Sec. 3.2), else what the leaf's path cuts left."""
+    if column.is_numeric and minmax is not None:
+        bounds = minmax.bounds(column.name)
+        if bounds is not None:
+            return bounds[0], bounds[1], True, True
+    iv = description.hypercube.interval(column.name)
+    return iv.lo, iv.hi, iv.lo_inclusive, iv.hi_inclusive
+
+
+def _code_set(
+    column: Column,
+    description: NodeDescription,
+    minmax: Optional[MinMaxIndex],
+    dictionaries: bool,
+) -> np.ndarray:
+    """The codes one block may hold on a categorical column: its block
+    dictionary; without ``dictionaries`` (or where the index kept
+    none) the leaf's mask narrowed to the block's code range."""
+    mask = description.categorical_masks[column.name]
+    stats = minmax.column_stats(column.name) if minmax is not None else None
+    if stats is None:
+        return mask
+    if dictionaries and stats.distinct is not None:
+        return stats.distinct
+    mask = mask.copy()
+    mask[: max(int(stats.minimum), 0)] = False
+    mask[int(stats.maximum) + 1 :] = False
+    return mask
+
+
+class PruningTable:
+    """The pruning metadata of one layout generation as stacked arrays,
+    one row per block, every array read-only.
+
+    ``bids[N]``
+        Block ids in the order routing reports them: the tree's leaf
+        order (tree-backed) or BID order (tree-less).  A tuple of the
+        layout's own ``int`` objects, so the many routed lists a
+        serving tier memoises hold each BID once between them.
+    ``lo[c][N]``, ``hi[c][N]``, ``lo_inclusive[c][N]``, ``hi_inclusive[c][N]``
+        Per column ``c``, the interval each block's values lie in
+        (:func:`_interval`); unbounded where nothing is known.
+    ``categorical[c][N, W]``
+        Per categorical column, row ``i`` is the set of codes block
+        ``i`` may hold (:func:`_code_set`).  ``W`` is the widest set;
+        narrower rows are padded with ``False``, which is how the
+        scalar rule treats a literal beyond a block's dictionary.
+    ``adv_true[N, A]``, ``adv_false[N, A]``
+        The owning leaf's advanced-cut possibility bits (Sec. 6.1).
+    ``alive[N]``
+        ``False`` where some interval is empty: such a block matches
+        nothing.
+
+    :meth:`match` is the table's one query (:meth:`matching` names its
+    answer).  It never writes to an array it did not just allocate, so
+    any number of threads may scan the same table.
+    """
+
+    def __init__(
+        self, schema: Schema, rows: Sequence[_Row], dictionaries: bool = True
+    ) -> None:
+        n = len(rows)
+        self.schema = schema
+        self.bids: Tuple[int, ...] = tuple(bid for bid, _, _ in rows)
+        self.lo: Dict[str, np.ndarray] = {}
+        self.hi: Dict[str, np.ndarray] = {}
+        self.lo_inclusive: Dict[str, np.ndarray] = {}
+        self.hi_inclusive: Dict[str, np.ndarray] = {}
+        alive = np.ones(n, dtype=bool)
+        for column in schema:
+            cells = [_interval(column, desc, minmax) for _, desc, minmax in rows]
+            lo, hi, lo_inc, hi_inc = zip(*cells) if cells else ((), (), (), ())
+            lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+            lo_inc, hi_inc = np.array(lo_inc, dtype=bool), np.array(hi_inc, dtype=bool)
+            alive &= (lo < hi) | (lo_inc & hi_inc)
+            self.lo[column.name] = _frozen(lo)
+            self.hi[column.name] = _frozen(hi)
+            self.lo_inclusive[column.name] = _frozen(lo_inc)
+            self.hi_inclusive[column.name] = _frozen(hi_inc)
+        self.alive = _frozen(alive)
+        self.categorical: Dict[str, np.ndarray] = {}
+        for column in schema.categorical_columns:
+            sets = [
+                _code_set(column, desc, minmax, dictionaries)
+                for _, desc, minmax in rows
+            ]
+            width = max([column.domain_size] + [len(codes) for codes in sets])
+            matrix = np.zeros((n, width), dtype=bool)
+            for i, codes in enumerate(sets):
+                matrix[i, : len(codes)] = codes
+            self.categorical[column.name] = _frozen(matrix)
+        tracked = len(rows[0][1].adv_true) if rows else 0
+
+        def stacked(bits: List[np.ndarray]) -> np.ndarray:
+            return _frozen(np.array(bits, dtype=bool).reshape(n, tracked))
+
+        self.adv_true = stacked([desc.adv_true for _, desc, _ in rows])
+        self.adv_false = stacked([desc.adv_false for _, desc, _ in rows])
+        self._all = _frozen(np.ones(n, dtype=bool))
+        self._none = _frozen(np.zeros(n, dtype=bool))
+
+    # ------------------------------------------------------------------
+    # The conservative intersection of Sec. 3.3, for every block at once
+    # ------------------------------------------------------------------
+
+    def match(self, predicate: Predicate) -> np.ndarray:
+        """``bool[N]``: could *some* record of each block satisfy
+        ``predicate``?  Row for row what ``NodeDescription.may_match``
+        answers on the block's tightened description — the same
+        three-valued recursion, each leaf test a few vector
+        comparisons."""
+        return self._may(predicate, True) & self.alive
+
+    def matching(self, predicate: Predicate) -> Tuple[int, ...]:
+        """The BIDs :meth:`match` keeps, in table order."""
+        return tuple(compress(self.bids, self.match(predicate).tolist()))
+
+    def _may(self, pred: Predicate, positive: bool) -> np.ndarray:
+        if isinstance(pred, ColumnPredicate):
+            return self._may_column(pred, positive)
+        if isinstance(pred, (And, Or)):
+            # AND needs every conjunct, OR any disjunct; under NOT the
+            # two swap (De Morgan) and the children carry the negation.
+            fold = (
+                np.logical_and
+                if isinstance(pred, And) == positive
+                else np.logical_or
+            )
+            return reduce(fold, [self._may(c, positive) for c in pred.children])
+        if isinstance(pred, Not):
+            return self._may(pred.child, not positive)
+        if isinstance(pred, AdvancedCut):
+            if pred.index >= self.adv_true.shape[1]:
+                # Not tracked by this tree: it can never prune.
+                return self._all
+            holds = positive if pred.positive else not positive
+            return (self.adv_true if holds else self.adv_false)[:, pred.index]
+        if isinstance(pred, TruePredicate):
+            return self._all if positive else self._none
+        raise TypeError(f"unsupported predicate {pred!r}")
+
+    def _may_column(self, pred: ColumnPredicate, positive: bool) -> np.ndarray:
+        column = self.schema[pred.column]
+        if column.is_categorical and pred.op.is_equality:
+            sets = self.categorical[pred.column]
+            codes = np.asarray(pred.values, dtype=np.int64)
+            codes = codes[(codes >= 0) & (codes < sets.shape[1])]
+            if positive:
+                return sets[:, codes].any(axis=1)
+            # May a value OUTSIDE the literal set appear?
+            return np.delete(sets, codes, axis=1).any(axis=1)
+        # Numeric (or categorical used with a range op over codes).
+        name = pred.column
+        if pred.op is Op.IN:
+            if positive:
+                return reduce(
+                    np.logical_or, [self._holds(name, v) for v in pred.values]
+                )
+            return self._all  # an interval can't prove all values are in the set
+        op, v = pred.op, pred.value
+        if not positive:
+            if op is Op.EQ:
+                return self._below(name, v, False) | self._above(name, v, False)
+            op = _NEGATED[op]
+        if op is Op.EQ:
+            return self._holds(name, v)
+        if op is Op.LT or op is Op.LE:
+            return self._below(name, v, op is Op.LE)
+        return self._above(name, v, op is Op.GE)
+
+    def _below(self, name: str, v: float, inclusive: bool) -> np.ndarray:
+        """Blocks that may hold a value ``< v`` (``<= v`` if inclusive)."""
+        lo = self.lo[name]
+        if inclusive:
+            return (lo < v) | ((lo == v) & self.lo_inclusive[name])
+        return lo < v
+
+    def _above(self, name: str, v: float, inclusive: bool) -> np.ndarray:
+        """Blocks that may hold a value ``> v`` (``>= v`` if inclusive)."""
+        hi = self.hi[name]
+        if inclusive:
+            return (hi > v) | ((hi == v) & self.hi_inclusive[name])
+        return hi > v
+
+    def _holds(self, name: str, v: float) -> np.ndarray:
+        """Blocks whose interval contains ``v``."""
+        return self._below(name, v, True) & self._above(name, v, True)
+
+
 def block_descriptions(
     store: BlockStore,
     tree: Optional[QdTree] = None,
     num_advanced_cuts: int = 0,
     dictionaries: bool = True,
-) -> Dict[int, NodeDescription]:
-    """The pruning table of one layout generation: BID -> what the
-    block may contain.
+) -> PruningTable:
+    """The pruning table of one layout generation: what each block may
+    contain.
 
-    Each entry is the block's own min-max / distinct stats — the
+    Each row is the block's own min-max / distinct stats — the
     tightening of paper Sec. 3.2, read off the stats the store already
     keeps — plus, for a tree-backed layout, the owning leaf's
     advanced-cut bits and path cuts; a leaf that owns no block keeps
     its own description.  Tree-less layouts have stats only, and honour
     a cost profile without block ``dictionaries``.  This is the only
-    place the descriptions of a generation's blocks are constructed,
-    and the result is never mutated: an ingest builds the next
-    generation's table from the next generation's store.
+    place the pruning metadata of a generation's blocks is constructed,
+    and the result is immutable: an ingest builds the next generation's
+    table from the next generation's store.
     """
     if tree is None:
         root = NodeDescription.root(store.schema, num_advanced_cuts)
-        return {
-            block.block_id: root.tighten_to_stats(block.minmax, dictionaries)
-            for block in store
-        }
-    return {
-        leaf.block_id: leaf.description.tighten_to_stats(
-            store.block(leaf.block_id).minmax
+        return PruningTable(
+            store.schema,
+            [(block.block_id, root, block.minmax) for block in store],
+            dictionaries,
         )
-        if leaf.block_id in store
-        else leaf.description
-        for leaf in tree.leaves()
-    }
+    return PruningTable(
+        tree.schema,
+        [
+            (
+                leaf.block_id,
+                leaf.description,
+                store.block(leaf.block_id).minmax
+                if leaf.block_id in store
+                else None,
+            )
+            for leaf in tree.leaves()
+        ],
+    )
 
 
 class QueryRouter:
@@ -213,9 +450,9 @@ class QueryRouter:
     are real wall-clock per-query routing times (Fig. 6b).  With a
     ``store`` the metadata scanned is the layout generation's
     :func:`block_descriptions` table, built once here — route and
-    min-max prune are then one pass, and the tree is only read.
-    Without one the tree's own leaf descriptions are scanned (the
-    paper-figure path, and the reference the table is tested against).
+    min-max prune are then one vector pass, and the tree is only read.
+    Without one the tree's own leaf descriptions are scanned one by
+    one (the paper-figure path).
     """
 
     def __init__(
@@ -227,29 +464,23 @@ class QueryRouter:
         self.tree = tree
         if any(leaf.block_id is None for leaf in tree.leaves()):
             tree.assign_block_ids()
-        self._descriptions = (
-            block_descriptions(store, tree) if store is not None else None
-        )
+        self._table = block_descriptions(store, tree) if store is not None else None
         # With a cap, only the most recent samples are retained so a
-        # long-lived router cannot grow without bound.  The lock keeps
-        # concurrent walks from interleaving their samples.
+        # long-lived router cannot grow without bound.  The lock covers
+        # the samples only: the table is immutable, so concurrent
+        # routes share it freely.
         self._latencies: "deque[float]" = deque(maxlen=max_latency_samples)
         self._lock = threading.Lock()
 
     def route(self, query: Query) -> RoutedQuery:
         """Prune blocks for one query, recording latency."""
-        predicate = query.predicate
+        t0 = now()
+        if self._table is None:
+            bids = tuple(self.tree.route_query(query.predicate))
+        else:
+            bids = self._table.matching(query.predicate)
+        latency = now() - t0
         with self._lock:
-            t0 = now()
-            if self._descriptions is None:
-                bids = tuple(self.tree.route_query(predicate))
-            else:
-                bids = tuple(
-                    bid
-                    for bid, description in self._descriptions.items()
-                    if description.may_match(predicate)
-                )
-            latency = now() - t0
             self._latencies.append(latency)
         return RoutedQuery(query=query, block_ids=bids, latency_seconds=latency)
 
@@ -265,15 +496,15 @@ class QueryRouter:
     @property
     def latencies(self) -> Tuple[float, ...]:
         """All recorded per-query routing latencies, in seconds."""
-        return tuple(self._latencies)
+        with self._lock:
+            return tuple(self._latencies)
 
     def latency_cdf(self) -> Tuple[np.ndarray, np.ndarray]:
         """(sorted latencies, cumulative fraction) — Fig. 6b's CDF."""
-        if not self._latencies:
-            return np.empty(0), np.empty(0)
-        xs = np.sort(np.asarray(self._latencies))
+        xs = np.sort(np.asarray(self.latencies))
         ys = np.arange(1, len(xs) + 1) / len(xs)
         return xs, ys
 
     def reset_latencies(self) -> None:
-        self._latencies.clear()
+        with self._lock:
+            self._latencies.clear()

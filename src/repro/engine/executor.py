@@ -11,11 +11,13 @@ The engine executes a query in the paper's two modes:
   implements.
 
 The min-max index is the stats-only
-:func:`~repro.core.router.block_descriptions` table, built the first
-time :meth:`ScanEngine.prune_blocks` needs it.  The query pipeline
-(:mod:`repro.exec`) needs it only for tree-less layouts: a
-``QueryRouter(tree, store)`` already routes over the same block stats,
-so its result goes straight to :meth:`ScanEngine.execute_pruned`.
+:func:`~repro.core.router.block_descriptions` table — the store's
+blocks as stacked arrays — built the first time
+:meth:`ScanEngine.prune_blocks` needs it and matched against a
+predicate in one vector pass.  The query pipeline (:mod:`repro.exec`)
+needs it only for tree-less layouts: a ``QueryRouter(tree, store)``
+already routes over the same block stats, so its result goes straight
+to :meth:`ScanEngine.execute_pruned`.
 
 Every retrieved block is fully scanned (filter evaluated over its
 rows), matching scan-oriented processing; per-query statistics capture
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -38,8 +39,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.node import NodeDescription
-from ..core.router import block_descriptions
+from ..core.router import PruningTable, block_descriptions
 from ..core.workload import Query, Workload
 from ..obs.clock import now
 from ..storage.blocks import Block, BlockStore
@@ -121,7 +121,7 @@ class ScanEngine:
         #: survivors from the router's single pass, so constructing an
         #: engine (one per shard) walks no blocks.  Threads racing the
         #: first use build equal tables; the last assignment wins.
-        self._block_descriptions: Optional[Dict[int, NodeDescription]] = None
+        self._table: Optional[PruningTable] = None
 
     # ------------------------------------------------------------------
 
@@ -129,21 +129,17 @@ class ScanEngine:
         self, query: Query, candidate_bids: Optional[Iterable[int]] = None
     ) -> List[int]:
         """BIDs surviving min-max pruning within the candidate set."""
-        if self._block_descriptions is None:
-            self._block_descriptions = block_descriptions(
+        if self._table is None:
+            self._table = block_descriptions(
                 self.store,
                 num_advanced_cuts=self._num_advanced,
                 dictionaries=self.profile.block_dictionaries,
             )
+        survivors = self._table.matching(query.predicate)
         if candidate_bids is None:
-            candidates = list(self.store.block_ids)
-        else:
-            candidates = sorted(set(candidate_bids) & self._store_bids)
-        return [
-            bid
-            for bid in candidates
-            if self._block_descriptions[bid].may_match(query.predicate)
-        ]
+            return list(survivors)
+        candidates = set(candidate_bids)
+        return [bid for bid in survivors if bid in candidates]
 
     def collect_row_ids(
         self,

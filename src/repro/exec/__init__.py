@@ -11,9 +11,9 @@ scatter-gather, multi-layout arbiter, adaptive) — is a thin
 Each stage is a small object operating on an explicit
 :class:`ExecContext` (query fingerprint, layout generation, routed /
 surviving block sets, per-stage timings).  Routing and min-max pruning
-are one pass (:func:`route_and_count`) over the layout generation's
-pruning table (:func:`repro.core.router.block_descriptions`), so there
-is no prune stage.  Configurations differ only in which collaborators
+are one numpy pass (:func:`route_and_count`) over the layout
+generation's pruning table (:func:`repro.core.router.block_descriptions`,
+arrays over its blocks), so there is no prune stage.  Configurations differ only in which collaborators
 a stage is given: the serial baseline routes from scratch on every
 arrival (no memo, no cache); the library path adds the generation-keyed
 result cache and a per-handle memo; the serving facade adds metrics;

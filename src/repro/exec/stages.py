@@ -27,9 +27,10 @@ which scores every candidate layout with a blocks-surviving ×
 bytes-scanned cost model and binds the argmin layout to the context.
 
 There is no separate prune stage: a generation's pruning table
-(:func:`repro.core.router.block_descriptions`) *is* the block min-max,
-so :func:`route_and_count` — the one caller of ``may_match`` on the
-query path — yields the survivors in the same pass that routes.
+(:func:`repro.core.router.block_descriptions` — the blocks' stats as
+stacked arrays) *is* the block min-max, so :func:`route_and_count`
+yields the survivors in the same vector pass that routes, and no stage
+tests blocks one by one.
 
 Stages guard themselves: a stage whose output is already present (a
 cache hit filled ``ctx.stats``, the arbiter filled ``ctx.survivors``)
@@ -156,6 +157,9 @@ def route_and_count(
         return None, engine.store.num_blocks, survivors
     routed = router.route(query).block_ids
     survivors = tuple(sorted(set(routed) & engine.store.bid_set))
+    if survivors == routed:
+        # the usual case; a memoised entry then holds one tuple, not two
+        survivors = routed
     return routed, len(survivors), survivors
 
 

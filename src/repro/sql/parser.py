@@ -228,7 +228,9 @@ class PredicateParser:
             raise SqlSyntaxError(
                 f"unknown column {name!r} at {token.position}"
             )
-        return name
+        # the schema's own string, not this statement's slice of text:
+        # memoised plans then share one name object per column
+        return self.schema[name].name
 
     def _encode(self, column: str, token: Token) -> float:
         value: object

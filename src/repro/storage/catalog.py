@@ -3,7 +3,9 @@
 Each block is written as one ``.npz`` file (block-<bid>.npz) plus a
 JSON catalog describing the schema, dictionaries, block descriptions and
 row counts — the moral equivalent of a directory of Parquet files plus
-a metastore entry.  Loading reconstructs a fully functional
+a metastore entry.  Every file, ``.npz`` or JSON, is written to a temp
+name and renamed into place, so no reader ever sees a torn one.
+Loading reconstructs a fully functional
 :class:`~repro.storage.blocks.BlockStore` (re-encoding chunks and
 rebuilding min-max indexes from the raw data).
 """
@@ -12,8 +14,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import IO, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -55,21 +58,35 @@ META_FILE = "layout-meta.json"
 SIGNATURE_KEY = "workload_signature"
 
 
-def write_json_atomic(
-    path: Union[str, Path], document: object, indent: Optional[int] = None
-) -> None:
-    """Write a JSON artifact so that a crash mid-write leaves the old
-    file or the new one under ``path``, never a torn one: dump to a
-    temp file in the same directory, then :func:`os.replace` it."""
-    path = Path(path)
+@contextmanager
+def _replacing(path: Path, mode: str) -> Iterator[IO]:
+    """Open a temp file beside ``path`` for writing; a clean exit
+    renames it over ``path`` (:func:`os.replace`), anything else
+    removes it — so a crash mid-write leaves the old file or the new
+    one under ``path``, never a torn one."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as f:
-            json.dump(document, f, indent=indent)
+        with open(tmp, mode) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json_atomic(
+    path: Union[str, Path], document: object, indent: Optional[int] = None
+) -> None:
+    """Write a JSON artifact atomically (see :func:`_replacing`)."""
+    with _replacing(Path(path), "w") as f:
+        json.dump(document, f, indent=indent)
+
+
+def _savez_atomic(path: Path, columns: Mapping[str, np.ndarray]) -> None:
+    """``np.savez_compressed`` to ``path`` atomically.  Handed the open
+    temp file, not its name: numpy appends ``.npz`` to a bare path."""
+    with _replacing(path, "wb") as f:
+        np.savez_compressed(f, **columns)
 
 
 def layout_tree_path(path: Union[str, Path]) -> Path:
@@ -135,7 +152,7 @@ def save_table(table: Table, path: Union[str, Path]) -> None:
     write_json_atomic(
         path / _CATALOG_NAME, {"schema": _schema_to_json(table.schema)}, indent=2
     )
-    np.savez_compressed(path / _TABLE_NAME, **table.columns())
+    _savez_atomic(path / _TABLE_NAME, table.columns())
 
 
 def load_table(path: Union[str, Path]) -> Table:
@@ -156,8 +173,7 @@ def save_store(store: BlockStore, path: Union[str, Path]) -> None:
     blocks_meta = []
     for block in store:
         fname = f"block-{block.block_id}.npz"
-        table = block.to_table()
-        np.savez_compressed(path / fname, **table.columns())
+        _savez_atomic(path / fname, block.to_table().columns())
         blocks_meta.append(
             {
                 "block_id": block.block_id,

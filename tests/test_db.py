@@ -360,6 +360,49 @@ class TestPersistence:
             db.execute(STATEMENTS[0]).stats.result_key()
         )
 
+    @pytest.mark.parametrize("torn", ["block", "table"])
+    def test_crash_mid_resave_leaves_no_torn_npz(
+        self, db, tmp_path, monkeypatch, torn
+    ):
+        """The same for the ``.npz`` artifacts: ``savez_compressed``
+        dying half-way through a block (or the table) leaves every file
+        of the previous save byte-identical, no temp file behind, and
+        the directory opening and answering exactly as before."""
+        db.build_layout("greedy", workload=STATEMENTS)
+        target = tmp_path / "layout"
+        db.save(target, include_table=True)
+        files = sorted(p for p in target.rglob("*") if p.is_file())
+        before = {p: p.read_bytes() for p in files}
+        expected = [db.execute(sql).stats.result_key() for sql in STATEMENTS]
+        real_savez, written = np.savez_compressed, []
+
+        def dying_savez(f, **columns):
+            assert not isinstance(f, (str, Path))  # numpy would add ".npz"
+            written.append(Path(f.name).name)
+            dies = (
+                len(written) == 3 if torn == "block"
+                else written[-1].startswith("table.npz")
+            )
+            if dies:
+                f.write(b"PK\x03\x04 half a zip member")
+                f.flush()
+                raise OSError("disk full")
+            real_savez(f, **columns)
+
+        monkeypatch.setattr(np, "savez_compressed", dying_savez)
+        with pytest.raises(OSError, match="disk full"):
+            db.save(target, include_table=True)
+        monkeypatch.undo()
+        assert written[-1].endswith(".npz.tmp")
+        assert (torn == "table") == written[-1].startswith("table.npz")
+        assert sorted(p for p in target.rglob("*") if p.is_file()) == files
+        assert {p: p.read_bytes() for p in files} == before
+        reopened = Database.open(target)
+        assert reopened.generation == db.generation
+        assert [
+            reopened.execute(sql).stats.result_key() for sql in STATEMENTS
+        ] == expected
+
     def test_roundtrip_treeless_strategy(self, db, tmp_path):
         db.build_layout("kdtree")
         db.save(tmp_path / "layout")

@@ -161,9 +161,10 @@ def test_no_shard_scan_entry_points_on_services():
 def test_serving_modules_never_execute_themselves():
     """The duplicated plan->route->cache->scan loop the exec refactor
     deleted must not grow back: routing, cache consultation and engine
-    scans live only in repro/exec — and the single routing pass
-    (``may_match`` over descriptions built by ``tighten_to_stats``)
-    lives below it, in repro/core and repro/engine."""
+    scans live only in repro/exec — and the single routing pass (one
+    ``PruningTable.match`` over the generation's stacked block
+    metadata) lives below it, in repro/core and repro/engine, where no
+    per-block scalar ``may_match`` loop may grow back either."""
     for path in SERVING_MODULES + sorted((SRC / "db").glob("*.py")):
         source = path.read_text()
         for needle in (
@@ -181,6 +182,15 @@ def test_serving_modules_never_execute_themselves():
                 f"{path.name} contains {needle!r} — execution logic "
                 f"belongs in repro.exec stages"
             )
+    for path in [
+        SRC / "core" / "router.py",
+        SRC / "engine" / "executor.py",
+        *sorted((SRC / "exec").glob("*.py")),
+    ]:
+        assert ".may_match(" not in path.read_text(), (
+            f"{path.name} tests blocks one by one — the query path "
+            f"scans the generation's PruningTable"
+        )
 
 
 def test_adapt_imports_no_stage_class():
