@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.cuts import CutRegistry
 from ..core.workload import Workload
-from ..storage.table import Table
+from ..storage.table import Table, group_rows
 from .subsumption import implies
 
 __all__ = ["BottomUpConfig", "BottomUpPartitioner", "select_features"]
@@ -141,8 +141,7 @@ def _split_large_groups(bids: np.ndarray, max_block_size: int) -> np.ndarray:
         raise ValueError("max_block_size must be >= 1")
     out = np.empty_like(bids)
     next_bid = 0
-    for group in np.unique(bids):
-        rows = np.flatnonzero(bids == group)
+    for _, rows in group_rows(bids):
         for chunk in np.array_split(rows, -(-len(rows) // max_block_size)):
             out[chunk] = next_bid
             next_bid += 1

@@ -8,23 +8,26 @@ relaxes this to one child), and the *value* of a subtree is ``S(n)``,
 the (record, query) pairs it lets the workload skip (Sec. 5.2.2).
 
 :class:`ConstructionEnv` is built once per ``(schema, registry, sample,
-workload, b)`` and holds what every walk reuses — the ``cuts x rows``
-outcome matrix and, per cut, the queries whose hit status the cut can
-change.  :class:`Episode` is the scratch state of one walk: the tree
-under construction, each open leaf's sample rows and each node's query
-hit vector.  A construction algorithm is a *chooser* handed to
+workload, b)`` and holds what every walk reuses — the ``rows x cuts``
+outcome matrix, per cut the queries whose hit status the cut can
+change, and per cut its two sides as the root's ``split`` states them.
+:class:`Episode` is the scratch state of one walk: the tree under
+construction, each open leaf's sample rows and each node's query hit
+vector.  A construction algorithm is a *chooser* handed to
 :meth:`ConstructionEnv.walk`; nothing of the episode is stored on the
 :class:`~repro.core.tree.QdTree` it returns.
 
 Two monotonicity facts keep hit vectors incremental: descriptions only
 narrow, so a query that misses a node misses its children; and a split
 can only change the status of queries that reference the cut's column
-(or advanced-cut slot).
+(or advanced-cut slot).  The hits of a node's candidate children are
+one :class:`~repro.core.router.PruningTable` — the node's description
+narrowed by each cut's sides — matched once per query that can change.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from ..storage.table import Table
 from .cuts import CutRegistry
 from .node import NodeDescription, QdNode
 from .predicates import AdvancedCut, ColumnPredicate
+from .router import PruningTable
 from .tree import QdTree
 from .workload import Workload
 
@@ -47,6 +51,8 @@ class CutOptions(NamedTuple):
     right_sizes: np.ndarray
 
 
+#: ``(left, right)`` query hits: one vector per child, or, from
+#: :meth:`Episode.child_hits`, a ``len(actions) x |W|`` matrix each.
 HitPair = Tuple[np.ndarray, np.ndarray]
 
 #: A construction policy: the registry index of the cut to apply at
@@ -85,10 +91,17 @@ class ConstructionEnv:
         self._root_hits = np.array(
             [root.may_match(q.predicate) for q in workload], dtype=bool
         )
+        # Each cut's two sides, stated once by the scalar split: row k
+        # is cut k's left child of the root, row K + k its right.
+        splits = [root.split(cut) for cut in registry.cuts]
+        sides = [left for left, _ in splits] + [right for _, right in splits]
+        self._sides = PruningTable.from_rows(
+            schema, [(i, side, None) for i, side in enumerate(sides)]
+        )
 
     def legal_cuts(self, rows: np.ndarray) -> CutOptions:
         """Child sizes of every cut over ``rows`` and which are legal."""
-        left = self.cut_masks[:, rows].sum(axis=1)
+        left = np.count_nonzero(self.cut_masks[rows], axis=0)
         right = len(rows) - left
         b = self.min_leaf_size
         if self.allow_small_children:
@@ -131,49 +144,53 @@ class Episode:
         self.hits: Dict[int, np.ndarray] = {0: env._root_hits}
         self._scored: Dict[Tuple[int, int], HitPair] = {}
 
-    def child_hits(self, node: QdNode, action: int) -> HitPair:
-        """Hit vectors the children of ``node`` would get from cut
-        ``action`` — what a chooser scores; :meth:`split` reuses it."""
-        cut = self.env.registry.cut(action)
-        pair = self._propagate(node, action, *node.description.split(cut))
-        self._scored[node.node_id, action] = pair
-        return pair
+    def child_hits(self, node: QdNode, actions: np.ndarray) -> HitPair:
+        """Hit vectors the children of ``node`` would get from each cut
+        in ``actions`` — what a chooser scores; :meth:`split` reuses the
+        rows of the cut it applies.
+
+        A query keeps the node's hit unless the node may hold it *and*
+        the cut can change it; those queries are matched against the
+        node's ``2 x len(actions)`` candidate children at once.
+        """
+        env = self.env
+        parent = self.hits[node.node_id]
+        affected = env._affected[actions]
+        queries = np.flatnonzero(parent & affected.any(axis=0))
+        hits = np.tile(parent, (2 * len(actions), 1))
+        if len(queries):
+            own = PruningTable.from_rows(
+                env.schema, [(node.node_id, node.description, None)]
+            )
+            children = own.narrowed(
+                env._sides, np.concatenate([actions, actions + len(env.registry)])
+            )
+            matched = np.array(
+                [children.match(env.workload[q].predicate) for q in queries]
+            ).T
+            hits[:, queries] = matched | ~np.tile(affected[:, queries], (2, 1))
+        left, right = hits[: len(actions)], hits[len(actions) :]
+        for i, action in enumerate(actions.tolist()):
+            self._scored[node.node_id, action] = (left[i], right[i])
+        return left, right
 
     def split(self, node: QdNode, action: int) -> Tuple[QdNode, QdNode]:
         """Apply ``T ⊕ (cut, node)``: grow the tree, partition the
         node's sample rows, derive the children's hit vectors."""
         left, right = self.tree.apply_cut(node, self.env.registry.cut(action))
-        hits = self._scored.get((node.node_id, action)) or self._propagate(
-            node, action, left.description, right.description
-        )
+        if (node.node_id, action) not in self._scored:
+            self.child_hits(node, np.array([action]))
+        hits = self._scored[node.node_id, action]
         rows = self.rows.pop(node.node_id)
-        goes_left = self.env.cut_masks[action, rows]
+        goes_left = self.env.cut_masks[rows, action]
         for child, child_rows, child_hits in (
             (left, rows[goes_left], hits[0]),
             (right, rows[~goes_left], hits[1]),
         ):
             self.rows[child.node_id] = child_rows
             self.sizes[child.node_id] = len(child_rows)
-            self.hits[child.node_id] = child_hits
+            self.hits[child.node_id] = child_hits.copy()
         return left, right
-
-    def _propagate(
-        self,
-        node: QdNode,
-        action: int,
-        left_desc: NodeDescription,
-        right_desc: NodeDescription,
-    ) -> HitPair:
-        parent_hits = self.hits[node.node_id]
-        left_hits = parent_hits.copy()
-        right_hits = parent_hits.copy()
-        workload = self.env.workload
-        for qi in self.env._affected[action]:
-            if parent_hits[qi]:
-                pred = workload[qi].predicate
-                left_hits[qi] = left_desc.may_match(pred)
-                right_hits[qi] = right_desc.may_match(pred)
-        return left_hits, right_hits
 
     def subtree_skips(self) -> Dict[int, int]:
         """Per-node ``S(n)`` over the sample (Sec. 5.2.2), from the
@@ -199,9 +216,10 @@ class Episode:
         return 1.0 - (self.subtree_skips()[0] / total if total else 0.0)
 
 
-def _affected_queries(registry: CutRegistry, workload: Workload) -> List[List[int]]:
-    """Per cut: the query ids whose hit status a split on it can change
-    (those referencing the cut's column or advanced-cut slot)."""
+def _affected_queries(registry: CutRegistry, workload: Workload) -> np.ndarray:
+    """``cuts x queries``: True where a split on the cut can change the
+    query's hit status (the query references the cut's column or
+    advanced-cut slot)."""
     by_column: Dict[str, set] = {}
     by_adv: Dict[int, set] = {}
     for qi, query in enumerate(workload):
@@ -210,13 +228,13 @@ def _affected_queries(registry: CutRegistry, workload: Workload) -> List[List[in
                 by_column.setdefault(leaf.column, set()).add(qi)
             elif isinstance(leaf, AdvancedCut):
                 by_adv.setdefault(leaf.index, set()).add(qi)
-    affected: List[List[int]] = []
-    for cut in registry.cuts:
+    affected = np.zeros((len(registry), len(workload)), dtype=bool)
+    for k, cut in enumerate(registry.cuts):
         if isinstance(cut, AdvancedCut):
             ids = by_adv.get(cut.index, set())
         else:
             ids = set().union(
                 *(by_column.get(c, set()) for c in cut.referenced_columns())
             )
-        affected.append(sorted(ids))
+        affected[k, sorted(ids)] = True
     return affected

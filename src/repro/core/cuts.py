@@ -20,6 +20,9 @@ from .workload import Workload
 
 __all__ = ["CutRegistry", "extract_candidate_cuts"]
 
+#: Rows per slab of :meth:`CutRegistry.evaluate_all`.
+_SLAB_ROWS = 8192
+
 
 def extract_candidate_cuts(
     workload: Workload,
@@ -177,14 +180,21 @@ class CutRegistry:
     def evaluate_all(
         self, columns: Mapping[str, np.ndarray], num_rows: int
     ) -> np.ndarray:
-        """``(num_cuts, num_rows)`` boolean matrix of cut outcomes.
+        """``(num_rows, num_cuts)`` boolean matrix of cut outcomes: row
+        ``r`` says which cuts record ``r`` satisfies.
 
-        Both construction algorithms and Bottom-Up featurization reuse
-        this precomputed matrix over the construction sample.
+        Layout construction keeps this matrix over its sample, so a
+        node's rows are one contiguous row gather.  It is filled a slab
+        of rows at a time; the result is the only full-size array.
         """
-        out = np.empty((len(self._cuts), num_rows), dtype=bool)
-        for i, cut in enumerate(self._cuts):
-            out[i] = cut.evaluate(columns)
+        out = np.empty((num_rows, len(self._cuts)), dtype=bool)
+        slab = np.empty((len(self._cuts), _SLAB_ROWS), dtype=bool)
+        for start in range(0, num_rows, _SLAB_ROWS):
+            stop = min(start + _SLAB_ROWS, num_rows)
+            part = {name: arr[start:stop] for name, arr in columns.items()}
+            for i, cut in enumerate(self._cuts):
+                slab[i, : stop - start] = cut.evaluate(part)
+            out[start:stop] = slab[:, : stop - start].T
         return out
 
     def columns_used(self) -> Tuple[str, ...]:

@@ -54,17 +54,16 @@ class GreedyConfig:
 def cut_gains(episode: Episode, node: QdNode, options: CutOptions) -> np.ndarray:
     """``C(T ⊕ (p, node)) - C(T)`` per candidate cut ``p`` over the
     sample: ``>= 0`` for a legal cut, ``-1`` for an illegal one."""
+    actions = np.flatnonzero(options.legal)
+    left_hits, right_hits = episode.child_hits(node, actions)
     hits = episode.hits[node.node_id]
     num_queries = len(hits)
-    base_skips = episode.sizes[node.node_id] * (num_queries - int(hits.sum()))
     gains = np.full(len(options.legal), -1, dtype=np.int64)
-    for action in np.flatnonzero(options.legal):
-        left_hits, right_hits = episode.child_hits(node, int(action))
-        gains[action] = (
-            int(options.left_sizes[action]) * (num_queries - int(left_hits.sum()))
-            + int(options.right_sizes[action]) * (num_queries - int(right_hits.sum()))
-            - base_skips
-        )
+    gains[actions] = (
+        options.left_sizes[actions] * (num_queries - left_hits.sum(axis=1))
+        + options.right_sizes[actions] * (num_queries - right_hits.sum(axis=1))
+        - episode.sizes[node.node_id] * (num_queries - int(hits.sum()))
+    )
     return gains
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..obs.clock import now
 from ..storage.blocks import Block, BlockStore
-from ..storage.table import Table
+from ..storage.table import Table, group_rows
 from .tree import QdTree
 __all__ = ["SegmentInfo", "IngestionPipeline"]
 
@@ -91,14 +91,11 @@ class IngestionPipeline:
         """Route one batch into the leaf buffers; returns its per-row
         BIDs."""
         bids = self.route(batch)
-        for bid in np.unique(bids):
-            rows = batch.filter(bids == bid)
-            self._buffers.setdefault(int(bid), []).append(rows)
-            self._buffered_rows[int(bid)] = (
-                self._buffered_rows.get(int(bid), 0) + rows.num_rows
-            )
-            while self._buffered_rows[int(bid)] >= self.segment_rows:
-                self._flush_segment(int(bid))
+        for bid, positions in group_rows(bids):
+            self._buffers.setdefault(bid, []).append(batch.take(positions))
+            self._buffered_rows[bid] = self._buffered_rows.get(bid, 0) + len(positions)
+            while self._buffered_rows[bid] >= self.segment_rows:
+                self._flush_segment(bid)
         return bids
 
     def _flush_segment(self, bid: int) -> None:

@@ -11,10 +11,14 @@ clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).
 Given the layout generation's block store it routes the way the paper
 says — "by scanning leaf metadata" — over a :class:`PruningTable`:
 the generation's blocks as stacked arrays (:func:`block_descriptions`),
-matched against a predicate in one numpy pass.
-``NodeDescription.may_match`` stays the scalar definition of that test
-(layout construction, the cost model and ``QdTree.route_query`` use
-it; ``tests/test_pruning_table.py`` holds the table to it).
+matched against a predicate in one numpy pass.  Layout construction
+scores a node's candidate cuts over the same kind of table: the node's
+description narrowed by every cut's two sides
+(:meth:`PruningTable.narrowed`).  ``NodeDescription.may_match`` stays
+the scalar definition of that test (the cost model,
+``QdTree.route_query`` and construction's root hit vector use it;
+``tests/test_pruning_table.py`` and ``tests/test_construct.py`` hold
+the table to it).
 """
 
 from __future__ import annotations
@@ -244,26 +248,30 @@ def _code_set(
 
 
 class PruningTable:
-    """The pruning metadata of one layout generation as stacked arrays,
-    one row per block, every array read-only.
+    """Stacked sub-space descriptions, one row each, every array
+    read-only: the pruning metadata of one layout generation (a row per
+    block, :meth:`from_rows`), or the candidate children of one node
+    during layout construction (:meth:`narrowed`).
 
     ``bids[N]``
         Block ids in the order routing reports them: the tree's leaf
         order (tree-backed) or BID order (tree-less).  A tuple of the
         layout's own ``int`` objects, so the many routed lists a
-        serving tier memoises hold each BID once between them.
+        serving tier memoises hold each BID once between them.  (A
+        narrowed table's ids are the ``by`` rows it was met with.)
     ``lo[c][N]``, ``hi[c][N]``, ``lo_inclusive[c][N]``, ``hi_inclusive[c][N]``
-        Per column ``c``, the interval each block's values lie in
-        (:func:`_interval`); unbounded where nothing is known.
+        Per column ``c``, the interval each row's values lie in
+        (:func:`_interval`); unbounded where nothing is known.  Views
+        of the ``C x N`` matrices the table was built from.
     ``categorical[c][N, W]``
-        Per categorical column, row ``i`` is the set of codes block
-        ``i`` may hold (:func:`_code_set`).  ``W`` is the widest set;
+        Per categorical column, row ``i`` is the set of codes row ``i``
+        may hold (:func:`_code_set`).  ``W`` is the widest set;
         narrower rows are padded with ``False``, which is how the
         scalar rule treats a literal beyond a block's dictionary.
     ``adv_true[N, A]``, ``adv_false[N, A]``
         The owning leaf's advanced-cut possibility bits (Sec. 6.1).
     ``alive[N]``
-        ``False`` where some interval is empty: such a block matches
+        ``False`` where some interval is empty: such a row matches
         nothing.
 
     :meth:`match` is the table's one query (:meth:`matching` names its
@@ -272,28 +280,55 @@ class PruningTable:
     """
 
     def __init__(
-        self, schema: Schema, rows: Sequence[_Row], dictionaries: bool = True
+        self,
+        schema: Schema,
+        bids: Sequence[int],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        lo_inclusive: np.ndarray,
+        hi_inclusive: np.ndarray,
+        categorical: Mapping[str, np.ndarray],
+        adv_true: np.ndarray,
+        adv_false: np.ndarray,
     ) -> None:
-        n = len(rows)
+        """Take the stacked arrays by reference and make them
+        read-only: the four interval arrays are ``C x N``, one row per
+        schema column in schema order."""
+        n = len(bids)
         self.schema = schema
-        self.bids: Tuple[int, ...] = tuple(bid for bid, _, _ in rows)
-        self.lo: Dict[str, np.ndarray] = {}
-        self.hi: Dict[str, np.ndarray] = {}
-        self.lo_inclusive: Dict[str, np.ndarray] = {}
-        self.hi_inclusive: Dict[str, np.ndarray] = {}
-        alive = np.ones(n, dtype=bool)
-        for column in schema:
-            cells = [_interval(column, desc, minmax) for _, desc, minmax in rows]
-            lo, hi, lo_inc, hi_inc = zip(*cells) if cells else ((), (), (), ())
-            lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-            lo_inc, hi_inc = np.array(lo_inc, dtype=bool), np.array(hi_inc, dtype=bool)
-            alive &= (lo < hi) | (lo_inc & hi_inc)
-            self.lo[column.name] = _frozen(lo)
-            self.hi[column.name] = _frozen(hi)
-            self.lo_inclusive[column.name] = _frozen(lo_inc)
-            self.hi_inclusive[column.name] = _frozen(hi_inc)
-        self.alive = _frozen(alive)
-        self.categorical: Dict[str, np.ndarray] = {}
+        self.bids: Tuple[int, ...] = tuple(bids)
+        self._bounds = tuple(
+            _frozen(a) for a in (lo, hi, lo_inclusive, hi_inclusive)
+        )
+        names = schema.column_names
+        self.lo: Dict[str, np.ndarray] = dict(zip(names, lo))
+        self.hi: Dict[str, np.ndarray] = dict(zip(names, hi))
+        self.lo_inclusive: Dict[str, np.ndarray] = dict(zip(names, lo_inclusive))
+        self.hi_inclusive: Dict[str, np.ndarray] = dict(zip(names, hi_inclusive))
+        self.alive = _frozen(
+            ((lo < hi) | ((lo == hi) & lo_inclusive & hi_inclusive)).all(axis=0)
+        )
+        self.categorical: Dict[str, np.ndarray] = {
+            name: _frozen(sets) for name, sets in categorical.items()
+        }
+        self.adv_true = _frozen(adv_true)
+        self.adv_false = _frozen(adv_false)
+        self._all = _frozen(np.ones(n, dtype=bool))
+        self._none = _frozen(np.zeros(n, dtype=bool))
+
+    @classmethod
+    def from_rows(
+        cls, schema: Schema, rows: Sequence[_Row], dictionaries: bool = True
+    ) -> "PruningTable":
+        """Stack ``(bid, description, block stats)`` rows: each row's
+        block stats where present, else its description."""
+        n = len(rows)
+        cells = [
+            [_interval(column, desc, minmax) for _, desc, minmax in rows]
+            for column in schema
+        ]
+        bounds = np.array(cells, dtype=np.float64).reshape(len(schema), n, 4)
+        categorical: Dict[str, np.ndarray] = {}
         for column in schema.categorical_columns:
             sets = [
                 _code_set(column, desc, minmax, dictionaries)
@@ -303,16 +338,47 @@ class PruningTable:
             matrix = np.zeros((n, width), dtype=bool)
             for i, codes in enumerate(sets):
                 matrix[i, : len(codes)] = codes
-            self.categorical[column.name] = _frozen(matrix)
+            categorical[column.name] = matrix
         tracked = len(rows[0][1].adv_true) if rows else 0
 
         def stacked(bits: List[np.ndarray]) -> np.ndarray:
-            return _frozen(np.array(bits, dtype=bool).reshape(n, tracked))
+            return np.array(bits, dtype=bool).reshape(n, tracked)
 
-        self.adv_true = stacked([desc.adv_true for _, desc, _ in rows])
-        self.adv_false = stacked([desc.adv_false for _, desc, _ in rows])
-        self._all = _frozen(np.ones(n, dtype=bool))
-        self._none = _frozen(np.zeros(n, dtype=bool))
+        return cls(
+            schema,
+            [bid for bid, _, _ in rows],
+            np.ascontiguousarray(bounds[..., 0]),
+            np.ascontiguousarray(bounds[..., 1]),
+            np.ascontiguousarray(bounds[..., 2], dtype=bool),
+            np.ascontiguousarray(bounds[..., 3], dtype=bool),
+            categorical,
+            stacked([desc.adv_true for _, desc, _ in rows]),
+            stacked([desc.adv_false for _, desc, _ in rows]),
+        )
+
+    def narrowed(self, by: "PruningTable", rows: np.ndarray) -> "PruningTable":
+        """This one-row table intersected with each of ``by``'s
+        ``rows``: row ``i`` of the result is what lies in both — the
+        interval meet per column (the tighter bound, exclusive winning a
+        tie, as ``Interval.intersect``), code sets and advanced-cut bits
+        ANDed.  Layout construction meets a node with every candidate
+        cut's two sides this way."""
+        lo, hi, lo_inc, hi_inc = self._bounds
+        by_lo, by_hi, by_lo_inc, by_hi_inc = (a[:, rows] for a in by._bounds)
+        return PruningTable(
+            self.schema,
+            [by.bids[i] for i in rows.tolist()],
+            np.maximum(lo, by_lo),
+            np.minimum(hi, by_hi),
+            (lo_inc | (by_lo > lo)) & (by_lo_inc | (lo > by_lo)),
+            (hi_inc | (by_hi < hi)) & (by_hi_inc | (hi < by_hi)),
+            {
+                name: sets & by.categorical[name][rows]
+                for name, sets in self.categorical.items()
+            },
+            self.adv_true & by.adv_true[rows],
+            self.adv_false & by.adv_false[rows],
+        )
 
     # ------------------------------------------------------------------
     # The conservative intersection of Sec. 3.3, for every block at once
@@ -423,12 +489,12 @@ def block_descriptions(
     """
     if tree is None:
         root = NodeDescription.root(store.schema, num_advanced_cuts)
-        return PruningTable(
+        return PruningTable.from_rows(
             store.schema,
             [(block.block_id, root, block.minmax) for block in store],
             dictionaries,
         )
-    return PruningTable(
+    return PruningTable.from_rows(
         tree.schema,
         [
             (

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..storage.catalog import write_json_atomic
 from ..storage.schema import Schema
-from ..storage.table import Table
+from ..storage.table import Table, group_rows
 from .cuts import CutRegistry
 from .node import NodeDescription, QdNode
 from .predicates import Predicate
@@ -218,13 +218,10 @@ class QdTree:
         query routing prunes at least as much as before.
         """
         bids = self.route_to_blocks(table)
-        columns = table.columns()
-        for leaf in self.leaves():
-            rows = np.flatnonzero(bids == leaf.block_id)
-            if len(rows) == 0:
-                continue
-            leaf_cols = {name: arr[rows] for name, arr in columns.items()}
-            leaf.description = leaf.description.tighten(leaf_cols)
+        leaves = {leaf.block_id: leaf for leaf in self.leaves()}
+        for bid, rows in group_rows(bids):
+            leaf = leaves[bid]
+            leaf.description = leaf.description.tighten(table.take(rows).columns())
         self._frozen = True
         return bids
 

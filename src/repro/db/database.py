@@ -74,7 +74,7 @@ from ..storage.catalog import (
     save_store,
     save_table,
 )
-from ..storage.table import Table
+from ..storage.table import Table, group_rows
 from .registry import BuildContext, get_strategy
 
 __all__ = ["Database", "LayoutHandle"]
@@ -526,11 +526,9 @@ class Database:
         base = store.logical_rows
         descriptions = active.tree.leaf_descriptions()
         merged: Dict[int, Block] = {}
-        for bid in np.unique(bids):
-            bid = int(bid)
-            mask = bids == bid
-            rows = batch.filter(mask)
-            new_ids = base + np.flatnonzero(mask)
+        for bid, positions in group_rows(bids):
+            rows = batch.take(positions)
+            new_ids = base + positions
             if bid in store:
                 old = store.block(bid)
                 table = old.to_table().concat(rows)

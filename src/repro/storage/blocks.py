@@ -21,7 +21,7 @@ import numpy as np
 from .columnar import EncodedChunk, decode_chunk, encode_column
 from .minmax import MinMaxIndex
 from .schema import Schema, SchemaError
-from .table import Table
+from .table import Table, group_rows
 
 __all__ = ["Block", "BlockStore"]
 
@@ -182,27 +182,17 @@ class BlockStore:
             )
         if len(block_ids) and block_ids.min() < 0:
             raise ValueError("negative block id in assignment")
-        blocks = []
-        for bid in np.unique(block_ids):
-            member = block_ids == bid
-            rows = table.filter(member)
-            desc = descriptions.get(int(bid)) if descriptions else None
-            if with_row_ids:
-                # Freeze our own fresh array so Block takes it by
-                # reference instead of copying.
-                ids: Optional[np.ndarray] = np.flatnonzero(member)
-                ids.setflags(write=False)
-            else:
-                ids = None
-            blocks.append(
-                Block(
-                    int(bid),
-                    rows,
-                    description=desc,
-                    with_dictionaries=with_dictionaries,
-                    row_ids=ids,
-                )
+        blocks = [
+            Block(
+                bid,
+                table.take(rows),
+                description=descriptions.get(bid) if descriptions else None,
+                with_dictionaries=with_dictionaries,
+                # Read-only groups: Block keeps them by reference.
+                row_ids=rows if with_row_ids else None,
             )
+            for bid, rows in group_rows(block_ids)
+        ]
         return cls(table.schema, blocks, logical_rows=table.num_rows)
 
     # ------------------------------------------------------------------

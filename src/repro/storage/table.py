@@ -16,7 +16,25 @@ import numpy as np
 
 from .schema import ColumnKind, Schema, SchemaError
 
-__all__ = ["Table"]
+__all__ = ["Table", "group_rows"]
+
+
+def group_rows(ids: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(id, rows)`` for every distinct value of ``ids``, ascending.
+
+    ``rows`` are the positions holding ``id`` in ascending order — what
+    ``np.flatnonzero(ids == id)`` gives — cut from one stable argsort,
+    so grouping ``n`` rows into ``k`` groups costs one sort, not ``k``
+    passes.  The groups are read-only slices of one shared array.
+    """
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    order.setflags(write=False)
+    ordered = ids[order]
+    bounds = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    starts = [0] + bounds if len(ids) else []
+    for start, stop in zip(starts, bounds + [len(ids)]):
+        yield int(ordered[start]), order[start:stop]
 
 
 class Table:

@@ -1,9 +1,15 @@
 """Unit tests for repro.storage.blocks."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.storage import Block, BlockStore, SchemaError
+from repro.storage import Block, BlockStore, MinMaxIndex, SchemaError, Table
+from repro.storage.table import group_rows
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestBlock:
@@ -112,3 +118,77 @@ class TestBlockStore:
         blocks = [Block(2, mixed_table), Block(0, mixed_table), Block(1, mixed_table)]
         store = BlockStore(mixed_table.schema, blocks)
         assert [b.block_id for b in store] == [0, 1, 2]
+
+
+# -- grouping rows by BID: one stable sort == one mask per BID -------------
+
+
+def mask_grouped(table, block_ids):
+    """The per-BID mask pass ``from_assignment`` used to make: BID ->
+    (row ids, rows)."""
+    return {
+        int(bid): (np.flatnonzero(block_ids == bid), table.filter(block_ids == bid))
+        for bid in np.unique(block_ids)
+    }
+
+
+def assignments(n):
+    rng = np.random.default_rng(7)
+    return {
+        "unsorted-sparse": rng.choice([40, 3, 17, 900, 5], size=n),
+        "single-block": np.full(n, 12),
+        "sorted-runs": np.repeat(np.arange(5), -(-n // 5))[:n] * 3,
+    }
+
+
+GROUPING_MODULES = [
+    "storage/blocks.py",
+    "core/tree.py",
+    "core/ingest.py",
+    "db/database.py",
+    "baselines/bottom_up.py",
+]
+
+
+@pytest.mark.parametrize("module", GROUPING_MODULES)
+def test_rows_are_grouped_by_one_sort(module):
+    """No ``ids == bid`` pass per block is left where rows are grouped."""
+    source = (SRC / module).read_text()
+    assert "group_rows(" in source
+    assert not re.search(r"==\s*(bid|group|leaf\.block_id)\b", source)
+
+
+@pytest.mark.parametrize("kind", ["unsorted-sparse", "single-block", "sorted-runs"])
+def test_group_rows_is_flatnonzero_per_id(kind):
+    ids = assignments(1000)[kind]
+    groups = list(group_rows(ids))
+    assert [bid for bid, _ in groups] == sorted(set(ids.tolist()))
+    for bid, rows in groups:
+        np.testing.assert_array_equal(rows, np.flatnonzero(ids == bid))
+        assert not rows.flags.writeable
+    assert list(group_rows(np.empty(0, dtype=np.int64))) == []
+
+
+@pytest.mark.parametrize("kind", ["unsorted-sparse", "single-block", "sorted-runs", "empty"])
+@pytest.mark.parametrize("dictionaries", [True, False])
+def test_from_assignment_equals_the_mask_reference(mixed_table, kind, dictionaries):
+    if kind == "empty":
+        table, bids = Table.empty(mixed_table.schema), np.empty(0, dtype=np.int64)
+    else:
+        table, bids = mixed_table, assignments(mixed_table.num_rows)[kind]
+    store = BlockStore.from_assignment(table, bids, with_dictionaries=dictionaries)
+    expected = mask_grouped(table, bids)
+    assert list(store.block_ids) == sorted(expected)
+    for block in store:
+        row_ids, rows = expected[block.block_id]
+        np.testing.assert_array_equal(block.row_ids, row_ids)
+        reference = MinMaxIndex.build(rows, with_dictionaries=dictionaries)
+        for name in table.schema.column_names:
+            np.testing.assert_array_equal(block.read_column(name), rows.column(name))
+            got, want = block.minmax.column_stats(name), reference.column_stats(name)
+            assert (got.minimum, got.maximum) == (want.minimum, want.maximum)
+            if want.distinct is None:
+                assert got.distinct is None
+            else:
+                np.testing.assert_array_equal(got.distinct, want.distinct)
+    assert store.logical_rows == table.num_rows

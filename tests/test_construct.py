@@ -9,13 +9,17 @@ Three layers of guarantees:
 2. **Incremental == from scratch** — after any random legal walk the
    environment's hit vectors, sizes, ``S(n)`` and scan ratio equal a
    recomputation through ``may_match`` / ``repro.core.cost``, and its
-   row sets equal ``tree.route_table``.
+   row sets equal ``tree.route_table``; at every node of such walks the
+   candidate children scored in one table equal ``description.split``
+   + scalar ``may_match`` cut by cut.
 3. **One statement of each rule** — enforced structurally, by reading
-   the sources: the policies contain no legality test, hit loop or
-   mask indexing, and a built tree carries no construction state.
+   the sources and counting calls: the policies contain no legality
+   test, hit loop or mask indexing, a walk makes no scalar hit test,
+   and a built tree carries no construction state.
 """
 
 import gc
+import itertools
 import json
 import re
 from pathlib import Path
@@ -26,20 +30,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AdvancedCut,
+    ColumnPredicate,
     ConstructionEnv,
     CutRegistry,
     GreedyConfig,
+    Not,
+    Op,
     QdTree,
+    Query,
+    Workload,
     build_greedy_tree,
+    column_eq,
+    column_in,
+    column_lt,
     leaf_sizes,
     scan_ratio,
     subtree_skips,
 )
 from repro.core.construct import Episode
+from repro.core.greedy import choose_max_gain
+from repro.core.hypercube import Hypercube, Interval
 from repro.core.node import NodeDescription, QdNode
 from repro.core.predicates import Predicate
+from repro.core.router import PruningTable
 from repro.db import Database
 from repro.rl import Woodblock, WoodblockConfig
+from repro.storage import Schema, categorical, numeric
 from repro.workloads import disjunctive_dataset, tpch_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,14 +138,35 @@ def test_woodblock_same_seed_twice_is_identical():
 # ----------------------------------------------------------------------
 
 
+#: Cuts and queries the TPC-H workload does not propose, so a walk meets
+#: every kind of cut side: numeric ``=`` (the right side keeps the
+#: parent's hull), numeric ``IN`` (the left side is the literals' hull),
+#: a literal below the domain (an empty left side) and a new categorical
+#: ``IN``.  The workload's own cuts add ranges, categorical ``=``/``IN``
+#: and advanced cuts.
+EXTRA_CUTS = [
+    column_eq("l_quantity", 10),
+    column_in("l_quantity", [5, 17, 40]),
+    column_lt("l_quantity", -5),
+    column_in("l_shipmode", [2, 3, 6]),
+]
+EXTRA_QUERIES = [
+    Query(column_eq("l_quantity", 10)),
+    Query(Not(column_eq("l_quantity", 10))),
+    Query(column_in("l_quantity", [17, 30])),
+    Query(Not(column_in("l_shipmode", [2, 3]))),
+]
+
+
 @pytest.fixture(scope="module")
 def walk_envs(tpch):
     table = tpch.table.take(np.arange(3000))
     registry = tpch.registry()
+    for cut in EXTRA_CUTS:
+        registry.add(cut)
+    workload = Workload(list(tpch.workload) + EXTRA_QUERIES)
     return {
-        relaxed: ConstructionEnv(
-            tpch.schema, registry, table, tpch.workload, 150, relaxed
-        )
+        relaxed: ConstructionEnv(tpch.schema, registry, table, workload, 150, relaxed)
         for relaxed in (False, True)
     }
 
@@ -174,15 +212,176 @@ class TestIncrementalEqualsFromScratch:
 
 
 def test_scored_child_hits_equal_applied_child_hits(walk_envs):
-    """What a chooser scores (``child_hits``) is what ``split`` installs."""
+    """What a chooser scores (``child_hits``, every legal cut at once)
+    is what ``split`` installs — also when nothing was scored."""
     env = walk_envs[False]
     scored, applied = Episode(env), Episode(env)
-    action = int(np.flatnonzero(env.legal_cuts(scored.rows[0]).legal)[0])
-    expected = scored.child_hits(scored.tree.root, action)
+    actions = np.flatnonzero(env.legal_cuts(scored.rows[0]).legal)
+    i = len(actions) // 2
+    left_hits, right_hits = scored.child_hits(scored.tree.root, actions)
     for episode in (scored, applied):
-        left, right = episode.split(episode.tree.root, action)
-        np.testing.assert_array_equal(episode.hits[left.node_id], expected[0])
-        np.testing.assert_array_equal(episode.hits[right.node_id], expected[1])
+        left, right = episode.split(episode.tree.root, int(actions[i]))
+        np.testing.assert_array_equal(episode.hits[left.node_id], left_hits[i])
+        np.testing.assert_array_equal(episode.hits[right.node_id], right_hits[i])
+
+
+def names_the_cut(predicate: Predicate, cut: Predicate) -> bool:
+    """Does ``predicate`` reference ``cut``'s column (advanced slot)?"""
+    for leaf in predicate.leaves():
+        if isinstance(cut, AdvancedCut):
+            if isinstance(leaf, AdvancedCut) and leaf.index == cut.index:
+                return True
+        elif isinstance(leaf, ColumnPredicate) and leaf.column in cut.referenced_columns():
+            return True
+    return False
+
+
+def side_kind(env, cut: Predicate, side: int, child: NodeDescription):
+    """Which case of the narrowing rule one cut side exercises."""
+    if child.hypercube.is_empty:
+        return "empty side"
+    if isinstance(cut, AdvancedCut):
+        return "advanced"
+    numeric = env.schema[cut.column].is_numeric
+    if cut.op is Op.EQ and numeric and side == 1:
+        return "numeric = keeps the hull"
+    if cut.op is Op.IN:
+        return "numeric IN hull" if numeric and side == 0 else "categorical IN"
+    return None
+
+
+class TestBatchedCandidateHits:
+    """At every node of a random legal walk, the hits of all candidate
+    children scored in one table equal the scalar rule they replaced:
+    ``description.split(cut)``, then ``may_match`` for each query the
+    node may hold and the cut names — every other query keeps the
+    node's hit.  For a legal cut that is plain from-scratch
+    ``may_match`` of the child."""
+
+    @given(st.integers(0, 10_000), st.booleans(), st.integers(0, 6))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_equal_scalar_split_then_may_match(self, walk_envs, seed, relaxed, max_splits):
+        env = walk_envs[relaxed]
+        cuts = env.registry.cuts
+        preds = [q.predicate for q in env.workload]
+        named = np.array([[names_the_cut(p, cut) for p in preds] for cut in cuts])
+        rng = np.random.default_rng(seed)
+        budget = [max_splits]
+        kinds = set()
+
+        def choose_checking(episode, node, options):
+            parent = episode.hits[node.node_id]
+            batched = episode.child_hits(node, np.arange(len(cuts)))
+            for action, cut in enumerate(cuts):
+                changes = parent & named[action]
+                for side, child in enumerate(node.description.split(cut)):
+                    scratch = np.array([child.may_match(p) for p in preds])
+                    got = batched[side][action]
+                    np.testing.assert_array_equal(got, np.where(changes, scratch, parent))
+                    if options.legal[action]:
+                        np.testing.assert_array_equal(got, scratch)
+                    if changes.any():
+                        kinds.add(side_kind(env, cut, side, child))
+            if budget[0] == 0:
+                return None
+            budget[0] -= 1
+            return int(rng.choice(np.flatnonzero(options.legal)))
+
+        env.walk(choose_checking)
+        assert kinds >= {
+            "empty side",
+            "advanced",
+            "numeric = keeps the hull",
+            "numeric IN hull",
+            "categorical IN",
+        }
+
+
+def test_narrowed_is_the_scalar_meet_row_by_row():
+    """``PruningTable.narrowed`` against ``Interval.intersect``, mask AND
+    and bit AND — every interval over bounds 1..3 with every pair of
+    inclusive flags met with every other, so each tie rule is hit."""
+    schema = Schema([numeric("x", (0, 4)), categorical("k", ["a", "b", "c"])])
+    intervals = [
+        Interval(lo, hi, lo_inc, hi_inc)
+        for lo, hi in itertools.combinations_with_replacement((1.0, 2.0, 3.0), 2)
+        for lo_inc, hi_inc in itertools.product((True, False), repeat=2)
+    ]
+    masks = [np.array(bits) for bits in itertools.product((False, True), repeat=3)]
+    bits = [np.array(b) for b in itertools.product((False, True), repeat=2)]
+    descriptions = [
+        NodeDescription(
+            schema,
+            Hypercube({"x": iv}),
+            {"k": masks[i % len(masks)]},
+            bits[i % len(bits)],
+            bits[(i // len(bits)) % len(bits)],
+        )
+        for i, iv in enumerate(intervals)
+    ]
+    sides = PruningTable.from_rows(
+        schema, [(i, d, None) for i, d in enumerate(descriptions)]
+    )
+    for node in descriptions:
+        own = PruningTable.from_rows(schema, [(0, node, None)])
+        children = own.narrowed(sides, np.arange(len(descriptions)))
+        assert children.bids == tuple(range(len(descriptions)))
+        for i, side in enumerate(descriptions):
+            meet = node.hypercube.interval("x").intersect(side.hypercube.interval("x"))
+            assert children.alive[i] == (not meet.is_empty)
+            if not meet.is_empty:
+                assert (
+                    children.lo["x"][i],
+                    children.hi["x"][i],
+                    children.lo_inclusive["x"][i],
+                    children.hi_inclusive["x"][i],
+                ) == (meet.lo, meet.hi, meet.lo_inclusive, meet.hi_inclusive)
+            np.testing.assert_array_equal(
+                children.categorical["k"][i],
+                node.categorical_masks["k"] & side.categorical_masks["k"],
+            )
+            np.testing.assert_array_equal(children.adv_true[i], node.adv_true & side.adv_true)
+            np.testing.assert_array_equal(
+                children.adv_false[i], node.adv_false & side.adv_false
+            )
+
+
+@pytest.mark.parametrize("policy", ["greedy", "woodblock"])
+def test_a_walk_makes_no_scalar_hit_test_and_one_split_per_internal_node(tpch, monkeypatch, policy):
+    """The root's hit vector is the only scalar ``may_match`` of a build;
+    ``split`` runs once per registered cut (its two sides, when the
+    environment is made) and once per internal node (``apply_cut``)."""
+    calls = {"may_match": 0, "split": 0}
+    for name in calls:
+
+        def counted(self, *args, _original=getattr(NodeDescription, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(NodeDescription, name, counted)
+    registry = tpch.registry()
+    if policy == "greedy":
+        env = ConstructionEnv(
+            tpch.schema, registry, tpch.table, tpch.workload, tpch.min_block_size
+        )
+        walk = lambda: env.walk(choose_max_gain).tree  # noqa: E731
+    else:
+        agent = Woodblock(
+            tpch.schema,
+            registry,
+            tpch.table,
+            tpch.workload,
+            WoodblockConfig(tpch.min_block_size, hidden_dim=16, seed=1),
+        )
+        walk = lambda: agent.run_episode().tree  # noqa: E731
+    assert calls == {"may_match": len(tpch.workload), "split": len(registry)}
+    tree = walk()
+    if policy == "greedy":
+        assert columnar(tree) == GOLDEN["tpch-strict"]
+    assert calls == {
+        "may_match": len(tpch.workload),
+        "split": len(registry) + len(tree.internal_nodes()),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,13 @@ from repro.core import (
     Workload,
     column_eq,
     column_gt,
+    column_in,
     column_lt,
     conjunction,
     disjunction,
     extract_candidate_cuts,
 )
+from repro.storage import Table
 
 
 class TestExtraction:
@@ -117,7 +119,7 @@ class TestRegistry:
     def test_evaluate_all_shape(self, mixed_schema, mixed_workload, mixed_table):
         reg = CutRegistry.from_workload(mixed_schema, mixed_workload)
         masks = reg.evaluate_all(mixed_table.columns(), mixed_table.num_rows)
-        assert masks.shape == (len(reg), mixed_table.num_rows)
+        assert masks.shape == (mixed_table.num_rows, len(reg))
         assert masks.dtype == bool
 
     def test_evaluate_all_matches_individual(self, mixed_schema, mixed_table):
@@ -125,8 +127,33 @@ class TestRegistry:
         reg.add(column_lt("age", 40))
         masks = reg.evaluate_all(mixed_table.columns(), mixed_table.num_rows)
         np.testing.assert_array_equal(
-            masks[0], mixed_table.column("age") < 40
+            masks[:, 0], mixed_table.column("age") < 40
         )
+
+    @pytest.mark.parametrize("num_rows", [0, 8191, 8192, 20_000])
+    def test_evaluate_all_across_slabs(self, mixed_schema, num_rows):
+        """Rows are filled a slab at a time; every slab edge lines up."""
+        rng = np.random.default_rng(3)
+        table = Table(
+            mixed_schema,
+            {
+                "age": rng.integers(0, 100, num_rows).astype(float),
+                "salary": rng.uniform(0, 200_000, num_rows),
+                "city": rng.integers(0, 4, num_rows),
+                "level": rng.integers(0, 3, num_rows),
+            },
+        )
+        reg = CutRegistry(mixed_schema)
+        for cut in (
+            column_lt("age", 40),
+            column_in("city", [0, 2]),
+            AdvancedCut("rich-young", 0, lambda c: c["salary"] > 2000 * c["age"]),
+        ):
+            reg.add(cut)
+        masks = reg.evaluate_all(table.columns(), num_rows)
+        assert masks.shape == (num_rows, len(reg))
+        for i, cut in enumerate(reg.cuts):
+            np.testing.assert_array_equal(masks[:, i], cut.evaluate(table.columns()))
 
     def test_columns_used(self, mixed_schema, mixed_workload):
         reg = CutRegistry.from_workload(mixed_schema, mixed_workload)

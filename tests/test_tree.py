@@ -13,6 +13,7 @@ from repro.core import (
     column_lt,
 )
 from repro.core.construct import Episode
+from repro.storage import Table
 
 
 @pytest.fixture
@@ -146,6 +147,42 @@ class TestFreeze:
         leaf = small_tree.leaves()[0]
         with pytest.raises(RuntimeError):
             small_tree.apply_cut(leaf, column_ge("salary", 100_000))
+
+    @pytest.mark.parametrize("shape", ["three-leaves", "empty-leaf", "single-leaf", "no-rows"])
+    def test_freeze_equals_the_mask_reference(self, mixed_schema, registry, mixed_table, shape):
+        """Grouping rows by one sort tightens every leaf exactly as one
+        ``bids == bid`` mask per leaf did; a leaf without rows keeps its
+        description."""
+        tree = QdTree(mixed_schema, registry)
+        # Rows in salary order: each leaf's first row is its unique
+        # minimum, so a row lost in grouping moves a tightened bound.
+        table = mixed_table.take(np.argsort(mixed_table.column("salary")))
+        if shape == "no-rows":
+            table = Table.empty(mixed_schema)
+        if shape in ("three-leaves", "no-rows"):
+            left, _ = tree.apply_cut(tree.root, column_lt("age", 40))
+            tree.apply_cut(left, column_eq("city", 1))
+        elif shape == "empty-leaf":
+            tree.apply_cut(tree.root, column_lt("age", -5))
+        bids = tree.route_to_blocks(table)
+        columns = table.columns()
+        expected = {}
+        for leaf in tree.leaves():
+            rows = np.flatnonzero(bids == leaf.block_id)
+            expected[leaf.block_id] = (
+                leaf.description.tighten({n: a[rows] for n, a in columns.items()})
+                if len(rows)
+                else leaf.description
+            )
+        np.testing.assert_array_equal(tree.freeze(table), bids)
+        for leaf in tree.leaves():
+            got, want = leaf.description, expected[leaf.block_id]
+            assert got.hypercube == want.hypercube
+            assert got.categorical_masks.keys() == want.categorical_masks.keys()
+            for name, mask in want.categorical_masks.items():
+                np.testing.assert_array_equal(got.categorical_masks[name], mask)
+            np.testing.assert_array_equal(got.adv_true, want.adv_true)
+            np.testing.assert_array_equal(got.adv_false, want.adv_false)
 
 
 class TestSample:
