@@ -88,8 +88,9 @@ class ConstructionEnv:
         root = NodeDescription.root(
             schema, num_advanced_cuts=registry.num_advanced_cuts
         )
+        own = PruningTable.from_rows(schema, [(0, root, None)])
         self._root_hits = np.array(
-            [root.may_match(q.predicate) for q in workload], dtype=bool
+            [own.match(q.predicate)[0] for q in workload], dtype=bool
         )
         # Each cut's two sides, stated once by the scalar split: row k
         # is cut k's left child of the root, row K + k its right.

@@ -3,8 +3,9 @@
 For a partitioning ``P`` and workload ``W``, each block ``P_i``
 contributes ``C(P_i) = |P_i| * sum_q S(P_i, q)`` skipped tuples, where
 ``S`` is 1 when the block can be skipped for query ``q``.  Skippability
-is decided by the block's semantic description / min-max metadata via
-:meth:`NodeDescription.may_match`.
+is decided by the block's semantic description: the tree's leaves
+stacked into one :class:`~repro.core.router.PruningTable`
+(``block_descriptions(None, tree)``) and matched once per query.
 
 This module computes the paper's *logical* metrics over a qd-tree:
 
@@ -14,21 +15,22 @@ This module computes the paper's *logical* metrics over a qd-tree:
   (``accessed / (|W| * |V|)``),
 * per-node subtree skips ``S(n)`` (Sec. 5.2.2).
 
-Everything here is computed from scratch over any tree and any table:
-``may_match`` on every (leaf, query) pair, sizes from
-:func:`leaf_sizes`.  Construction keeps the same quantities
-incrementally over its sample (:mod:`repro.core.construct`); the tests
-hold the two equal.
+Everything here is computed from scratch over any tree and any table,
+as array operations on the ``|W| x leaves`` hit matrix
+(:func:`_leaf_hits`) and the leaf-size vector from :func:`leaf_sizes`.
+Construction keeps the same quantities incrementally over its sample
+(:mod:`repro.core.construct`); the tests hold the two equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 from ..storage.table import Table
 from .node import QdNode
+from .router import block_descriptions
 from .tree import QdTree
 from .workload import Workload
 
@@ -53,6 +55,22 @@ def leaf_sizes(tree: QdTree, table: Table) -> Dict[int, int]:
     return sizes
 
 
+def _leaf_hits(
+    tree: QdTree, workload: Workload, sizes: Mapping[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(hits, leaf_size)`` in leaf order: ``hits[q, i]`` is whether
+    query ``q`` may touch leaf ``i``, and ``leaf_size[i]`` its rows."""
+    leaves = tree.leaves()
+    table = block_descriptions(None, tree)
+    hits = np.array(
+        [table.match(query.predicate) for query in workload], dtype=bool
+    ).reshape(len(workload), len(leaves))
+    leaf_size = np.array(
+        [sizes.get(leaf.node_id, 0) for leaf in leaves], dtype=np.int64
+    )
+    return hits, leaf_size
+
+
 def per_query_accessed(
     tree: QdTree, workload: Workload, sizes: Mapping[int, int]
 ) -> np.ndarray:
@@ -62,17 +80,8 @@ def per_query_accessed(
     description it intersects (retrieved blocks are fully scanned,
     Sec. 1).
     """
-    leaves = tree.leaves()
-    accessed = np.zeros(len(workload), dtype=np.int64)
-    for leaf in leaves:
-        size = sizes.get(leaf.node_id, 0)
-        if size == 0:
-            continue
-        desc = leaf.description
-        for qi, query in enumerate(workload):
-            if desc.may_match(query.predicate):
-                accessed[qi] += size
-    return accessed
+    hits, leaf_size = _leaf_hits(tree, workload, sizes)
+    return hits @ leaf_size
 
 
 def tuples_accessed(
@@ -119,17 +128,14 @@ def subtree_skips(
     ``S(leaf) = C(leaf.records)`` (Eq. 1 restricted to the leaf) and
     ``S(n) = S(n.left) + S(n.right)`` for internal nodes.
     """
+    hits, leaf_size = _leaf_hits(tree, workload, sizes)
+    missed = leaf_size * (len(workload) - hits.sum(axis=0))
+    leaf_skips = dict(zip([leaf.node_id for leaf in tree.leaves()], missed.tolist()))
     skips: Dict[int, int] = {}
 
     def visit(node: QdNode) -> int:
         if node.is_leaf:
-            size = sizes.get(node.node_id, 0)
-            skipped_queries = 0
-            if size > 0:
-                for query in workload:
-                    if not node.description.may_match(query.predicate):
-                        skipped_queries += 1
-            value = size * skipped_queries
+            value = leaf_skips[node.node_id]
         else:
             assert node.left is not None and node.right is not None
             value = visit(node.left) + visit(node.right)

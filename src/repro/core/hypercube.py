@@ -71,8 +71,8 @@ class Interval:
         return lo, lo_inc, hi, hi_inc
 
     def intersects(self, other: "Interval") -> bool:
-        """Do the two intervals share at least one point?  (The hit
-        test of layout construction: no interval is built.)"""
+        """Do the two intervals share at least one point?  (No
+        interval is built.)"""
         lo, lo_inc, hi, hi_inc = self._meet(other)
         if lo > hi:
             return False
@@ -175,23 +175,6 @@ class Hypercube:
         merged = dict(self._intervals)
         merged[column] = interval
         return Hypercube(merged)
-
-    def intersects(self, other: "Hypercube") -> bool:
-        """Do the two hypercubes overlap in every shared dimension?"""
-        for column in set(self._intervals) | set(other._intervals):
-            if not self.interval(column).intersects(other.interval(column)):
-                return False
-        return True
-
-    def contains_point(self, point: Mapping[str, float]) -> bool:
-        """Is the (partial) point inside the hypercube?
-
-        Dimensions missing from ``point`` are treated as satisfied.
-        """
-        for column, interval in self._intervals.items():
-            if column in point and not interval.contains(point[column]):
-                return False
-        return True
 
     def copy(self) -> "Hypercube":
         return Hypercube(self._intervals)

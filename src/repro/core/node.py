@@ -18,12 +18,18 @@ A node's *semantic description* (paper Table 1 + Sec. 6.1) is:
 Descriptions support three operations used throughout the system:
 
 * :meth:`NodeDescription.split` — apply a cut, producing the left
-  (satisfies ``p``) and right (satisfies ``¬p``) descriptions;
-* :meth:`NodeDescription.may_match` — conservative "could any record
-  under this description satisfy this query?" test (query routing,
-  Sec. 3.3);
+  (satisfies ``p``) and right (satisfies ``¬p``) descriptions: the one
+  definition of what a cut does to a sub-space;
+* :meth:`NodeDescription.tighten` — min-max tightening once data is
+  routed (Sec. 3.2);
 * :meth:`NodeDescription.matches_rows` — exact vectorized membership
   test (used to verify the completeness property).
+
+The conservative "could any record under this description satisfy
+this query?" test of query routing (Sec. 3.3) is not a method here: it
+runs over descriptions stacked into a
+:class:`~repro.core.router.PruningTable` — a one-row table for a
+single description.
 """
 
 from __future__ import annotations
@@ -141,13 +147,21 @@ class NodeDescription:
             if satisfied:
                 self.hypercube = self.hypercube.restrict(cut.column, interval)
             else:
-                # Complement of an interval is one- or two-sided; only a
-                # one-sided complement narrows a single interval.  The
-                # two-sided case (EQ negation) keeps the parent hull,
-                # which stays sound.
-                pieces = _interval_complement(interval)
-                if len(pieces) == 1:
-                    self.hypercube = self.hypercube.restrict(cut.column, pieces[0])
+                # The complement has a piece below the interval unless
+                # its low side is unbounded (infinite *and* inclusive:
+                # ``x > inf`` is bounded, by a bound nothing clears),
+                # and likewise above.  Only a one-piece complement
+                # narrows a single interval; two pieces (EQ negation)
+                # keep the parent hull, which stays sound.
+                below = not (interval.lo == -math.inf and interval.lo_inclusive)
+                above = not (interval.hi == math.inf and interval.hi_inclusive)
+                if below != above:
+                    piece = (
+                        Interval(hi=interval.lo, hi_inclusive=not interval.lo_inclusive)
+                        if below
+                        else Interval(lo=interval.hi, lo_inclusive=not interval.hi_inclusive)
+                    )
+                    self.hypercube = self.hypercube.restrict(cut.column, piece)
             return
         if column.is_categorical:
             mask = self.categorical_masks[cut.column]
@@ -182,70 +196,6 @@ class NodeDescription:
             self.adv_false[cut.index] = False
         else:
             self.adv_true[cut.index] = False
-
-    # ------------------------------------------------------------------
-    # Conservative intersection (query routing, Sec. 3.3)
-    # ------------------------------------------------------------------
-
-    def may_match(self, query: Predicate) -> bool:
-        """Could *some* record in this sub-space satisfy ``query``?
-
-        A conservative (never false-negative) three-valued test: AND
-        intersects iff all conjuncts do, OR iff any disjunct does
-        (paper Sec. 3.3).
-        """
-        if self.hypercube.is_empty:
-            return False
-        return self._may(query, positive=True)
-
-    def _may(self, pred: Predicate, positive: bool) -> bool:
-        if isinstance(pred, TruePredicate):
-            return positive
-        if isinstance(pred, Not):
-            return self._may(pred.child, not positive)
-        if isinstance(pred, And):
-            if positive:
-                return all(self._may(c, True) for c in pred.children)
-            return any(self._may(c, False) for c in pred.children)
-        if isinstance(pred, Or):
-            if positive:
-                return any(self._may(c, True) for c in pred.children)
-            return all(self._may(c, False) for c in pred.children)
-        if isinstance(pred, ColumnPredicate):
-            return self._may_column(pred, positive)
-        if isinstance(pred, AdvancedCut):
-            if pred.index >= len(self.adv_true):
-                # The cut is not tracked by this tree (e.g. advanced
-                # cuts disabled at construction): it can never prune.
-                return True
-            holds = positive if pred.positive else not positive
-            return bool(
-                self.adv_true[pred.index] if holds else self.adv_false[pred.index]
-            )
-        raise TypeError(f"unsupported predicate {pred!r}")
-
-    def _may_column(self, pred: ColumnPredicate, positive: bool) -> bool:
-        column = self.schema[pred.column]
-        if column.is_categorical and pred.op.is_equality:
-            mask = self.categorical_masks[pred.column]
-            codes = np.asarray(pred.values, dtype=np.int64)
-            codes = codes[(codes >= 0) & (codes < len(mask))]
-            if positive:
-                return bool(mask[codes].any()) if len(codes) else False
-            # May a value OUTSIDE the literal set appear?  Iff the mask
-            # holds more values than the literals account for.
-            present = codes[mask[codes]]
-            return np.count_nonzero(mask) > len(set(present.tolist()))
-        # Numeric (or categorical used with a range op over codes).
-        node_iv = self.hypercube.interval(pred.column)
-        if pred.op is Op.IN:
-            if positive:
-                return any(node_iv.contains(v) for v in pred.values)
-            return True  # interval can't prove all values are in the set
-        pred_iv = Interval.from_predicate(pred)
-        if positive:
-            return node_iv.intersects(pred_iv)
-        return any(node_iv.intersects(piece) for piece in _interval_complement(pred_iv))
 
     # ------------------------------------------------------------------
     # Exact membership (completeness verification)
@@ -303,23 +253,6 @@ class NodeDescription:
             f"cats={list(self.categorical_masks)}, "
             f"adv={len(self.adv_true)})"
         )
-
-
-def _interval_complement(interval: Interval) -> List[Interval]:
-    """The complement of an interval as 0, 1 or 2 intervals.  A side
-    is unbounded — and has no piece beyond it — only when it is
-    infinite *and* inclusive: ``x > inf`` is bounded below, by a bound
-    nothing clears, and its complement is everything."""
-    pieces: List[Interval] = []
-    if not (interval.lo == -math.inf and interval.lo_inclusive):
-        pieces.append(
-            Interval(hi=interval.lo, hi_inclusive=not interval.lo_inclusive)
-        )
-    if not (interval.hi == math.inf and interval.hi_inclusive):
-        pieces.append(
-            Interval(lo=interval.hi, lo_inclusive=not interval.hi_inclusive)
-        )
-    return pieces
 
 
 class QdNode:

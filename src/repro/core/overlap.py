@@ -20,7 +20,7 @@ the paper illustrates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from ..storage.blocks import Block, BlockStore
 from ..storage.table import Table
 from .hypercube import Hypercube, Interval
+from .router import PruningTable, block_descriptions
 from .tree import QdTree
 from .workload import Query
 
@@ -83,6 +84,11 @@ class OverlapLayout:
     assignments: Dict[int, List[int]]
     replicated_rows: int
     host_blocks: Dict[int, List[int]]  # small BID -> hosting large BIDs
+    #: the leaves' descriptions, stacked once for every routed query
+    _table: PruningTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._table = block_descriptions(None, self.tree)
 
     def blocks_for_query(self, query: Query) -> List[int]:
         """Candidate BIDs with redundancy pruning (Sec. 6.2.1).
@@ -91,7 +97,7 @@ class OverlapLayout:
         intersection with the query is fully served by another selected
         block that *hosts* it (completeness makes this sound).
         """
-        candidates = self.tree.route_query(query.predicate)
+        candidates = self._table.matching(query.predicate)
         selected = set(candidates)
         for small_bid, hosts in self.host_blocks.items():
             if small_bid in selected:

@@ -7,18 +7,20 @@ because the heavy per-node kernels are vectorized numpy which releases
 the GIL).
 
 :class:`QueryRouter` rewrites queries with an explicit ``BID IN (...)``
-clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).
-Given the layout generation's block store it routes the way the paper
-says — "by scanning leaf metadata" — over a :class:`PruningTable`:
-the generation's blocks as stacked arrays (:func:`block_descriptions`),
-matched against a predicate in one numpy pass.  Layout construction
-scores a node's candidate cuts over the same kind of table: the node's
-description narrowed by every cut's two sides
-(:meth:`PruningTable.narrowed`).  ``NodeDescription.may_match`` stays
-the scalar definition of that test (the cost model,
-``QdTree.route_query`` and construction's root hit vector use it;
-``tests/test_pruning_table.py`` and ``tests/test_construct.py`` hold
-the table to it).
+clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).  It
+routes the way the paper says — "by scanning leaf metadata" — over a
+:class:`PruningTable`: the leaves' sub-space descriptions as stacked
+arrays (:func:`block_descriptions`; with the layout generation's block
+store, each block's own stats), built once per router and matched
+against a predicate in one numpy pass.
+
+:meth:`PruningTable.match` is the library's one three-valued matcher.
+The skipping cost model (:mod:`repro.core.cost`) matches a workload
+against the same leaf table, and layout construction scores a node's
+candidate cuts over the node's one-row table narrowed by every cut's
+two sides (:meth:`PruningTable.narrowed`).  ``tests/scalar_oracle.py``
+keeps the scalar recursion, one description at a time, as the
+reference the tests hold the table to.
 """
 
 from __future__ import annotations
@@ -207,8 +209,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 #: layout) and the block's own stats (``None``: a leaf owning no block).
 _Row = Tuple[int, NodeDescription, Optional[MinMaxIndex]]
 
-#: NOT over a range comparison is the opposite comparison — the scalar
-#: rule's one-piece interval complement.
+#: NOT over a range comparison is the opposite comparison: the range's
+#: complement is one interval.
 _NEGATED = {Op.LT: Op.GE, Op.LE: Op.GT, Op.GT: Op.LE, Op.GE: Op.LT}
 
 
@@ -266,8 +268,8 @@ class PruningTable:
     ``categorical[c][N, W]``
         Per categorical column, row ``i`` is the set of codes row ``i``
         may hold (:func:`_code_set`).  ``W`` is the widest set;
-        narrower rows are padded with ``False``, which is how the
-        scalar rule treats a literal beyond a block's dictionary.
+        narrower rows are padded with ``False``: a literal beyond a
+        block's dictionary is one the block cannot hold.
     ``adv_true[N, A]``, ``adv_false[N, A]``
         The owning leaf's advanced-cut possibility bits (Sec. 6.1).
     ``alive[N]``
@@ -385,18 +387,18 @@ class PruningTable:
     # ------------------------------------------------------------------
 
     def match(self, predicate: Predicate) -> np.ndarray:
-        """``bool[N]``: could *some* record of each block satisfy
-        ``predicate``?  Row for row what ``NodeDescription.may_match``
-        answers on the block's tightened description — the same
-        three-valued recursion, each leaf test a few vector
-        comparisons."""
-        return self._may(predicate, True) & self.alive
+        """``bool[N]``: could *some* record of each row's sub-space
+        satisfy ``predicate``?  The conservative (never false-negative)
+        three-valued test of Sec. 3.3: AND intersects iff all conjuncts
+        do, OR iff any disjunct does, NOT swaps the two — each leaf test
+        a few vector comparisons."""
+        return self._may_satisfy(predicate, True) & self.alive
 
     def matching(self, predicate: Predicate) -> Tuple[int, ...]:
         """The BIDs :meth:`match` keeps, in table order."""
         return tuple(compress(self.bids, self.match(predicate).tolist()))
 
-    def _may(self, pred: Predicate, positive: bool) -> np.ndarray:
+    def _may_satisfy(self, pred: Predicate, positive: bool) -> np.ndarray:
         if isinstance(pred, ColumnPredicate):
             return self._may_column(pred, positive)
         if isinstance(pred, (And, Or)):
@@ -407,9 +409,9 @@ class PruningTable:
                 if isinstance(pred, And) == positive
                 else np.logical_or
             )
-            return reduce(fold, [self._may(c, positive) for c in pred.children])
+            return reduce(fold, [self._may_satisfy(c, positive) for c in pred.children])
         if isinstance(pred, Not):
-            return self._may(pred.child, not positive)
+            return self._may_satisfy(pred.child, not positive)
         if isinstance(pred, AdvancedCut):
             if pred.index >= self.adv_true.shape[1]:
                 # Not tracked by this tree: it can never prune.
@@ -469,7 +471,7 @@ class PruningTable:
 
 
 def block_descriptions(
-    store: BlockStore,
+    store: Optional[BlockStore],
     tree: Optional[QdTree] = None,
     num_advanced_cuts: int = 0,
     dictionaries: bool = True,
@@ -482,10 +484,12 @@ def block_descriptions(
     keeps — plus, for a tree-backed layout, the owning leaf's
     advanced-cut bits and path cuts; a leaf that owns no block keeps
     its own description.  Tree-less layouts have stats only, and honour
-    a cost profile without block ``dictionaries``.  This is the only
-    place the pruning metadata of a generation's blocks is constructed,
-    and the result is immutable: an ingest builds the next generation's
-    table from the next generation's store.
+    a cost profile without block ``dictionaries``.  With no ``store``
+    the rows are the ``tree``'s leaf descriptions alone, in leaf order,
+    keyed by BID (the node id where none is assigned).  This is the
+    only place pruning metadata is stacked, and the result is
+    immutable: an ingest builds the next generation's table from the
+    next generation's store.
     """
     if tree is None:
         root = NodeDescription.root(store.schema, num_advanced_cuts)
@@ -498,10 +502,10 @@ def block_descriptions(
         tree.schema,
         [
             (
-                leaf.block_id,
+                leaf.block_id if leaf.block_id is not None else leaf.node_id,
                 leaf.description,
                 store.block(leaf.block_id).minmax
-                if leaf.block_id in store
+                if store is not None and leaf.block_id in store
                 else None,
             )
             for leaf in tree.leaves()
@@ -513,12 +517,12 @@ class QueryRouter:
     """Intercepts queries and augments them with BID filters.
 
     The paper routes queries by scanning leaf metadata; latencies here
-    are real wall-clock per-query routing times (Fig. 6b).  With a
-    ``store`` the metadata scanned is the layout generation's
-    :func:`block_descriptions` table, built once here — route and
-    min-max prune are then one vector pass, and the tree is only read.
-    Without one the tree's own leaf descriptions are scanned one by
-    one (the paper-figure path).
+    are real wall-clock per-query routing times (Fig. 6b).  The
+    metadata scanned is a :func:`block_descriptions` table built once
+    here: the layout generation's blocks with a ``store`` (route and
+    min-max prune are then one vector pass), the tree's own leaf
+    descriptions without one (the paper-figure path).  The tree is
+    only read.
     """
 
     def __init__(
@@ -530,7 +534,7 @@ class QueryRouter:
         self.tree = tree
         if any(leaf.block_id is None for leaf in tree.leaves()):
             tree.assign_block_ids()
-        self._table = block_descriptions(store, tree) if store is not None else None
+        self._table = block_descriptions(store, tree)
         # With a cap, only the most recent samples are retained so a
         # long-lived router cannot grow without bound.  The lock covers
         # the samples only: the table is immutable, so concurrent
@@ -541,10 +545,7 @@ class QueryRouter:
     def route(self, query: Query) -> RoutedQuery:
         """Prune blocks for one query, recording latency."""
         t0 = now()
-        if self._table is None:
-            bids = tuple(self.tree.route_query(query.predicate))
-        else:
-            bids = self._table.matching(query.predicate)
+        bids = self._table.matching(query.predicate)
         latency = now() - t0
         with self._lock:
             self._latencies.append(latency)

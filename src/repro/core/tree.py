@@ -6,8 +6,12 @@ It supports the two usages of paper Sec. 3:
 * **Data routing** (Sec. 3.1): :meth:`route_table` recursively routes a
   batch of records down the tree with vectorized predicate evaluation,
   returning a per-row block-ID (BID) assignment.
-* **Query routing** (Sec. 3.3): :meth:`route_query` scans leaf semantic
-  descriptions and returns the BIDs of all intersecting leaves.
+* **Query routing** (Sec. 3.3): the leaves' semantic descriptions,
+  stacked once into a :class:`~repro.core.router.PruningTable`
+  (``block_descriptions(None, tree)``, or
+  :class:`~repro.core.router.QueryRouter`), give the BIDs of all
+  intersecting leaves.  The tree keeps no such table: it is mutable
+  until frozen, and a table stays valid only while its leaves do.
 
 After data is routed, :meth:`freeze` performs the min-max tightening
 optimization of Sec. 3.2: each leaf's range/mask description is replaced
@@ -188,23 +192,6 @@ class QdTree:
         for leaf_id, bid in leaf_to_bid.items():
             lut[leaf_id] = bid
         return lut[leaf_ids]
-
-    # ------------------------------------------------------------------
-    # Query routing (Sec. 3.3)
-    # ------------------------------------------------------------------
-
-    def route_query(self, query: Predicate) -> List[int]:
-        """BIDs of all leaves whose descriptions intersect ``query``.
-
-        Implemented by scanning leaf metadata (the paper found this at
-        least as fast as walking the tree).
-        """
-        bids = []
-        for leaf in self.leaves():
-            if leaf.description.may_match(query):
-                bid = leaf.block_id if leaf.block_id is not None else leaf.node_id
-                bids.append(bid)
-        return bids
 
     # ------------------------------------------------------------------
     # Freezing (min-max tightening, Sec. 3.2)

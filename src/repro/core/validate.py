@@ -21,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..storage.table import Table
+from .router import block_descriptions
 from .tree import QdTree
 from .workload import Workload
 
@@ -113,8 +114,9 @@ def validate_layout(
     routing_sound = True
     if workload is not None:
         bids = tree.route_to_blocks(table)
+        leaves = block_descriptions(None, tree)
         for query in list(workload)[:max_queries]:
-            routed = set(tree.route_query(query.predicate))
+            routed = set(leaves.matching(query.predicate))
             matches = query.predicate.evaluate(columns)
             needed = set(np.unique(bids[matches]).tolist())
             leaked = needed - routed

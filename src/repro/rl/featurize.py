@@ -10,10 +10,12 @@ node's semantic description:
 * per categorical column: the raw ``|Dom|``-bit categorical mask;
 * per advanced cut: the ``(may_true, may_false)`` possibility bits;
 * per candidate cut: two bits ``(may_true, may_false)`` describing
-  whether the node's sub-space straddles the cut — giving the policy a
-  direct view of which actions still discriminate (the "special
-  treatment of categorical predicates in featurization" the paper
-  alludes to, generalized to all cuts).
+  whether the node straddles the cut — giving the policy a direct view
+  of which actions still discriminate (the "special treatment of
+  categorical predicates in featurization" the paper alludes to,
+  generalized to all cuts).  The caller supplies them: the agent reads
+  them off its cut-outcome matrix (does the node hold sample records on
+  each side of the cut?).
 """
 
 from __future__ import annotations
@@ -65,20 +67,13 @@ class Featurizer:
         return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
     def featurize(
-        self,
-        description: NodeDescription,
-        cut_state: Optional[np.ndarray] = None,
+        self, description: NodeDescription, cut_state: np.ndarray
     ) -> np.ndarray:
-        """The feature vector for one node description.
-
-        ``cut_state`` optionally supplies the per-cut
-        ``(may_true, may_false)`` bits (shape ``(2 * num_cuts,)``).
-        The agent passes data-driven bits derived from its precomputed
-        cut-outcome matrix (does the node hold records on each side of
-        the cut?), which is both faster and sharper than re-deriving
-        them from the description; standalone callers may omit it and
-        pay for the description-based computation.
-        """
+        """The feature vector for one node description and its
+        per-cut ``(may_true, may_false)`` bits ``cut_state`` (shape
+        ``(2 * num_cuts,)``)."""
+        if len(cut_state) != 2 * self.num_cuts:
+            raise ValueError(f"cut_state must have length {2 * self.num_cuts}")
         parts: List[np.ndarray] = []
         bounds = np.empty(2 * len(self._numeric))
         for i, name in enumerate(self._numeric):
@@ -95,25 +90,7 @@ class Featurizer:
         if self.num_advanced:
             parts.append(description.adv_true.astype(np.float64))
             parts.append(description.adv_false.astype(np.float64))
-        if self.num_cuts:
-            if cut_state is not None:
-                if len(cut_state) != 2 * self.num_cuts:
-                    raise ValueError(
-                        f"cut_state must have length {2 * self.num_cuts}"
-                    )
-                parts.append(np.asarray(cut_state, dtype=np.float64))
-            else:
-                straddle = np.empty(2 * self.num_cuts)
-                for ci, cut in enumerate(self.registry.cuts):
-                    straddle[2 * ci] = 1.0 if description._may(cut, True) else 0.0
-                    straddle[2 * ci + 1] = (
-                        1.0 if description._may(cut, False) else 0.0
-                    )
-                parts.append(straddle)
+        parts.append(np.asarray(cut_state, dtype=np.float64))
         vec = np.concatenate(parts)
         assert len(vec) == self.dim
         return vec
-
-    def featurize_batch(self, descriptions: List[NodeDescription]) -> np.ndarray:
-        """Stack features for several nodes."""
-        return np.stack([self.featurize(d) for d in descriptions])

@@ -8,10 +8,10 @@ Three layers of guarantees:
    column-wise); Woodblock is deterministic for a seed.
 2. **Incremental == from scratch** — after any random legal walk the
    environment's hit vectors, sizes, ``S(n)`` and scan ratio equal a
-   recomputation through ``may_match`` / ``repro.core.cost``, and its
-   row sets equal ``tree.route_table``; at every node of such walks the
-   candidate children scored in one table equal ``description.split``
-   + scalar ``may_match`` cut by cut.
+   recomputation through the scalar oracle / ``repro.core.cost``, and
+   its row sets equal ``tree.route_table``; at every node of such walks
+   the candidate children scored in one table equal
+   ``description.split`` + the scalar oracle cut by cut.
 3. **One statement of each rule** — enforced structurally, by reading
    the sources and counting calls: the policies contain no legality
    test, hit loop or mask indexing, a walk makes no scalar hit test,
@@ -58,6 +58,7 @@ from repro.db import Database
 from repro.rl import Woodblock, WoodblockConfig
 from repro.storage import Schema, categorical, numeric
 from repro.workloads import disjunctive_dataset, tpch_dataset
+from scalar_oracle import may_match
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -191,7 +192,7 @@ class TestIncrementalEqualsFromScratch:
         for node in tree.nodes():
             np.testing.assert_array_equal(
                 episode.hits[node.node_id],
-                [node.description.may_match(q.predicate) for q in workload],
+                [may_match(node.description, q.predicate) for q in workload],
             )
         sizes = leaf_sizes(tree, sample)
         leaf_ids = {leaf.node_id for leaf in tree.leaves()}
@@ -275,7 +276,7 @@ class TestBatchedCandidateHits:
             for action, cut in enumerate(cuts):
                 changes = parent & named[action]
                 for side, child in enumerate(node.description.split(cut)):
-                    scratch = np.array([child.may_match(p) for p in preds])
+                    scratch = np.array([may_match(child, p) for p in preds])
                     got = batched[side][action]
                     np.testing.assert_array_equal(got, np.where(changes, scratch, parent))
                     if options.legal[action]:
@@ -348,17 +349,24 @@ def test_narrowed_is_the_scalar_meet_row_by_row():
 
 @pytest.mark.parametrize("policy", ["greedy", "woodblock"])
 def test_a_walk_makes_no_scalar_hit_test_and_one_split_per_internal_node(tpch, monkeypatch, policy):
-    """The root's hit vector is the only scalar ``may_match`` of a build;
-    ``split`` runs once per registered cut (its two sides, when the
-    environment is made) and once per internal node (``apply_cut``)."""
-    calls = {"may_match": 0, "split": 0}
-    for name in calls:
+    """The root's hit vector — one one-row table, matched once per
+    query — is the only single-sub-space hit test of a build: every
+    other match scores a node's candidate children at once.  ``split``
+    runs once per registered cut (its two sides, when the environment
+    is made) and once per internal node (``apply_cut``)."""
+    calls = {"one-row match": 0, "split": 0}
+    split, match = NodeDescription.split, PruningTable.match
 
-        def counted(self, *args, _original=getattr(NodeDescription, name), _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counted_split(self, cut):
+        calls["split"] += 1
+        return split(self, cut)
 
-        monkeypatch.setattr(NodeDescription, name, counted)
+    def counted_match(self, predicate):
+        calls["one-row match"] += len(self.bids) == 1
+        return match(self, predicate)
+
+    monkeypatch.setattr(NodeDescription, "split", counted_split)
+    monkeypatch.setattr(PruningTable, "match", counted_match)
     registry = tpch.registry()
     if policy == "greedy":
         env = ConstructionEnv(
@@ -374,12 +382,12 @@ def test_a_walk_makes_no_scalar_hit_test_and_one_split_per_internal_node(tpch, m
             WoodblockConfig(tpch.min_block_size, hidden_dim=16, seed=1),
         )
         walk = lambda: agent.run_episode().tree  # noqa: E731
-    assert calls == {"may_match": len(tpch.workload), "split": len(registry)}
+    assert calls == {"one-row match": len(tpch.workload), "split": len(registry)}
     tree = walk()
     if policy == "greedy":
         assert columnar(tree) == GOLDEN["tpch-strict"]
     assert calls == {
-        "may_match": len(tpch.workload),
+        "one-row match": len(tpch.workload),
         "split": len(registry) + len(tree.internal_nodes()),
     }
 

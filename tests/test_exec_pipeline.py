@@ -163,8 +163,10 @@ def test_serving_modules_never_execute_themselves():
     deleted must not grow back: routing, cache consultation and engine
     scans live only in repro/exec — and the single routing pass (one
     ``PruningTable.match`` over the generation's stacked block
-    metadata) lives below it, in repro/core and repro/engine, where no
-    per-block scalar ``may_match`` loop may grow back either."""
+    metadata) lives below it, in repro/core and repro/engine.  That
+    matcher is the library's only one: no scalar ``may_match`` (nor its
+    ``_may`` recursion, nor a tree's ``route_query`` loop over it) may
+    grow back anywhere under repro."""
     for path in SERVING_MODULES + sorted((SRC / "db").glob("*.py")):
         source = path.read_text()
         for needle in (
@@ -175,22 +177,19 @@ def test_serving_modules_never_execute_themselves():
             "prune_blocks(",      # the stats-only pass is route_and_count's
             ".execute_pruned(",   # scans belong to Scan/ScatterScanStage
             ".execute(query",     # the engine's route+prune+scan entry point
-            "may_match(",         # the routing pass has one home
             "tighten_to_stats(",  # so does building what it scans
         ):
             assert needle not in source, (
                 f"{path.name} contains {needle!r} — execution logic "
                 f"belongs in repro.exec stages"
             )
-    for path in [
-        SRC / "core" / "router.py",
-        SRC / "engine" / "executor.py",
-        *sorted((SRC / "exec").glob("*.py")),
-    ]:
-        assert ".may_match(" not in path.read_text(), (
-            f"{path.name} tests blocks one by one — the query path "
-            f"scans the generation's PruningTable"
-        )
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        for needle in ("may_match", "._may(", "route_query"):
+            assert needle not in source, (
+                f"{path.relative_to(SRC)} contains {needle!r} — sub-spaces "
+                f"are matched by PruningTable.match alone"
+            )
 
 
 def test_adapt_imports_no_stage_class():

@@ -15,6 +15,7 @@ from repro.core import (
     column_eq,
     column_lt,
 )
+from repro.core.router import block_descriptions
 from repro.engine import SPARK_PARQUET, ScanEngine
 from repro.storage import (
     BlockStore,
@@ -126,7 +127,7 @@ class TestQueryEdgeCases:
         tree = QdTree(mixed_schema, reg)
         tree.apply_cut(tree.root, column_lt("age", 40))
         tree.assign_block_ids()
-        bids = tree.route_query(column_lt("age", -100))
+        bids = list(block_descriptions(None, tree).matching(column_lt("age", -100)))
         assert bids == []  # domain-bounded root: nothing can match
 
     def test_unseen_categorical_code(self, mixed_schema, mixed_table):
@@ -137,4 +138,4 @@ class TestQueryEdgeCases:
         tree.assign_block_ids()
         # Code 99 is outside the dictionary: conservatively no block
         # may contain it.
-        assert tree.route_query(column_eq("city", 99)) == []
+        assert list(block_descriptions(None, tree).matching(column_eq("city", 99))) == []

@@ -15,6 +15,7 @@ from repro.core import (
     scan_ratio,
 )
 from repro.core.greedy import cut_gains
+from repro.core.router import block_descriptions
 from repro.workloads import disjunctive_dataset
 
 
@@ -141,5 +142,5 @@ class TestMonotonicity:
         )
         sizes = leaf_sizes(tree, mixed_table)
         assert scan_ratio(tree, wl, sizes) <= 1.0
-        young = tree.route_query(column_lt("age", 25))
+        young = block_descriptions(None, tree).matching(column_lt("age", 25))
         assert len(young) < len(tree.leaves()) or len(tree.leaves()) == 1

@@ -123,25 +123,6 @@ class TestHypercube:
         assert not h.is_empty
         assert h.restrict("x", Interval(20, 30)).is_empty
 
-    def test_intersects(self):
-        a = Hypercube({"x": Interval(0, 10), "y": Interval(0, 10)})
-        b = Hypercube({"x": Interval(5, 15), "y": Interval(5, 15)})
-        c = Hypercube({"x": Interval(11, 20), "y": Interval(5, 15)})
-        assert a.intersects(b)
-        assert not a.intersects(c)
-
-    def test_intersects_with_untracked_dimension(self):
-        a = Hypercube({"x": Interval(0, 10)})
-        b = Hypercube({"y": Interval(0, 10)})
-        assert a.intersects(b)
-
-    def test_contains_point(self):
-        h = Hypercube({"x": Interval(0, 10), "y": Interval(0, 5)})
-        assert h.contains_point({"x": 5, "y": 2})
-        assert not h.contains_point({"x": 5, "y": 6})
-        # Missing dimensions treated as satisfied.
-        assert h.contains_point({"x": 5})
-
     def test_equality(self):
         a = Hypercube({"x": Interval(0, 10)})
         b = Hypercube({"x": Interval(0, 10)})

@@ -11,6 +11,7 @@ from repro.core import (
     build_overlap_layout,
     hypercubes_adjacent,
 )
+from repro.core.router import block_descriptions
 from repro.workloads import overlap_dataset
 
 
@@ -78,7 +79,7 @@ class TestOverlapLayout:
         ds, ol = layout
         for query in ds.workload:
             pruned = ol.blocks_for_query(query)
-            raw = ol.tree.route_query(query.predicate)
+            raw = block_descriptions(None, ol.tree).matching(query.predicate)
             assert set(pruned) <= set(raw)
 
     def test_queries_never_lose_rows(self, layout):

@@ -26,6 +26,7 @@ from repro.core import (
     conjunction,
     disjunction,
 )
+from repro.core.router import block_descriptions
 from repro.rl import masked_log_softmax
 from repro.storage import Schema, Table, categorical, numeric
 from repro.storage.columnar import decode_chunk, encode_column
@@ -272,7 +273,7 @@ class TestRoutingProperties:
         table = make_table(seed % 7)
         tree = grow_random_tree(table, cuts, seed)
         bids = tree.route_to_blocks(table)
-        routed = set(tree.route_query(query))
+        routed = set(block_descriptions(None, tree).matching(query))
         matches = query.evaluate(table.columns())
         needed = set(np.unique(bids[matches]))
         assert needed <= routed
@@ -291,7 +292,7 @@ class TestRoutingProperties:
         table = make_table(seed % 7)
         tree = grow_random_tree(table, cuts, seed)
         bids = tree.freeze(table)
-        routed = set(tree.route_query(query))
+        routed = set(block_descriptions(None, tree).matching(query))
         matches = query.evaluate(table.columns())
         needed = set(np.unique(bids[matches]))
         assert needed <= routed

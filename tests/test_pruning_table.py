@@ -3,10 +3,11 @@
 A layout generation's pruning metadata is a
 :class:`repro.core.router.PruningTable` — arrays over the generation's
 blocks — and its one query, ``table.match(predicate)``, must answer row
-for row what ``NodeDescription.may_match`` answers on the per-block
-descriptions the table replaced (``reference_descriptions`` below is
-that construction, kept here as the reference), and both must cover
-every block that holds a matching row.
+for row what the scalar oracle ``scalar_oracle.may_match`` answers on
+the per-block descriptions the table replaced
+(``reference_descriptions`` below is that construction, kept here as
+the reference), and both must cover every block that holds a matching
+row.
 
 Checked on hand-grown random trees (contradictory cuts, leaves without
 rows, block dictionaries of different widths, a store without
@@ -48,6 +49,7 @@ from repro.core.router import PruningTable, QueryRouter, block_descriptions
 from repro.db import Database
 from repro.engine import COMMERCIAL_DBMS, SPARK_PARQUET, ScanEngine
 from repro.storage import BlockStore, Schema, Table, categorical, numeric
+from scalar_oracle import may_match
 
 KINDS = ["a", "b", "c", "d", "e"]
 NUMERIC = ["x", "y", "z"]
@@ -190,7 +192,7 @@ class Case:
         )
 
     def scalar(self, predicate: Predicate) -> List[bool]:
-        return [d.may_match(predicate) for d in self.reference.values()]
+        return [may_match(d, predicate) for d in self.reference.values()]
 
     def holding_a_match(self, predicate: Predicate) -> set:
         return {
@@ -396,7 +398,7 @@ def test_routing_reports_the_tables_rows_in_order(cases):
         for predicate in probes:
             query = Query(predicate)
             expected = [
-                bid for bid, d in case.reference.items() if d.may_match(predicate)
+                bid for bid, d in case.reference.items() if may_match(d, predicate)
             ]
             if case.tree is not None:
                 routed = QueryRouter(case.tree, case.store).route(query).block_ids
@@ -482,23 +484,26 @@ FRESH = [
 
 def test_serving_never_calls_the_scalar_may_match(monkeypatch):
     """Deterministic stand-in for a timing assertion: across every
-    serving topology, on never-seen statements, the per-block scalar
-    test runs zero times (it is layout construction's hit test, so the
-    counter starts after the builds)."""
+    serving topology, on never-seen statements, no block is tested on
+    its own.  The library keeps no scalar matcher, and every match the
+    query path makes is over a whole generation's table, never a
+    one-row one (the counter starts after the builds)."""
     db = Database.from_table(make_table(3000, seed=0), min_block_size=150)
     tree_backed = db.build_layout("greedy", workload=TRAIN)
     second = db.build_layout("greedy", workload=TRAIN[:3], activate=False)
     treeless = db.build_layout("range", column="y", activate=False)
-    calls = []
-    scalar = NodeDescription.may_match
+    assert not hasattr(NodeDescription, "may_match")
+    rows_matched = []
+    vector = PruningTable.match
     monkeypatch.setattr(
-        NodeDescription,
-        "may_match",
-        lambda self, query: calls.append(query) or scalar(self, query),
+        PruningTable,
+        "match",
+        lambda self, query: rows_matched.append(len(self.bids)) or vector(self, query),
     )
     root = NodeDescription.root(schema())
-    assert root.may_match(TruePredicate()) and len(calls) == 1  # it counts
-    calls.clear()
+    one_row = PruningTable.from_rows(schema(), [(0, root, None)])
+    assert one_row.matching(TruePredicate()) == (0,) and rows_matched == [1]  # it counts
+    rows_matched.clear()
 
     answers = {sql: db.execute(sql).stats.result_key() for sql in FRESH}
     for layout in (treeless, second):
@@ -523,7 +528,7 @@ def test_serving_never_calls_the_scalar_may_match(monkeypatch):
     finally:
         for service in services:
             service.close()
-    assert calls == []
+    assert rows_matched and min(rows_matched) > 1
 
 
 def test_a_store_router_holds_no_per_block_objects():

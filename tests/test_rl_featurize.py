@@ -12,6 +12,9 @@ from repro.core import (
 )
 from repro.rl import Featurizer
 
+#: ``(may_true, may_false)`` for each of the registry's three cuts.
+STRADDLES_ALL = np.ones(6)
+
 
 @pytest.fixture
 def registry(mixed_schema):
@@ -34,28 +37,28 @@ class TestDimensions:
 
     def test_vector_length_matches_dim(self, mixed_schema, featurizer):
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
-        assert len(featurizer.featurize(desc)) == featurizer.dim
+        assert len(featurizer.featurize(desc, STRADDLES_ALL)) == featurizer.dim
 
 
 class TestEncoding:
     def test_root_bounds_are_0_1(self, mixed_schema, featurizer):
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
-        vec = featurizer.featurize(desc)
+        vec = featurizer.featurize(desc, STRADDLES_ALL)
         assert vec[0] == 0.0 and vec[1] == 1.0  # age bounds
         assert vec[2] == 0.0 and vec[3] == 1.0  # salary bounds
 
     def test_split_changes_bounds(self, mixed_schema, featurizer):
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
         left, right = desc.split(column_lt("age", 40))
-        lvec = featurizer.featurize(left)
-        rvec = featurizer.featurize(right)
+        lvec = featurizer.featurize(left, STRADDLES_ALL)
+        rvec = featurizer.featurize(right, STRADDLES_ALL)
         assert lvec[1] == pytest.approx(0.4)  # hi bound 40/100
         assert rvec[0] == pytest.approx(0.4)  # lo bound
 
     def test_categorical_mask_embedded(self, mixed_schema, featurizer):
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
         left, _ = desc.split(column_eq("city", 1))
-        vec = featurizer.featurize(left)
+        vec = featurizer.featurize(left, STRADDLES_ALL)
         city_bits = vec[4:8]
         assert city_bits.tolist() == [0.0, 1.0, 0.0, 0.0]
 
@@ -63,8 +66,8 @@ class TestEncoding:
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
         cut = registry.advanced_cuts[0]
         left, right = desc.split(cut)
-        lvec = featurizer.featurize(left)
-        rvec = featurizer.featurize(right)
+        lvec = featurizer.featurize(left, STRADDLES_ALL)
+        rvec = featurizer.featurize(right, STRADDLES_ALL)
         adv_offset = 4 + 7
         assert lvec[adv_offset] == 1.0 and lvec[adv_offset + 1] == 0.0
         assert rvec[adv_offset] == 0.0 and rvec[adv_offset + 1] == 1.0
@@ -80,19 +83,3 @@ class TestEncoding:
         desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
         with pytest.raises(ValueError):
             featurizer.featurize(desc, cut_state=np.zeros(3))
-
-    def test_derived_cut_state_reflects_straddling(
-        self, mixed_schema, featurizer
-    ):
-        desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
-        left, _ = desc.split(column_lt("age", 40))
-        vec = featurizer.featurize(left)
-        # Cut 0 is age < 40: the left node satisfies it entirely, so
-        # may_true = 1, may_false = 0.
-        assert vec[-6] == 1.0 and vec[-5] == 0.0
-
-    def test_featurize_batch(self, mixed_schema, featurizer):
-        desc = NodeDescription.root(mixed_schema, num_advanced_cuts=1)
-        left, right = desc.split(column_lt("age", 40))
-        batch = featurizer.featurize_batch([left, right])
-        assert batch.shape == (2, featurizer.dim)

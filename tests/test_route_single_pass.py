@@ -3,9 +3,9 @@
 A layout generation's pruning table
 (:func:`repro.core.router.block_descriptions`, scanned once by
 :func:`repro.exec.route_and_count`) must return exactly the survivors
-the two-step it replaced returned — ``tree.route_query`` on a tree
-frozen over the generation's rows, then ``ScanEngine.prune_blocks``
-over the routed BIDs — and both must cover every block holding a
+the two-step it replaced returned — the scalar oracle over the leaves
+of a tree frozen over the generation's rows, then
+``ScanEngine.prune_blocks`` over the routed BIDs — and both must cover every block holding a
 matching row.  Checked for random predicates (ranges, ``IN``, ``NOT``,
 two-arm ``OR``, advanced cuts) on every way a generation comes to be:
 a fresh greedy build, an ingest, ``save`` -> ``Database.open``, a cost
@@ -22,6 +22,7 @@ from repro.db import Database
 from repro.engine import COMMERCIAL_DBMS, SPARK_PARQUET, ScanEngine
 from repro.exec import route_and_count
 from repro.storage import Schema, Table, categorical, numeric
+from scalar_oracle import may_match
 
 KINDS = ["a", "b", "c", "d", "e"]
 
@@ -145,14 +146,19 @@ def statements(draw):
 
 
 def legacy_two_step(handle, frozen, query, profile):
-    """Route on the frozen reference tree, then min-max prune the
-    routed BIDs."""
+    """Route on the frozen reference tree's leaves, one by one with the
+    scalar oracle, then min-max prune the routed BIDs."""
     engine = ScanEngine(
         handle.store, profile, num_advanced_cuts=handle.num_advanced_cuts
     )
     if frozen is None:
         return engine.prune_blocks(query)
-    return engine.prune_blocks(query, frozen.route_query(query.predicate))
+    routed = [
+        leaf.block_id if leaf.block_id is not None else leaf.node_id
+        for leaf in frozen.leaves()
+        if may_match(leaf.description, query.predicate)
+    ]
+    return engine.prune_blocks(query, routed)
 
 
 def blocks_holding_a_match(handle, query):

@@ -13,6 +13,7 @@ from repro.core import (
     column_lt,
 )
 from repro.core.construct import Episode
+from repro.core.router import block_descriptions
 from repro.storage import Table
 
 
@@ -105,7 +106,7 @@ class TestQueryRouting:
         self, small_tree, mixed_table
     ):
         small_tree.assign_block_ids()
-        bids = small_tree.route_query(column_ge("age", 80))
+        bids = list(block_descriptions(None, small_tree).matching(column_ge("age", 80)))
         # Only the age >= 40 leaf intersects.
         right_bid = small_tree.root.right.block_id
         assert bids == [right_bid]
@@ -116,7 +117,7 @@ class TestQueryRouting:
         bids_per_row = small_tree.route_to_blocks(mixed_table)
         query = column_ge("salary", 150_000)
         matching_rows = query.evaluate(mixed_table.columns())
-        routed = set(small_tree.route_query(query))
+        routed = set(block_descriptions(None, small_tree).matching(query))
         needed = set(np.unique(bids_per_row[matching_rows]))
         assert needed <= routed
 
@@ -133,13 +134,12 @@ class TestFreeze:
     def test_freeze_improves_or_preserves_pruning(
         self, small_tree, mixed_table, mixed_workload
     ):
-        before = {
-            q.name: len(small_tree.route_query(q.predicate))
-            for q in mixed_workload
-        }
+        leaves = block_descriptions(None, small_tree)
+        before = {q.name: len(leaves.matching(q.predicate)) for q in mixed_workload}
         small_tree.freeze(mixed_table)
+        leaves = block_descriptions(None, small_tree)
         for q in mixed_workload:
-            after = len(small_tree.route_query(q.predicate))
+            after = len(leaves.matching(q.predicate))
             assert after <= before[q.name]
 
     def test_frozen_tree_rejects_growth(self, small_tree, mixed_table):
