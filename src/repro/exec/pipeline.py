@@ -11,8 +11,9 @@ stages receive.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .stages import (
 __all__ = [
     "QueryPipeline",
     "ServeResult",
+    "StageSeconds",
     "multi_layout_pipeline",
     "serial_pipeline",
     "sharded_pipeline",
@@ -47,7 +49,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+#: One shared key tuple per distinct stage-key sequence (a handful per
+#: pipeline configuration).
+_KEY_TUPLES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+class StageSeconds(Mapping[str, float]):
+    """Read-only ``stage -> wall seconds`` mapping, compact because a
+    client may keep every reply: the keys are one tuple shared by every
+    result with the same stages, the values one packed array of
+    doubles.  Compares equal to the ``dict`` of the same items."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, timings: Mapping[str, float]) -> None:
+        keys = tuple(timings)
+        self._keys = _KEY_TUPLES.setdefault(keys, keys)
+        self._values = array("d", timings.values())
+
+    def __getitem__(self, key: str) -> float:
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return f"StageSeconds({dict(self.items())!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class ServeResult:
     """Outcome of one executed/served query."""
 
@@ -62,7 +98,8 @@ class ServeResult:
     cached: bool = False
     #: Label of the winning layout under multi-layout arbitration.
     winner: Optional[str] = None
-    #: Per-stage wall seconds for this execution.  Every configured
+    #: Per-stage wall seconds for this execution (a
+    #: :class:`StageSeconds` when a pipeline built it).  Every configured
     #: stage appears (zero-cost stages report ~0, and each stage's
     #: ``finish`` time folds into its key); ``"queue"`` is the
     #: scheduler queue wait.  The un-dotted keys sum to ≈
@@ -193,7 +230,7 @@ class QueryPipeline:
             routed_block_ids=ctx.routed,
             cached=ctx.cached,
             winner=ctx.winner,
-            stage_seconds=dict(ctx.timings),
+            stage_seconds=StageSeconds(ctx.timings),
             generation=ctx.generation,
         )
 

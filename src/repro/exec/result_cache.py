@@ -46,6 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.router import MEMO_CAP
 from ..core.workload import Query
 from ..engine.executor import QueryStats
 from ..obs.stats import Stats, counter, gauge
@@ -123,7 +124,9 @@ class ResultCache:
     cap:
         Maximum stats entries held; inserts past the cap evict
         least-recently-used entries, so a long-lived database under
-        ad-hoc traffic cannot grow without limit.
+        ad-hoc traffic cannot grow without limit.  The default is half
+        the route memo's (:data:`~repro.core.router.MEMO_CAP`), so a
+        predicate whose result is cached is still routed from the memo.
     row_id_byte_budget:
         Total bytes of matched row-id arrays the cache may hold
         (``0`` disables row-id caching entirely).  Row-id payloads are
@@ -132,7 +135,7 @@ class ResultCache:
 
     def __init__(
         self,
-        cap: int = 8192,
+        cap: int = MEMO_CAP // 2,
         row_id_byte_budget: int = DEFAULT_ROW_ID_BUDGET,
     ) -> None:
         if cap < 1:

@@ -21,7 +21,8 @@ Stage                Responsibility
 
 Two substitutions cover the wider topologies: the sharded coordinator
 replaces scan with :class:`ScatterScanStage` (split the survivors by
-owning shard, fan out to the per-shard schedulers, gather parts); the
+owning shard, scan each part through its shard's scheduler, gather
+the parts); the
 multi-layout arbiter replaces route with :class:`ArbitrateStage`,
 which scores every candidate layout with a blocks-surviving ×
 bytes-scanned cost model and binds the argmin layout to the context.
@@ -53,7 +54,6 @@ from ..obs.clock import now
 from ..sql.planner import SqlPlanner
 from ..storage.schema import Schema
 from .context import ExecContext, LayoutBinding
-from .errors import AdmissionRejected
 from .memo import RouteMemo
 from .result_cache import CachedResult, ResultCache
 
@@ -174,9 +174,9 @@ class RouteStage(Stage):
     Routing runs *before* the result-cache stage (the canonical stage
     order) — a deliberate tradeoff: a cache hit pays the memoized
     route (two dict lookups), and a hit can only re-scan the table if
-    the predicate fell out of the route memo, which cannot happen for
-    a fully cached workload because the result cache holds fewer
-    entries (8192) than the route memo (16384).
+    the predicate fell out of the route memo.  Both are LRU and the
+    result cache holds half as many entries (1 024) as the route memo
+    (2 048), so a fully cached workload always routes from the memo.
     """
 
     name = "route"
@@ -318,8 +318,8 @@ class ScanStage(Stage):
 
 
 class ScatterScanStage(Stage):
-    """Split the survivors by owning shard, scatter the pre-pruned
-    scans to the shard schedulers, gather the parts.
+    """Split the survivors by owning shard, scan each shard's part,
+    gather the parts.
 
     Shards are duck-typed records (``store``, ``engine``,
     ``scheduler``, ``metrics`` — in practice
@@ -328,12 +328,14 @@ class ScatterScanStage(Stage):
     its buffer pool and its local accounting, and this stage is the
     only code that drives one.
 
-    Only shards owning surviving blocks see the query.  Two-phase so
-    one saturated shard cannot head-of-line-block the fan-out: a
-    non-blocking pass dispatches to every shard with admission room
-    first, then the stragglers are waited on.  The stage also keeps
-    the fan-out accounting (mean shards scattered to per query — the
-    partition-locality metric).
+    Only shards owning surviving blocks see the query.  Each part runs
+    on the calling coordinator worker, through the shard scheduler's
+    :meth:`~repro.serve.scheduler.Scheduler.run` (admitted, counted and
+    bounded like queued work): a gathered shard scan takes less time
+    than handing it to another thread and waking the caller again, and
+    with one interpreter lock the threads would not overlap anyway.
+    The stage also keeps the fan-out accounting (mean shards scanned
+    per query — the partition-locality metric).
     """
 
     name = "scan"
@@ -354,8 +356,8 @@ class ScatterScanStage(Stage):
     def _scan(
         shard: object, query: Query, survivors: Sequence[int], considered: int
     ) -> QueryStats:
-        """The per-shard execution leaf (runs on a shard worker):
-        scan the shard's survivors, book them in the shard's metrics."""
+        """The per-shard execution leaf: scan the shard's survivors,
+        book them in the shard's metrics."""
         t0 = now()
         stats = shard.engine.execute_pruned(query, survivors, considered)
         shard.metrics.record(now() - t0, stats)
@@ -376,42 +378,25 @@ class ScatterScanStage(Stage):
         )
         ctx.owners = tuple(i for i, part in enumerate(ctx.per_shard) if part)
 
-    def _submit(self, ctx: ExecContext, i: int, block: bool):
-        shard = self.shards[i]
-        return shard.scheduler.submit(
-            self._scan,
-            shard,
-            ctx.query,
-            ctx.per_shard[i],
-            ctx.shard_considered[i],
-            block=block,
-        )
-
     def run(self, ctx: ExecContext) -> None:
         if ctx.stats is not None:
             return
         t0 = now()
         self._split(ctx)
-        futures = {}
-        deferred = []
+        parts = []
         for i in ctx.owners:
-            try:
-                futures[i] = self._submit(ctx, i, block=False)
-            except AdmissionRejected:
-                deferred.append(i)
-        for i in deferred:
-            futures[i] = self._submit(ctx, i, block=True)
-        ctx.parts = tuple(futures[i].result() for i in ctx.owners)
-        ctx.scatter_seconds = now() - t0
-        # Per-shard attribution: dotted sub-keys under the stage's
-        # timing (excluded from the sum-of-stages identity) plus child
-        # trace spans.  Each part's wall time is the shard's own scan
-        # clock; the spans all anchor at the scatter start because the
-        # coordinator never observes per-shard dispatch instants.
-        for i, part in zip(ctx.owners, ctx.parts):
+            shard = self.shards[i]
+            t_part = now()
+            part = shard.scheduler.run(
+                self._scan, shard, ctx.query, ctx.per_shard[i], ctx.shard_considered[i]
+            )
+            parts.append(part)
+            # Per-shard attribution: dotted sub-keys under the stage's
+            # timing (excluded from the sum-of-stages identity) plus
+            # child trace spans, each the shard's own scan clock.
             ctx.mark(
                 f"scan.shard{i}",
-                t0,
+                t_part,
                 part.wall_seconds,
                 span=f"scatter_scan.shard{i}",
                 parent="scatter_scan",
@@ -421,6 +406,8 @@ class ScatterScanStage(Stage):
                 bytes_read=part.bytes_read,
                 rows_returned=part.rows_returned,
             )
+        ctx.parts = tuple(parts)
+        ctx.scatter_seconds = now() - t0
         with self._fanout_lock:
             self._fanout_queries += 1
             self._fanout_shards += len(ctx.owners)
@@ -650,10 +637,7 @@ class ArbitrateStage(Stage):
             routed, considered, survivors = route_and_count(
                 binding.router, binding.engine, query
             )
-            bytes_est = sum(
-                binding.store.block(bid).decoded_nbytes(filter_columns)
-                for bid in survivors
-            )
+            bytes_est = binding.engine.decoded_nbytes(survivors, filter_columns)
             entries.append(
                 (routed, considered, survivors, (len(survivors), bytes_est))
             )

@@ -7,10 +7,14 @@ over; :class:`BlockCache` keeps decoded arrays in memory under a byte
 budget with LRU eviction, shared across all queries and worker
 threads.
 
-The cache is a :data:`~repro.engine.executor.ColumnReader`: plug it
-into :class:`~repro.engine.executor.ScanEngine` via ``column_reader=
-cache.read_columns`` and cached and uncached execution share one scan
-code path.
+:meth:`BlockCache.read_blocks` is a
+:data:`~repro.engine.executor.ColumnReader`: plug it into
+:class:`~repro.engine.executor.ScanEngine` via ``column_reader=
+cache.read_blocks`` and cached and uncached execution share one scan
+code path.  A scan fetches all of its blocks' filter columns in one
+call — one lock pass of lookups, decodes outside the lock, one lock
+pass of inserts — and :meth:`BlockCache.read_columns` is that same
+call for a single block.
 
 ``admission="lfu"`` puts a tiny-LFU-style frequency gate in front of
 the LRU: every (block, column) access bumps a decayed frequency
@@ -26,9 +30,12 @@ either policy.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from itertools import compress, product
+from operator import attrgetter, is_not, not_
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +73,10 @@ class CacheStats(Stats):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+
+_BLOCK_ID = attrgetter("block_id")
+_NBYTES = attrgetter("nbytes")
+_IS_ARRAY = partial(is_not, None)
 
 #: Frequency counters are capped here (a key can't hoard history) and
 #: halved once this many accesses have been sampled (old popularity
@@ -111,54 +122,68 @@ class BlockCache:
     # The ColumnReader hook
     # ------------------------------------------------------------------
 
-    def read_columns(
-        self, block: Block, names: Sequence[str]
-    ) -> Dict[str, np.ndarray]:
-        """Serve decoded columns, filling the pool on misses.
+    def read_blocks(
+        self, blocks: Sequence[Block], names: Sequence[str]
+    ) -> Dict[str, List[np.ndarray]]:
+        """Serve decoded columns of many blocks at once, filling the
+        pool on misses: ``{name: [array per block]}``.
+
+        One lock pass looks every (block, column) pair up in (block,
+        sorted name) order; misses decode outside the lock and are
+        then inserted in that same order.  Sorting the names makes the
+        LRU order — and therefore eviction under equal-recency ties —
+        independent of the order the caller listed them, so
+        differential runs with a fixed seed reproduce the same cache
+        state and eviction counts.
 
         Cached arrays are marked read-only before they are shared:
         every consumer (and every thread) sees the same immutable
         buffer, so a hit is a dict lookup, not a copy.
-
-        Columns requested by one call are equally recent; processing
-        them in sorted-name order makes the LRU order — and therefore
-        eviction under equal-recency ties — independent of the order
-        the caller listed the names, so differential runs with a fixed
-        seed reproduce the same cache state and eviction counts.
         """
-        out: Dict[str, np.ndarray] = {}
-        missing = []
         names = sorted(set(names))
+        keys = list(product(map(_BLOCK_ID, blocks), names))
+        entries = self._entries
         stats = self._stats
+        # The per-key work runs in C (map / compress / deque): a scan
+        # looks up hundreds of keys, and a Python loop here would cost
+        # more than the predicate evaluation it feeds.
         with self._lock:
-            for name in names:
-                key = (block.block_id, name)
-                if self.admission == "lfu":
+            if self.admission == "lfu":
+                for key in keys:
                     self._touch(key)
-                arr = self._entries.get(key)
-                if arr is not None:
-                    self._entries.move_to_end(key)
-                    stats.hits += 1
-                    stats.served_bytes += arr.nbytes
-                    out[name] = arr
-                else:
-                    stats.misses += 1
-                    missing.append(name)
-        # Decode outside the lock: numpy decode kernels release the GIL,
-        # so concurrent misses on different blocks overlap.
-        for name in missing:
-            decoded = block.read_column(name)
-            # Freeze a *view*, never the decoded array itself: for
-            # PLAIN chunks read_column returns the block's own payload
-            # by reference, and freezing that would make the block
-            # (and any caller-owned source array) read-only for good.
-            arr = decoded.view()
-            arr.setflags(write=False)
-            out[name] = arr
+            found = list(map(entries.get, keys))
+            cached = list(map(_IS_ARRAY, found))
+            hits = list(compress(keys, cached))
+            deque(map(entries.move_to_end, hits), maxlen=0)
+            stats.hits += len(hits)
+            stats.misses += len(keys) - len(hits)
+            stats.served_bytes += sum(map(_NBYTES, compress(found, cached)))
+        if len(hits) < len(keys):
+            missing = list(compress(range(len(keys)), map(not_, cached)))
+            # Decode outside the lock: numpy decode kernels release the
+            # GIL, so concurrent misses on different blocks overlap.
+            width = len(names)
+            for i in missing:
+                # Freeze a *view*, never the decoded array itself: for
+                # PLAIN chunks read_column returns the block's own
+                # payload by reference, and freezing that would make the
+                # block (and any caller-owned source array) read-only
+                # for good.
+                arr = blocks[i // width].read_column(names[i % width]).view()
+                arr.setflags(write=False)
+                found[i] = arr
             with self._lock:
-                stats.decoded_bytes += arr.nbytes
-                self._insert((block.block_id, name), arr)
-        return out
+                for i in missing:
+                    stats.decoded_bytes += found[i].nbytes
+                    self._insert(keys[i], found[i])
+        return {name: found[j :: len(names)] for j, name in enumerate(names)}
+
+    def read_columns(
+        self, block: Block, names: Sequence[str]
+    ) -> Dict[str, np.ndarray]:
+        """:meth:`read_blocks` for one block: ``{name: array}``."""
+        out = self.read_blocks((block,), names)
+        return {name: arrays[0] for name, arrays in out.items()}
 
     # ------------------------------------------------------------------
 

@@ -120,6 +120,34 @@ class Scheduler:
         future.add_done_callback(self._release)
         return future
 
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Execute one unit of work on the calling thread, admitted and
+        booked exactly like a submitted one: it waits for an admission
+        slot, counts as in flight while it runs, and ends completed or
+        failed.  For work shorter than a thread hand-off (a shard's
+        scan), where queueing it would cost more than doing it."""
+        if self._shutdown:
+            raise RuntimeError("scheduler is shut down")
+        self._slots.acquire()
+        stats = self._stats
+        with self._lock:
+            stats.submitted += 1
+            stats.in_flight += 1
+            stats.max_in_flight = max(stats.max_in_flight, stats.in_flight)
+        failed = True
+        try:
+            result = fn(*args, **kwargs)
+            failed = False
+            return result
+        finally:
+            self._slots.release()
+            with self._lock:
+                if failed:
+                    stats.failed += 1
+                else:
+                    stats.completed += 1
+                stats.in_flight -= 1
+
     def _release(self, future: "Future[Any]") -> None:
         self._slots.release()
         failed = future.cancelled() or future.exception() is not None

@@ -128,7 +128,7 @@ def pooled_engine(
         store,
         profile,
         num_advanced_cuts=num_advanced_cuts,
-        column_reader=cache.read_columns if cache is not None else None,
+        column_reader=cache.read_blocks if cache is not None else None,
     )
     return engine, cache
 

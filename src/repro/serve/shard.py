@@ -18,8 +18,8 @@ coordinator.  The coordinator is a configuration of the shared
       -> ResultCacheStage  (a hit skips the whole scatter — no shard
                            sees the query at all)
       -> ScatterScanStage  (split the survivors by owning shard and
-                           submit shard-local scans ONLY to the
-                           shards owning surviving blocks)
+                           scan ONLY the shards owning surviving
+                           blocks, each through its own scheduler)
       -> MergeStage        (per-shard QueryStats folded into one
                            result with the same ``result_key`` as
                            unsharded execution)
@@ -81,7 +81,7 @@ class Shard:
     """One shard's resources: the blocks it owns and what scans them.
 
     A plain record — :class:`~repro.exec.stages.ScatterScanStage`
-    submits the timed scan leaf to ``scheduler`` and books it in
+    runs the timed scan leaf through ``scheduler`` and books it in
     ``metrics``; nothing here executes a query.
     """
 
@@ -105,9 +105,10 @@ class Shard:
 
 class _ShardTier:
     """The scatter-gather tier as one serving resource: the
-    coordinator pool, the shard pools behind it and the scatter
+    coordinator pool, the shard schedulers behind it and the scatter
     stage's fan-out window.  Closing drains the coordinator first —
-    its workers are the only submitters to the shard pools."""
+    its workers are the only ones running scans through the shard
+    schedulers."""
 
     def __init__(
         self,
@@ -189,11 +190,11 @@ class ShardedLayoutService(Service):
     max_workers_per_shard / queue_depth:
         Per-shard scheduler sizing.
     coordinator_workers:
-        Front-end admission pool size; defaults to
-        ``num_shards * max_workers_per_shard`` so coordinator threads
-        (which block gathering shard futures) can keep every shard
-        worker busy.  Shard workers never wait on the coordinator, so
-        the two scheduler layers cannot deadlock.
+        Front-end pool size; defaults to ``max_workers_per_shard``.
+        Coordinator workers run the shard scans themselves (through
+        each shard scheduler's admission, see
+        :class:`~repro.exec.stages.ScatterScanStage`), and more threads
+        than that only contend for the interpreter lock.
     planner:
         Shared planner; pass the build workload's planner whenever the
         layout used advanced cuts (same caveat as
@@ -275,7 +276,7 @@ class ShardedLayoutService(Service):
             max_workers=(
                 coordinator_workers
                 if coordinator_workers is not None
-                else num_shards * max_workers_per_shard
+                else max_workers_per_shard
             ),
             queue_depth=queue_depth,
         )

@@ -18,6 +18,7 @@ same statements from many threads.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cuts import CutRegistry
 from ..core.predicates import AdvancedCut
+from ..core.router import MEMO_CAP
 from ..core.workload import Query, Workload
 from ..storage.schema import Schema
 from .lexer import SqlSyntaxError, TokenType, tokenize
@@ -46,9 +48,10 @@ class SqlPlanner:
     """Plans SQL statements into :class:`~repro.core.workload.Query`
     objects and collects candidate cuts across a workload."""
 
-    #: Bound on the statement memo (FIFO eviction) so a long-lived
-    #: planner fed ad-hoc statements cannot grow without limit.
-    MEMO_CAP = 16384
+    #: Bound on the statement memo (least recently used go first) so a
+    #: long-lived planner fed ad-hoc statements cannot grow without
+    #: limit, while a hot statement outlives a stream of one-off ones.
+    MEMO_CAP = MEMO_CAP
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
@@ -58,6 +61,8 @@ class SqlPlanner:
         self._memo: "OrderedDict[Tuple[str, str, str], PlannedQuery]" = (
             OrderedDict()
         )
+        #: ``SELECT *``'s projection, one tuple for every such plan.
+        self._all_columns = schema.column_names
 
     # ------------------------------------------------------------------
 
@@ -72,6 +77,7 @@ class SqlPlanner:
         with self._lock:
             hit = self._memo.get(key)
             if hit is not None:
+                self._memo.move_to_end(key)
                 return hit
             planned = self._plan_uncached(sql, name=name, template=template)
             self._memo[key] = planned
@@ -108,7 +114,8 @@ class SqlPlanner:
                     raise SqlSyntaxError(
                         f"unknown projected column {column!r} at {token.position}"
                     )
-                projection.append(column)
+                # the schema's own string: memoised plans share it
+                projection.append(self.schema[column].name)
                 pos += 1
             else:
                 raise SqlSyntaxError(f"bad projection at {token.position}")
@@ -128,7 +135,7 @@ class SqlPlanner:
         predicate = self._parser.parse(where_text)
         columns: Tuple[str, ...]
         if star:
-            columns = self.schema.column_names
+            columns = self._all_columns
         else:
             columns = tuple(projection)
         query = Query(
@@ -138,7 +145,9 @@ class SqlPlanner:
             columns=columns,
         )
         return PlannedQuery(
-            query=query, table_name=table_token.value, projection=columns
+            query=query,
+            table_name=sys.intern(table_token.value),
+            projection=columns,
         )
 
     def plan_workload(
