@@ -15,11 +15,8 @@ from repro.baselines import (
     RandomPartitioner,
     RangePartitioner,
 )
-from repro.bench import (
-    build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
-)
+from repro.bench import build_baseline_layout
+from repro.db import Database
 from repro.workloads import (
     errorlog_ext_dataset,
     errorlog_int_dataset,
@@ -85,6 +82,12 @@ def errlog_ext_registry(errlog_ext):
 # ----------------------------------------------------------------------
 
 
+def _database(dataset) -> Database:
+    return Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    )
+
+
 def _baseline_block(dataset) -> int:
     """Baseline block size: comparable block count to the qd-trees."""
     return max(dataset.min_block_size * 4, 64)
@@ -116,14 +119,16 @@ def tpch_bottom_up(tpch, tpch_registry):
 
 @pytest.fixture(scope="session")
 def tpch_greedy(tpch, tpch_registry):
-    return build_greedy_layout(tpch, registry=tpch_registry)
+    return _database(tpch).build_layout(
+        "greedy", workload=tpch.workload, registry=tpch_registry
+    )
 
 
 @pytest.fixture(scope="session")
 def tpch_rl(tpch, tpch_registry):
-    return build_rl_layout(
-        tpch, registry=tpch_registry, episodes=RL_EPISODES, hidden_dim=128,
-        seed=0,
+    return _database(tpch).build_layout(
+        "woodblock", workload=tpch.workload, registry=tpch_registry,
+        episodes=RL_EPISODES, hidden_dim=128, seed=0,
     )
 
 
@@ -155,9 +160,13 @@ def _errlog_layouts(dataset, registry, episodes=RL_EPISODES):
             ),
         ),
     )
-    greedy_layout = build_greedy_layout(dataset, registry=registry)
-    rl_layout = build_rl_layout(
-        dataset, registry=registry, episodes=episodes, hidden_dim=128, seed=0
+    db = _database(dataset)
+    greedy_layout = db.build_layout(
+        "greedy", workload=dataset.workload, registry=registry
+    )
+    rl_layout = db.build_layout(
+        "woodblock", workload=dataset.workload, registry=registry,
+        episodes=episodes, hidden_dim=128, seed=0,
     )
     return range_layout, bu_layout, greedy_layout, rl_layout
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    build_greedy_layout,
     format_table,
     logical_access_pct,
     run_physical,
@@ -25,6 +24,7 @@ from repro.core import (
     scan_ratio,
 )
 from repro.core.greedy import cut_gains
+from repro.db import Database
 from repro.engine import SPARK_PARQUET
 from repro.workloads import tpch_dataset
 from repro.workloads.tpch import generate_workload
@@ -80,8 +80,11 @@ def test_a2_sample_ratio(benchmark, tpch):
 
     def run():
         rows = []
+        db = Database.from_table(tpch.table, min_block_size=tpch.min_block_size)
         for ratio in (None, 0.25, 0.05):
-            layout = build_greedy_layout(tpch, sample_ratio=ratio)
+            layout = db.build_layout(
+                "greedy", workload=tpch.workload, sample_ratio=ratio
+            )
             pct = logical_access_pct(
                 layout, tpch.workload,
                 num_advanced_cuts=tpch.registry().num_advanced_cuts,

@@ -12,7 +12,7 @@ from repro.bench import format_series, line_chart
 
 
 def test_fig8_tpch_learning_curve(benchmark, tpch, tpch_rl):
-    result = tpch_rl.rl_result
+    result = tpch_rl.diagnostics
     assert result is not None
 
     def series():
@@ -54,7 +54,7 @@ def test_fig8_errorlog_ext_learning_curve(
     benchmark, errlog_ext, errlog_ext_layouts
 ):
     *_, rl_layout = errlog_ext_layouts
-    result = rl_layout.rl_result
+    result = rl_layout.diagnostics
     assert result is not None
 
     def series():

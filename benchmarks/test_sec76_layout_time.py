@@ -26,9 +26,9 @@ def test_sec76_layout_construction_time(
         }
 
     times = benchmark.pedantic(collect, rounds=1, iterations=1)
-    rl_result = tpch_rl.rl_result
-    assert rl_result is not None
-    first_tree_s = rl_result.curve[0].elapsed_seconds if rl_result.curve else 0.0
+    training = tpch_rl.diagnostics
+    assert training is not None
+    first_tree_s = training.curve[0].elapsed_seconds if training.curve else 0.0
     rows = [[label, f"{seconds:.2f}s"] for label, seconds in times.items()]
     rows.append(["woodblock (first usable tree)", f"{first_tree_s:.2f}s"])
     print()

@@ -21,7 +21,7 @@ asserted: a wall-clock ratio fails on scheduling noise.
 
 import pytest
 
-from repro.bench import build_greedy_layout
+from repro.db import Database
 from repro.serve import LayoutService, run_serial_baseline
 from repro.workloads import tpch_dataset
 
@@ -49,9 +49,9 @@ def layout():
     # Paper-scaled b gives a many-small-blocks layout (the shape real
     # qd-trees produce), which is what per-query routing/pruning costs
     # scale with.
-    return build_greedy_layout(
-        tpch_dataset(num_rows=ROWS, seeds_per_template=2, seed=0)
-    )
+    ds = tpch_dataset(num_rows=ROWS, seeds_per_template=2, seed=0)
+    db = Database.from_table(ds.table, min_block_size=ds.min_block_size)
+    return db.build_layout("greedy", workload=ds.workload)
 
 
 def run_baseline(layout, repeat=REPEAT):

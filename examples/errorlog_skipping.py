@@ -16,12 +16,11 @@ import argparse
 from repro.baselines import BottomUpConfig, BottomUpPartitioner, RangePartitioner
 from repro.bench import (
     build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
     format_table,
     logical_access_pct,
     run_physical,
 )
+from repro.db import Database
 from repro.engine import SPARK_PARQUET
 from repro.workloads import errorlog_int_dataset
 
@@ -43,6 +42,9 @@ def main() -> None:
     # Range blocks sized so block dictionaries saturate (as at the
     # paper's 100M-row scale); see benchmarks/conftest.py.
     range_block = max(block * 8, dataset.num_rows // 12)
+    db = Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    )
     layouts = [
         build_baseline_layout(
             dataset,
@@ -60,8 +62,11 @@ def main() -> None:
                 ),
             ),
         ),
-        build_greedy_layout(dataset, registry=registry),
-        build_rl_layout(dataset, registry=registry, episodes=args.episodes),
+        db.build_layout("greedy", workload=dataset.workload, registry=registry),
+        db.build_layout(
+            "woodblock", workload=dataset.workload, registry=registry,
+            episodes=args.episodes,
+        ),
     ]
 
     rows = []

@@ -18,17 +18,13 @@ Run:  python examples/quickstart.py [--rows 50000] [--episodes 60]
 import argparse
 
 from repro.bench import logical_access_pct
-from repro.bench.harness import LayoutResult
 from repro.db import Database, strategy_names
 from repro.workloads import disjunctive_dataset
 
 
 def access_pct(dataset, handle) -> float:
     """Table-2-style % of tuples the workload accesses under a layout."""
-    return logical_access_pct(
-        LayoutResult(handle.label, handle.store, handle.tree, 0.0),
-        dataset.workload,
-    )
+    return logical_access_pct(handle, dataset.workload)
 
 
 def main() -> None:

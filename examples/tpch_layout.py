@@ -15,12 +15,11 @@ import argparse
 from repro.baselines import RandomPartitioner
 from repro.bench import (
     build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
     format_table,
     logical_access_pct,
     run_physical,
 )
+from repro.db import Database
 from repro.engine import SPARK_PARQUET
 from repro.workloads import tpch_dataset
 
@@ -40,13 +39,17 @@ def main() -> None:
           f"{len(registry)} candidate cuts "
           f"({registry.num_advanced_cuts} advanced)")
 
+    db = Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    )
     layouts = [
         build_baseline_layout(
             dataset, RandomPartitioner(block_size=dataset.min_block_size * 4)
         ),
-        build_greedy_layout(dataset, registry=registry),
-        build_rl_layout(
-            dataset, registry=registry, episodes=args.episodes, seed=0
+        db.build_layout("greedy", workload=dataset.workload, registry=registry),
+        db.build_layout(
+            "woodblock", workload=dataset.workload, registry=registry,
+            episodes=args.episodes, seed=0,
         ),
     ]
 

@@ -4,8 +4,7 @@ The qd-tree paper builds a layout *once* from a training workload;
 every layer grown since (serving, sharding, caching, multi-layout
 arbitration) serves that frozen artifact.  This package closes the
 loop the paper leaves as future work — **observe the live query
-stream, learn realized costs, rebuild and hot-swap layouts in the
-background**:
+stream, rebuild and hot-swap layouts in the background**:
 
 * :class:`QueryLog` (:mod:`~repro.adapt.log`) — bounded, thread-safe
   ring of normalized query fingerprints + realized per-query costs,
@@ -16,10 +15,6 @@ background**:
   histograms; the build-time signature persists in layout metadata;
 * :class:`DriftDetector` (:mod:`~repro.adapt.drift`) — windowed
   divergence between the build-time mix and the live log;
-* :class:`LearnedArbiter` (:mod:`~repro.adapt.arbiter`) — ε-greedy
-  bandit over layouts with realized-cost posteriors per (generation,
-  template), a drop-in policy for the multi-layout
-  :class:`~repro.exec.stages.ArbitrateStage`;
 * :class:`Reoptimizer` (:mod:`~repro.adapt.reoptimize`) — drift-
   triggered background rebuild through the strategy registry, offline
   blocks-scanned evaluation, install-or-discard via the existing
@@ -29,7 +24,6 @@ background**:
   :meth:`repro.db.Database.auto_adapt`.
 """
 
-from .arbiter import ArbiterStats, LearnedArbiter
 from .drift import DriftDetector
 from .log import QueryLog, QueryRecord
 from .reoptimize import (
@@ -45,9 +39,7 @@ __all__ = [
     "AdaptEvent",
     "AdaptPolicy",
     "AdaptiveService",
-    "ArbiterStats",
     "DriftDetector",
-    "LearnedArbiter",
     "QueryLog",
     "QueryRecord",
     "Reoptimizer",

@@ -316,6 +316,23 @@ class Reoptimizer:
             activate=False,
             label=f"adapt-{self.policy.strategy}",
         )
+        try:
+            return self._decide(candidate, incumbent, weighted_sql, drift_score)
+        except Exception:
+            # The candidate is a full materialized copy of the table:
+            # a decision that crashed must not leave it registered.
+            if candidate is not self.db.active_layout:
+                try:
+                    self.db.drop_layout(candidate)
+                except ValueError:
+                    pass  # the reject branch already dropped it
+            raise
+
+    def _decide(
+        self, candidate, incumbent, weighted_sql, drift_score: float
+    ) -> AdaptEvent:
+        """Score the built candidate against the incumbent on the
+        window, then install it or drop it."""
         planner = self.db.planner
         weighted_queries = [
             (planner.plan(sql).query, count) for sql, count in weighted_sql

@@ -62,8 +62,7 @@ class AdaptiveService(Service):
         table (rebuilds need the rows) and an active layout.
     policy:
         The :class:`~repro.adapt.reoptimize.AdaptPolicy` loop knobs.
-    profile / cache_budget_bytes / max_workers / queue_depth /
-    admission:
+    profile / cache_budget_bytes / max_workers / queue_depth:
         Forwarded to each inner :class:`LayoutService` (including the
         ones created by hot swaps).
     result_cache:
@@ -87,7 +86,6 @@ class AdaptiveService(Service):
         cache_budget_bytes: Optional[int] = DEFAULT_CACHE_BUDGET,
         max_workers: int = 4,
         queue_depth: int = 64,
-        admission: str = "lru",
         result_cache: Optional[ResultCache] = None,
         tracer: Optional[object] = None,
     ) -> None:
@@ -134,7 +132,6 @@ class AdaptiveService(Service):
             result_cache=result_cache,
             metrics=self.metrics,
             record_sink=self.reoptimizer,
-            admission=admission,
             tracer=tracer,
         )
         self._swap_lock = threading.Lock()

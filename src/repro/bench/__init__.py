@@ -4,8 +4,6 @@ from .ascii_plot import bar_chart, cdf_chart, line_chart
 from .harness import (
     LayoutResult,
     build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
     logical_access_pct,
     materialize_tree,
     run_physical,
@@ -19,8 +17,6 @@ __all__ = [
     "cdf_chart",
     "line_chart",
     "build_baseline_layout",
-    "build_greedy_layout",
-    "build_rl_layout",
     "format_cdf",
     "format_series",
     "format_table",

@@ -1,10 +1,13 @@
 """Experiment harness: build layouts, run workloads, compare.
 
-Glue used by every ``benchmarks/`` module: construct a physical layout
-with any partitioner (qd-tree greedy/RL or a baseline), materialize a
-:class:`~repro.storage.blocks.BlockStore`, execute a workload through
-the :class:`~repro.engine.executor.ScanEngine`, and report both logical
-(access %) and physical (modeled runtime) metrics.
+Glue used by every ``benchmarks/`` module: materialize a baseline
+partitioner's :class:`~repro.storage.blocks.BlockStore`, execute a
+workload through the :class:`~repro.engine.executor.ScanEngine`, and
+report both logical (access %) and physical (modeled runtime) metrics.
+Qd-tree layouts are built through :meth:`repro.db.Database.build_layout`;
+the :class:`~repro.db.LayoutHandle` it returns carries the same
+``label`` / ``store`` / ``tree`` as a :class:`LayoutResult`, so both
+go into :func:`logical_access_pct` and :func:`run_physical`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cuts import CutRegistry
 from ..core.router import QueryRouter
 from ..core.tree import QdTree
 from ..core.workload import Workload
@@ -22,15 +24,12 @@ from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..engine.stats import WorkloadReport
 from ..obs.clock import now
-from ..rl.woodblock import WoodblockResult
 from ..storage.blocks import BlockStore
 from ..storage.table import Table
 from ..workloads.base import Dataset
 
 __all__ = [
     "LayoutResult",
-    "build_greedy_layout",
-    "build_rl_layout",
     "build_baseline_layout",
     "logical_access_pct",
     "run_physical",
@@ -46,8 +45,6 @@ class LayoutResult:
     store: BlockStore
     tree: Optional[QdTree]
     build_seconds: float
-    #: Training diagnostics for RL layouts.
-    rl_result: Optional[WoodblockResult] = None
 
     @property
     def num_blocks(self) -> int:
@@ -68,73 +65,6 @@ def sample_for_construction(
     sample = dataset.table.sample(sample_ratio, rng)
     scaled_b = max(1, round(dataset.min_block_size * sample_ratio))
     return sample, scaled_b
-
-
-def build_greedy_layout(
-    dataset: Dataset,
-    registry: Optional[CutRegistry] = None,
-    sample_ratio: Optional[float] = None,
-    label: str = "greedy",
-) -> LayoutResult:
-    """Greedy qd-tree layout over the dataset.
-
-    .. deprecated::
-        Thin shim over ``Database.build_layout("greedy", ...)`` — the
-        facade (:class:`repro.db.Database`) is the canonical entry
-        point; this wrapper survives for the benchmark suite.
-    """
-    from ..db import Database
-
-    db = Database.from_table(
-        dataset.table, min_block_size=dataset.min_block_size
-    )
-    handle = db.build_layout(
-        "greedy",
-        workload=dataset.workload,
-        registry=registry,
-        sample_ratio=sample_ratio,
-        label=label,
-    )
-    return LayoutResult(label, handle.store, handle.tree, handle.build_seconds)
-
-
-def build_rl_layout(
-    dataset: Dataset,
-    registry: Optional[CutRegistry] = None,
-    sample_ratio: Optional[float] = None,
-    episodes: int = 150,
-    time_budget_seconds: Optional[float] = None,
-    hidden_dim: int = 128,
-    seed: int = 0,
-    label: str = "woodblock",
-) -> LayoutResult:
-    """Woodblock (RL) qd-tree layout over the dataset.
-
-    .. deprecated::
-        Thin shim over ``Database.build_layout("woodblock", ...)`` —
-        see :func:`build_greedy_layout`.
-    """
-    from ..db import Database
-
-    db = Database.from_table(
-        dataset.table, min_block_size=dataset.min_block_size
-    )
-    handle = db.build_layout(
-        "woodblock",
-        workload=dataset.workload,
-        registry=registry,
-        sample_ratio=sample_ratio,
-        sample_seed=seed,
-        label=label,
-        episodes=episodes,
-        time_budget_seconds=time_budget_seconds,
-        hidden_dim=hidden_dim,
-        seed=seed,
-    )
-    return LayoutResult(
-        label, handle.store, handle.tree, handle.build_seconds,
-        handle.diagnostics,
-    )
 
 
 def materialize_tree(tree: QdTree, table: Table) -> BlockStore:

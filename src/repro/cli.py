@@ -28,8 +28,8 @@ Subcommands
     the serial uncached baseline — and, when sharded, the 1-shard
     service — and prints the QPS speedups.  ``--adapt`` serves through
     the drift-adaptive :class:`AdaptiveService` instead (needs a
-    layout saved with ``build --include-table``); ``--admission lfu``
-    puts the frequency gate in front of the buffer pool.
+    layout saved with ``build --include-table``).  Every topology
+    reads through an LRU buffer pool.
 ``adapt-report``
     Replay a workload — optionally followed by a *drifted* second
     workload (``--drift-queries``) — through the adaptive serving
@@ -296,7 +296,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 cache_budget_bytes=cache_bytes,
                 max_workers=args.threads,
                 queue_depth=args.queue_depth,
-                admission=args.admission,
                 result_cache=(
                     ResultCache() if use_result_cache else False
                 ),
@@ -311,7 +310,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             max_workers=args.threads,
             queue_depth=args.queue_depth,
             result_cache=ResultCache() if use_result_cache else False,
-            admission=args.admission,
             tracer=active_tracer,
         )
 
@@ -530,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve through the drift-adaptive "
                               "AdaptiveService (layout must be saved "
                               "with build --include-table)")
-    p_serve.add_argument("--admission", choices=("lru", "lfu"),
-                         default="lru",
-                         help="buffer-pool admission policy "
-                              "(lfu = tiny-LFU frequency gate)")
     p_serve.add_argument("--json", action="store_true",
                          help="print one JSON document to stdout "
                               "(human report moves to stderr)")
@@ -548,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt = sub.add_parser(
         "adapt-report",
         help="replay a (drifting) workload adaptively and print the "
-             "drift/swap/arbiter ledger",
+             "drift/swap ledger",
     )
     p_adapt.add_argument("--layout", required=True,
                          help="layout directory saved with "

@@ -60,7 +60,6 @@ from ..serve import (
 )
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import Block, BlockStore
-from ..adapt.arbiter import LearnedArbiter
 from ..adapt.reoptimize import AdaptPolicy
 from ..adapt.service import AdaptiveService
 from ..adapt.signature import WorkloadSignature
@@ -637,6 +636,8 @@ class Database:
         max_workers: int = 4,
         queue_depth: int = 64,
         result_cache: Union[bool, ResultCache] = True,
+        # Accepted only as "lru" because benchmarks/perf still passes
+        # it; a change to that benchmark deletes the keyword.
         admission: str = "lru",
         record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
@@ -651,14 +652,17 @@ class Database:
         generation-keyed result cache, stamped with the layout's
         generation (pass a :class:`ResultCache` instance instead of
         ``True`` to give the service a private cache, e.g. for
-        like-for-like benchmark comparisons).  ``admission`` picks the
-        buffer-pool admission policy (``"lru"`` or ``"lfu"``) and
-        ``record_sink`` (e.g. a :class:`~repro.adapt.log.QueryLog`)
-        observes every served query, and ``tracer`` (a
-        :class:`~repro.obs.trace.Tracer`) records one per-stage trace
-        per served query.  Close the service when done (both are
-        context managers).
+        like-for-like benchmark comparisons).  ``record_sink`` (e.g. a
+        :class:`~repro.adapt.log.QueryLog`) observes every served
+        query, and ``tracer`` (a :class:`~repro.obs.trace.Tracer`)
+        records one per-stage trace per served query.  The buffer pool
+        is LRU; ``admission`` accepts only ``"lru"``.  Close the
+        service when done (both are context managers).
         """
+        if admission != "lru":
+            raise ValueError(
+                f"the buffer pool is LRU only, got admission={admission!r}"
+            )
         handle = self._resolve(layout)
         common = dict(
             profile=profile,
@@ -668,7 +672,6 @@ class Database:
             planner=self.planner,
             result_cache=self._resolve_result_cache(result_cache),
             generation=handle.generation,
-            admission=admission,
             record_sink=record_sink,
             tracer=tracer,
         )
@@ -702,7 +705,6 @@ class Database:
         max_workers: int = 4,
         queue_depth: int = 64,
         result_cache: Union[bool, ResultCache] = True,
-        arbiter: Union[str, object] = "static",
         record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> MultiLayoutService:
@@ -721,15 +723,9 @@ class Database:
         ``service.snapshot().layout_wins``.  The result cache (shared
         with the database by default, same semantics as
         :meth:`serve`) keys entries on the winning layout's
-        generation.  Close the service when done (context manager).
-
-        ``arbiter`` selects the arbitration policy: ``"static"`` (the
-        lexicographic argmin), ``"learned"`` (a fresh ε-greedy
-        :class:`~repro.adapt.arbiter.LearnedArbiter` folding realized
-        costs back into the decision), or a policy instance of your
-        own.  ``record_sink`` (e.g. a
+        generation.  ``record_sink`` (e.g. a
         :class:`~repro.adapt.log.QueryLog`) observes every served
-        query.
+        query.  Close the service when done (context manager).
         """
         with self._lock:
             known = list(self._layouts)
@@ -757,13 +753,6 @@ class Database:
                 "across them would serve stale results — rebuild the "
                 "stale layouts on the current table first"
             )
-        rc = self._resolve_result_cache(result_cache)
-        if arbiter == "static":
-            policy = None
-        elif arbiter == "learned":
-            policy = LearnedArbiter()
-        else:
-            policy = arbiter  # a caller-supplied policy instance
         return MultiLayoutService(
             handles,
             profile=profile,
@@ -771,8 +760,7 @@ class Database:
             max_workers=max_workers,
             queue_depth=queue_depth,
             planner=self.planner,
-            result_cache=rc,
-            arbiter_policy=policy,
+            result_cache=self._resolve_result_cache(result_cache),
             record_sink=record_sink,
             tracer=tracer,
         )
@@ -784,7 +772,6 @@ class Database:
         cache_budget_bytes: Optional[int] = DEFAULT_CACHE_BUDGET,
         max_workers: int = 4,
         queue_depth: int = 64,
-        admission: str = "lru",
         result_cache: Union[bool, ResultCache] = True,
         tracer: Optional[object] = None,
     ) -> AdaptiveService:
@@ -812,7 +799,6 @@ class Database:
             cache_budget_bytes=cache_budget_bytes,
             max_workers=max_workers,
             queue_depth=queue_depth,
-            admission=admission,
             result_cache=self._resolve_result_cache(result_cache),
             tracer=tracer,
         )

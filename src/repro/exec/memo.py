@@ -26,8 +26,9 @@ class RouteMemo:
 
     :class:`~repro.exec.stages.RouteStage` memoizes ``(routed BIDs,
     candidate count, survivors)`` — one memo per pipeline — and
-    :class:`~repro.exec.stages.ArbitrateStage` that triple plus the
-    score for every candidate layout, both through this one class.
+    :class:`~repro.exec.stages.ArbitrateStage` its whole decision (the
+    winner's triple plus every layout's score), both through this one
+    class.
     """
 
     def __init__(self, cap: int = MEMO_CAP) -> None:

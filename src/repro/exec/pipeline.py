@@ -304,14 +304,15 @@ class QueryPipeline:
 # ----------------------------------------------------------------------
 
 
-def _with_record(stages: list, *sinks: Optional[object]) -> list:
-    """Append one observability tail stage per sink that was asked for.
+def _with_record(stages: list, sink: Optional[object]) -> list:
+    """Append the observability tail stage when a sink was asked for.
 
     Every factory funnels through here so all four execution paths
     (serial, single-layout, sharded, multi-layout) populate the same
     query-log shape — the adapt control plane's one observation point.
     """
-    stages.extend(RecordStage(sink) for sink in sinks if sink is not None)
+    if sink is not None:
+        stages.append(RecordStage(sink))
     return stages
 
 
@@ -402,27 +403,21 @@ def multi_layout_pipeline(
     profile: CostProfile,
     result_cache: Optional[ResultCache] = None,
     metrics: Optional[object] = None,
-    arbiter_policy: Optional[object] = None,
     record_sink: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """Cost-arbitrated serving over several layouts of one table: the
     arbitration stage routes against every layout and binds the
-    cheapest — by the static (blocks-surviving, bytes-scanned)
-    argmin, or by ``arbiter_policy`` (e.g. the learned bandit in
-    :mod:`repro.adapt.arbiter`) when one is given — a policy that
-    implements ``observe(ctx)`` is fed every finished execution ahead
-    of ``record_sink``, so realized costs reach its posteriors; the
-    result cache keys on the winner's generation."""
+    (blocks-surviving, bytes-scanned) argmin; the result cache keys
+    on the winner's generation."""
     stages = [
         PlanStage(planner),
-        ArbitrateStage(bindings, policy=arbiter_policy),
+        ArbitrateStage(bindings),
         ResultCacheStage(result_cache, generation=None, profile=profile),
         ScanStage(engine=None),
         MergeStage(profile, bindings[0].store.schema),
     ]
-    learner = arbiter_policy if hasattr(arbiter_policy, "observe") else None
     return QueryPipeline(
-        planner, _with_record(stages, learner, record_sink), metrics=metrics,
+        planner, _with_record(stages, record_sink), metrics=metrics,
         tracer=tracer,
     )

@@ -26,6 +26,8 @@ the parts); the
 multi-layout arbiter replaces route with :class:`ArbitrateStage`,
 which scores every candidate layout with a blocks-surviving ×
 bytes-scanned cost model and binds the argmin layout to the context.
+That argmin is the only arbitration rule, so one memo entry per
+predicate holds the whole decision.
 
 There is no separate prune stage: a generation's pruning table
 (:func:`repro.core.router.block_descriptions` — the blocks' stats as
@@ -496,9 +498,9 @@ class RecordStage(Stage):
     """Feed the finished execution to an observability sink.
 
     The sink is duck-typed — anything with ``observe(ctx)`` qualifies
-    (in practice :class:`repro.adapt.log.QueryLog` or the learned
-    arbiter's posterior updater) so :mod:`repro.exec` never imports
-    the control plane it feeds.  The stage sits at the tail of every
+    (in practice a :class:`repro.adapt.log.QueryLog` or the adapt
+    loop's :class:`~repro.adapt.reoptimize.Reoptimizer`) so
+    :mod:`repro.exec` never imports the control plane it feeds.  The stage sits at the tail of every
     pipeline configuration that asked for one: by the time it runs,
     ``ctx.stats`` exists whether the result came from the cache, a
     single-engine scan, or the scatter-gather merge.  Sink failures
@@ -543,19 +545,10 @@ class ArbitrateStage(Stage):
     (:func:`route_and_count`) over every layout's pruning table; each
     layout is scored with the min-max stats as priors: **(blocks
     surviving, estimated bytes the filter columns occupy across those
-    blocks)**.  That per-layout work is
-    deterministic for a fixed set of layouts, so it is memoized per
-    predicate; the *decision* on top of it is pluggable:
-
-    * without a ``policy`` (the default), scores are compared
-      lexicographically and the argmin layout wins — ties go to the
-      earliest layout in the candidate list (deterministic);
-    * with a ``policy`` (duck-typed: ``choose(query, bindings,
-      scores) -> index``, e.g.
-      :class:`repro.adapt.arbiter.LearnedArbiter`), the decision is
-      re-evaluated on every arrival so a learning policy can fold
-      realized costs back into arbitration while the routed
-      entries stay memoized.
+    blocks)**.  Scores are compared lexicographically and the argmin
+    layout wins; ties go to the earliest layout in the candidate list.
+    The decision is deterministic for a fixed set of layouts, so the
+    whole :class:`ArbiterChoice` is memoized per predicate.
 
     The winning layout is bound to the context and its generation keys
     the result cache downstream — so multi-layout serving reuses the
@@ -569,39 +562,17 @@ class ArbitrateStage(Stage):
         self,
         bindings: Sequence[LayoutBinding],
         memo: Optional[RouteMemo] = None,
-        policy: Optional[object] = None,
     ) -> None:
         if not bindings:
             raise ValueError("ArbitrateStage needs at least one layout")
         self.bindings = tuple(bindings)
         self.memo = memo if memo is not None else RouteMemo()
-        self.policy = policy
 
     def choice_for(self, query: Query) -> ArbiterChoice:
         """The arbitration decision for a query — the public explain
-        path facades read scores from.  Per-layout entries come from
-        the memo; the winning index is re-chosen per call when a
-        learning policy is attached."""
-        entries = self.memo.get_or_compute(
-            query.predicate, lambda: self._score(query)
-        )
-        scores = tuple(entry[3] for entry in entries)
-        if self.policy is not None:
-            index = int(self.policy.choose(query, self.bindings, scores))
-            if not 0 <= index < len(entries):
-                raise ValueError(
-                    f"arbiter policy chose layout {index} out of "
-                    f"{len(entries)} candidates"
-                )
-        else:
-            index = min(range(len(entries)), key=lambda i: scores[i])
-        routed, considered, survivors, _ = entries[index]
-        return ArbiterChoice(
-            index=index,
-            routed=routed,
-            considered=considered,
-            survivors=survivors,
-            scores=scores,
+        path facades read scores from."""
+        return self.memo.get_or_compute(
+            query.predicate, lambda: self._choose(query)
         )
 
     def run(self, ctx: ExecContext) -> None:
@@ -628,17 +599,17 @@ class ArbitrateStage(Stage):
             f"{len(self.memo)} unique predicates scored",
         )
 
-    def _score(self, query: Query) -> Tuple[tuple, ...]:
-        """Route + score the query against every layout (the
-        deterministic, memoizable part of arbitration)."""
+    def _choose(self, query: Query) -> ArbiterChoice:
+        """Route + score the query against every layout and keep the
+        argmin layout's routing."""
         filter_columns = sorted(query.predicate.referenced_columns())
-        entries = []
+        routes, scores = [], []
         for binding in self.bindings:
             routed, considered, survivors = route_and_count(
                 binding.router, binding.engine, query
             )
             bytes_est = binding.engine.decoded_nbytes(survivors, filter_columns)
-            entries.append(
-                (routed, considered, survivors, (len(survivors), bytes_est))
-            )
-        return tuple(entries)
+            routes.append((routed, considered, survivors))
+            scores.append((len(survivors), bytes_est))
+        index = min(range(len(scores)), key=scores.__getitem__)
+        return ArbiterChoice(index, *routes[index], scores=tuple(scores))

@@ -83,7 +83,7 @@ def plain(value: Any) -> Any:
     """Recursively reduce snapshots to JSON-serializable plain data.
 
     Handles nested dataclasses (``MetricsSnapshot`` carries
-    ``CacheStats``/``AdaptSnapshot``/``ArbiterStats``), numpy scalars,
+    ``CacheStats``/``AdaptSnapshot``), numpy scalars,
     mappings, and sequences.
     """
     if is_dataclass(value) and not isinstance(value, type):

@@ -16,15 +16,7 @@ call — one lock pass of lookups, decodes outside the lock, one lock
 pass of inserts — and :meth:`BlockCache.read_columns` is that same
 call for a single block.
 
-``admission="lfu"`` puts a tiny-LFU-style frequency gate in front of
-the LRU: every (block, column) access bumps a decayed frequency
-counter, and an insert that would evict may only proceed if the
-newcomer has been touched at least as often as the LRU victim it
-displaces.  One-shot scans of cold blocks then flow *through* the
-cache without flushing the hot working set — the classic
-scan-resistance failure of plain LRU.  Admission only decides what is
-*kept*, never what is *returned*, so results are bit-identical under
-either policy.
+Every decoded column is admitted; eviction is strict LRU.
 """
 
 from __future__ import annotations
@@ -62,11 +54,6 @@ class CacheStats(Stats):
     served_bytes: int = counter(
         "repro_cache_served_bytes_total", "Bytes served straight from the pool"
     )
-    #: 0 under plain LRU.
-    admission_rejections: int = counter(
-        "repro_cache_admission_rejections_total",
-        "Inserts the admission gate turned away",
-    )
 
     @property
     def hit_rate(self) -> float:
@@ -78,12 +65,6 @@ _BLOCK_ID = attrgetter("block_id")
 _NBYTES = attrgetter("nbytes")
 _IS_ARRAY = partial(is_not, None)
 
-#: Frequency counters are capped here (a key can't hoard history) and
-#: halved once this many accesses have been sampled (old popularity
-#: decays, so the gate tracks the *current* working set).
-_FREQ_CAP = 15
-_FREQ_SAMPLE_LIMIT = 32_768
-
 
 class BlockCache:
     """Thread-safe LRU cache of decoded column arrays.
@@ -94,29 +75,15 @@ class BlockCache:
         Maximum decoded bytes held at once.  Inserting past the budget
         evicts least-recently-used entries; a single column larger than
         the whole budget is served decode-through (never cached).
-    admission:
-        ``"lru"`` (default) admits every insert; ``"lfu"`` adds the
-        tiny-LFU frequency gate described in the module docstring —
-        an insert may only displace the LRU victim if the newcomer has
-        been accessed at least as often.  Either way, returned arrays
-        are identical; only retention differs.
     """
 
-    def __init__(self, budget_bytes: int, admission: str = "lru") -> None:
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
-        if admission not in ("lru", "lfu"):
-            raise ValueError(
-                f"admission must be 'lru' or 'lfu', got {admission!r}"
-            )
         self.budget_bytes = budget_bytes
-        self.admission = admission
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[int, str], np.ndarray]" = OrderedDict()
         self._stats = CacheStats(budget_bytes=budget_bytes)
-        #: Decayed access-frequency sketch (LFU admission only).
-        self._freq: Dict[Tuple[int, str], int] = {}
-        self._freq_samples = 0
 
     # ------------------------------------------------------------------
     # The ColumnReader hook
@@ -148,9 +115,6 @@ class BlockCache:
         # looks up hundreds of keys, and a Python loop here would cost
         # more than the predicate evaluation it feeds.
         with self._lock:
-            if self.admission == "lfu":
-                for key in keys:
-                    self._touch(key)
             found = list(map(entries.get, keys))
             cached = list(map(_IS_ARRAY, found))
             hits = list(compress(keys, cached))
@@ -187,43 +151,14 @@ class BlockCache:
 
     # ------------------------------------------------------------------
 
-    def _touch(self, key: Tuple[int, str]) -> None:
-        """Bump the decayed access-frequency counter (held lock)."""
-        self._freq[key] = min(self._freq.get(key, 0) + 1, _FREQ_CAP)
-        self._freq_samples += 1
-        if self._freq_samples >= _FREQ_SAMPLE_LIMIT:
-            # Halve every counter (dropping zeros) so popularity decays
-            # and the sketch cannot grow without bound.
-            self._freq = {
-                k: v // 2 for k, v in self._freq.items() if v >= 2
-            }
-            self._freq_samples = 0
-
     def _insert(self, key: Tuple[int, str], arr: np.ndarray) -> None:
-        """Insert under the held lock, evicting LRU entries to fit.
-
-        Under LFU admission, each needed eviction is gated: the
-        newcomer must have been accessed at least as often as the LRU
-        victim it would displace, otherwise the insert is rejected and
-        the resident working set survives (the newcomer was served
-        decode-through either way).
-        """
+        """Insert under the held lock, evicting LRU entries to fit."""
         if arr.nbytes > self.budget_bytes:
             return  # decode-through: can never fit
         stats = self._stats
         existing = self._entries.pop(key, None)
         if existing is not None:
             stats.cached_bytes -= existing.nbytes
-        if self.admission == "lfu":
-            freq_new = self._freq.get(key, 0)
-            while stats.cached_bytes + arr.nbytes > self.budget_bytes:
-                victim = next(iter(self._entries))
-                if self._freq.get(victim, 0) > freq_new:
-                    stats.admission_rejections += 1
-                    return
-                _, evicted = self._entries.popitem(last=False)
-                stats.cached_bytes -= evicted.nbytes
-                stats.evictions += 1
         self._entries[key] = arr
         stats.cached_bytes += arr.nbytes
         while stats.cached_bytes > self.budget_bytes:

@@ -5,7 +5,9 @@
 query.  :meth:`ServingMetrics.snapshot` freezes the counters into a
 :class:`MetricsSnapshot` with the numbers an operator watches: QPS,
 latency percentiles (p50/p95/p99), cache hit rate, and bytes decoded
-versus bytes served from the buffer pool.
+versus bytes served from the buffer pool.  Multi-layout serving adds
+per-layout win counts; adaptive serving adds the re-optimizer's
+:class:`AdaptSnapshot` ledger.
 """
 
 from __future__ import annotations
@@ -31,12 +33,8 @@ class AdaptSnapshot(Stats):
     a copy) the view every serving snapshot carries.
 
     Filled by the :mod:`repro.adapt` control plane (the serving tier
-    itself never computes these): the current drift score, the
-    rebuild/swap ledger with its decision events, and — under learned
-    multi-layout arbitration — the bandit's win/regret counters
-    (``arbiter`` is duck-typed to
-    :class:`repro.adapt.arbiter.ArbiterStats` so this module stays
-    independent of the control plane).
+    itself never computes these): the current drift score and the
+    rebuild/swap ledger with its decision events.
     """
 
     #: Divergence between the build-time and live workload mixes.
@@ -50,9 +48,6 @@ class AdaptSnapshot(Stats):
     #: (``last_error`` tells them apart).
     rejected: int = counter("repro_adapt_rejected_total", "Candidates built but discarded")
     log_records: int = gauge("repro_adapt_log_records", "Records in the query-log ring")
-    #: Learned-arbiter counters, when one is attached (the arbiter
-    #: renders its own report line as a service resource).
-    arbiter: Optional[object] = None
     generation: int = gauge("repro_adapt_generation", "Generation currently serving")
     #: Drift checks run (every ``check_every`` arrivals).
     checks: int = counter()

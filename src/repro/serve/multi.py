@@ -26,7 +26,7 @@ from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..exec import LayoutBinding, ResultCache, multi_layout_pipeline
 from ..sql.planner import SqlPlanner
 from .cache import BlockCache
-from .metrics import AdaptSnapshot, ServingMetrics
+from .metrics import ServingMetrics
 from .scheduler import Scheduler
 from .service import DEFAULT_CACHE_BUDGET, Service, pooled_engine, serving_router
 
@@ -109,18 +109,8 @@ class MultiLayoutService(Service):
         Optional generation-keyed result cache; entries key on the
         *winning* layout's generation, so the cache is exactly as
         stale-proof as single-layout serving.
-    arbiter_policy:
-        Optional pluggable arbitration policy (duck-typed
-        ``choose(query, bindings, scores) -> index``, e.g.
-        :class:`repro.adapt.arbiter.LearnedArbiter`); the static
-        lexicographic argmin when ``None``.  A policy that also
-        implements ``observe(ctx)`` is fed every finished execution
-        so realized costs reach its posteriors, and one
-        that keeps counters (``publish`` / ``report_lines``) joins the
-        service's resources.
     record_sink:
-        Optional query-log sink at the pipeline tail (after the
-        policy's own observer when both are present).
+        Optional query-log sink at the pipeline tail.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; traced queries
         carry an ``arbitrate`` span with the winning layout label and
@@ -136,7 +126,6 @@ class MultiLayoutService(Service):
         queue_depth: int = 64,
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
-        arbiter_policy: Optional[object] = None,
         record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> None:
@@ -147,7 +136,6 @@ class MultiLayoutService(Service):
         self.bindings, caches = _bindings_for(
             layouts, profile, cache_budget_bytes
         )
-        self.arbiter_policy = arbiter_policy
         metrics = ServingMetrics()
         scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
         pipeline = multi_layout_pipeline(
@@ -156,7 +144,6 @@ class MultiLayoutService(Service):
             profile=profile,
             result_cache=result_cache,
             metrics=metrics,
-            arbiter_policy=arbiter_policy,
             record_sink=record_sink,
             tracer=tracer,
         )
@@ -166,12 +153,11 @@ class MultiLayoutService(Service):
             for binding, cache in zip(self.bindings, caches)
             if cache is not None
         ]
-        learned = [(arbiter_policy, {})] if hasattr(arbiter_policy, "publish") else []
         super().__init__(
             pipeline,
             scheduler,
             metrics,
-            [(metrics, {}), (self._arbiter, {}), *learned, (scheduler, {})]
+            [(metrics, {}), (self._arbiter, {}), (scheduler, {})]
             + pools
             + [(pipeline.stage("result_cache"), {})],
             block_caches=[cache for cache, _ in pools],
@@ -191,14 +177,6 @@ class MultiLayoutService(Service):
             (binding.label, score)
             for binding, score in zip(self.bindings, choice.scores)
         )
-
-    def adapt_snapshot(self) -> Optional[AdaptSnapshot]:
-        """Under a learning policy the arbiter's win/regret counters
-        ride along in ``snapshot().adapt``."""
-        policy = self.arbiter_policy
-        if policy is not None and hasattr(policy, "stats"):
-            return AdaptSnapshot(arbiter=policy.stats())
-        return None
 
     def __repr__(self) -> str:
         labels = ", ".join(b.label for b in self.bindings)

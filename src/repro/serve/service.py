@@ -115,15 +115,10 @@ def pooled_engine(
     profile: CostProfile,
     num_advanced_cuts: int,
     cache_budget_bytes: Optional[int],
-    admission: str = "lru",
 ) -> Tuple[ScanEngine, Optional[BlockCache]]:
     """A scan engine reading through its own buffer pool
     (``0``/``None`` budget: no pool, every scan decodes)."""
-    cache = (
-        BlockCache(cache_budget_bytes, admission=admission)
-        if cache_budget_bytes
-        else None
-    )
+    cache = BlockCache(cache_budget_bytes) if cache_budget_bytes else None
     engine = ScanEngine(
         store,
         profile,
@@ -395,9 +390,6 @@ class LayoutService(Service):
         Optional query-log sink (``observe(ctx)``, e.g. a
         :class:`repro.adapt.log.QueryLog`) appended as the pipeline's
         tail stage.
-    admission:
-        Buffer-pool admission policy, ``"lru"`` or ``"lfu"`` (see
-        :class:`~repro.serve.cache.BlockCache`).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when given, every
         served query records one per-stage trace.  ``None`` (default)
@@ -418,13 +410,12 @@ class LayoutService(Service):
         generation: int = 0,
         metrics: Optional[ServingMetrics] = None,
         record_sink: Optional[object] = None,
-        admission: str = "lru",
         tracer: Optional[object] = None,
     ) -> None:
         self.store = store
         self.generation = generation
         self.engine, self.cache = pooled_engine(
-            store, profile, num_advanced_cuts, cache_budget_bytes, admission
+            store, profile, num_advanced_cuts, cache_budget_bytes
         )
         self.router = serving_router(tree, store)
         metrics = metrics if metrics is not None else ServingMetrics()

@@ -203,10 +203,9 @@ class ShardedLayoutService(Service):
         Optional generation-keyed :class:`~repro.exec.ResultCache`,
         consulted at the coordinator: a hit skips the whole scatter —
         no shard sees the query at all.
-    record_sink / admission:
+    record_sink:
         Query-log sink appended at the coordinator pipeline's tail
-        (shards never double-record) and the per-shard buffer-pool
-        admission policy.
+        (shards never double-record).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` attached at the
         coordinator pipeline: each query's trace carries the
@@ -230,7 +229,6 @@ class ShardedLayoutService(Service):
         result_cache: Optional[ResultCache] = None,
         generation: int = 0,
         record_sink: Optional[object] = None,
-        admission: str = "lru",
         tracer: Optional[object] = None,
     ) -> None:
         if num_shards < 1:
@@ -262,9 +260,7 @@ class ShardedLayoutService(Service):
             Shard(
                 i,
                 sub,
-                *pooled_engine(
-                    sub, profile, num_advanced_cuts, per_shard_budget, admission
-                ),
+                *pooled_engine(sub, profile, num_advanced_cuts, per_shard_budget),
                 Scheduler(max_workers_per_shard, queue_depth),
                 ServingMetrics(),
             )

@@ -1,16 +1,14 @@
 """The repro.adapt control plane: log capture, drift detection,
-learned arbitration, background re-optimization with hot swap.
+background re-optimization with hot swap.
 
-Acceptance proofs (ISSUE 5):
+Acceptance proofs:
 
 * **Closed loop** — under a drifting replay the adaptive service
   performs ≥1 background rebuild + generation swap with bit-identical
   query results throughout, and blocks scanned on the post-drift mix
   drop to ≤70% of the frozen layout (avoided work, not wall-clock).
-* **Learned arbiter differential** — on a stationary workload it
-  converges to the same winners as the static (blocks, bytes) score;
-  on a skewed two-template workload its cumulative blocks scanned is
-  ≤ the static arbiter's.
+* **Crash safety** — a rebuild that raises after its candidate was
+  built drops the candidate and books a rejection.
 """
 
 import numpy as np
@@ -19,7 +17,6 @@ import pytest
 from repro.adapt import (
     AdaptPolicy,
     DriftDetector,
-    LearnedArbiter,
     QueryLog,
     WorkloadSignature,
     divergence,
@@ -398,6 +395,36 @@ class TestClosedLoop:
         assert db.active_layout is frozen
         assert len(db.layouts()) == 1  # rejected candidates dropped
 
+    def test_crashed_decision_drops_its_candidate(self, schema, monkeypatch):
+        """A rebuild that raises after ``build_layout`` returned must
+        not leave the candidate generation (a full table copy)
+        registered; the ledger books it as a rejected rebuild."""
+        from repro.adapt import reoptimize
+
+        db = make_db(schema, rows=4_000, seed=13)
+        frozen = db.build_layout("greedy", workload=X_SQL)
+        calls = []
+
+        def crash_on_candidate(handle, weighted_queries):
+            calls.append(handle)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return offline_blocks_cost(handle, weighted_queries)
+
+        monkeypatch.setattr(reoptimize, "offline_blocks_cost", crash_on_candidate)
+        # An evidence floor the replay never reaches: only adapt_now()
+        # rebuilds.
+        policy = AdaptPolicy(min_records=1_000, window=64)
+        with db.auto_adapt(policy=policy, result_cache=False) as service:
+            service.run_closed_loop(Y_SQL, repeat=2)
+            assert service.reoptimizer.adapt_now() is None
+            stats = service.reoptimizer.stats()
+        assert len(calls) == 2
+        assert db.layouts() == (frozen,)
+        assert db.active_layout is frozen
+        assert stats.rejected == 1 and stats.swaps == 0
+        assert stats.last_error == "RuntimeError: injected"
+
     def test_result_cache_false_disables_caching(self, schema):
         db = make_db(schema, rows=4_000, seed=11)
         db.build_layout("greedy", workload=X_SQL)
@@ -434,92 +461,6 @@ class TestClosedLoop:
         assert snap.adapt.swaps == sum(
             1 for e in service.events if e.kind == "swap"
         )
-
-
-# ----------------------------------------------------------------------
-# Learned arbiter differential (ISSUE acceptance)
-# ----------------------------------------------------------------------
-
-
-class TestLearnedArbiter:
-    def _two_layout_db(self, schema, rows=12_000, seed=6):
-        db = make_db(schema, rows=rows, seed=seed)
-        db.build_layout("range", column="x", label="by-x")
-        db.build_layout("range", column="y", label="by-y", activate=False)
-        return db
-
-    def test_stationary_converges_to_static_winners(self, schema):
-        db = self._two_layout_db(schema)
-        statements = [s for pair in zip(X_SQL, Y_SQL) for s in pair]
-
-        with db.serve_multi(result_cache=False) as static:
-            static_winners = {
-                sql: static.execute_sql(sql).winner for sql in statements
-            }
-            static_blocks = static.snapshot().blocks_scanned
-
-        learned_policy = LearnedArbiter(epsilon=0.0)
-        with db.serve_multi(
-            result_cache=False, arbiter=learned_policy
-        ) as learned:
-            # Warm-up pass (posteriors fill), then the measured pass.
-            for sql in statements:
-                learned.execute_sql(sql)
-            learned_winners = {
-                sql: learned.execute_sql(sql).winner for sql in statements
-            }
-        assert learned_winners == static_winners
-        stats = learned_policy.stats()
-        assert stats.decisions == 2 * len(statements)
-        assert stats.agreements == stats.decisions  # full agreement
-        # Cumulative blocks over both passes == 2x the static pass:
-        # the learned arbiter never leaves the blocks-minimal set.
-        with db.serve_multi(
-            result_cache=False, arbiter=LearnedArbiter(epsilon=0.0)
-        ) as fresh:
-            for sql in statements:
-                fresh.execute_sql(sql)
-            learned_blocks_one_pass = fresh.snapshot().blocks_scanned
-        assert learned_blocks_one_pass == static_blocks
-
-    def test_skewed_two_template_cumulative_blocks_le_static(self, schema):
-        db = self._two_layout_db(schema, seed=7)
-        # Skewed: 90% x-template, 10% y-template.
-        statements = X_SQL * 3 + Y_SQL[:2]
-
-        def total_blocks(arbiter):
-            with db.serve_multi(
-                result_cache=False, arbiter=arbiter
-            ) as service:
-                for _ in range(3):
-                    for sql in statements:
-                        service.execute_sql(sql)
-                return service.snapshot().blocks_scanned
-
-        static_total = total_blocks("static")
-        learned_total = total_blocks(LearnedArbiter(epsilon=0.1, seed=0))
-        assert learned_total <= static_total
-
-    def test_learned_arbiter_observes_through_pipeline(self, schema):
-        db = self._two_layout_db(schema, seed=8)
-        policy = LearnedArbiter(epsilon=0.0)
-        with db.serve_multi(result_cache=False, arbiter=policy) as service:
-            result = service.execute_sql(X_SQL[0])
-        template = "x < & x >="
-        posterior = policy.posterior(result.generation, template)
-        assert posterior is not None
-        count, mean_bytes = posterior
-        assert count == 1
-        assert mean_bytes == float(result.stats.bytes_read)
-        # Report surfaces the bandit counters.
-        report = service.report()
-        assert "learned arbiter" in report
-
-    def test_unknown_arbiter_name_rejected(self, schema):
-        db = self._two_layout_db(schema, seed=9)
-        with pytest.raises(Exception):
-            with db.serve_multi(arbiter=object()) as service:
-                service.execute_sql(X_SQL[0])
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,6 @@ import pytest
 from repro.baselines import RandomPartitioner
 from repro.bench import (
     build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
     format_cdf,
     format_series,
     format_table,
@@ -15,6 +13,7 @@ from repro.bench import (
     run_physical,
     sample_for_construction,
 )
+from repro.db import Database
 from repro.engine import COMMERCIAL_DBMS, SPARK_PARQUET
 from repro.workloads import disjunctive_dataset
 
@@ -22,6 +21,17 @@ from repro.workloads import disjunctive_dataset
 @pytest.fixture(scope="module")
 def dataset():
     return disjunctive_dataset(num_rows=10_000, seed=0)
+
+
+def database(dataset):
+    return Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    )
+
+
+@pytest.fixture(scope="module")
+def greedy(dataset):
+    return database(dataset).build_layout("greedy", workload=dataset.workload)
 
 
 class TestHarness:
@@ -35,17 +45,18 @@ class TestHarness:
         assert sample.num_rows == dataset.table.num_rows // 10
         assert b == max(1, round(dataset.min_block_size * 0.1))
 
-    def test_greedy_layout(self, dataset):
-        layout = build_greedy_layout(dataset)
-        assert layout.tree is not None
-        assert layout.num_blocks >= 2
-        assert layout.build_seconds > 0
-        assert layout.store.logical_rows == dataset.table.num_rows
+    def test_greedy_layout(self, dataset, greedy):
+        assert greedy.tree is not None
+        assert greedy.num_blocks >= 2
+        assert greedy.build_seconds > 0
+        assert greedy.store.logical_rows == dataset.table.num_rows
 
     def test_rl_layout(self, dataset):
-        layout = build_rl_layout(dataset, episodes=5, hidden_dim=16)
-        assert layout.rl_result is not None
-        assert layout.rl_result.episodes_run == 5
+        layout = database(dataset).build_layout(
+            "woodblock", workload=dataset.workload, episodes=5, hidden_dim=16
+        )
+        assert layout.diagnostics is not None
+        assert layout.diagnostics.episodes_run == 5
 
     def test_baseline_layout(self, dataset):
         layout = build_baseline_layout(
@@ -54,8 +65,7 @@ class TestHarness:
         assert layout.tree is None
         assert layout.label == "random"
 
-    def test_logical_access_pct_qdtree_beats_random(self, dataset):
-        greedy = build_greedy_layout(dataset)
+    def test_logical_access_pct_qdtree_beats_random(self, dataset, greedy):
         random = build_baseline_layout(
             dataset, RandomPartitioner(block_size=1000)
         )
@@ -63,19 +73,17 @@ class TestHarness:
             logical_access_pct(random, dataset.workload)
         )
 
-    def test_run_physical_routing_vs_no_route(self, dataset):
-        layout = build_greedy_layout(dataset)
-        routed = run_physical(layout, dataset.workload, SPARK_PARQUET)
+    def test_run_physical_routing_vs_no_route(self, dataset, greedy):
+        routed = run_physical(greedy, dataset.workload, SPARK_PARQUET)
         no_route = run_physical(
-            layout, dataset.workload, SPARK_PARQUET, use_routing=False
+            greedy, dataset.workload, SPARK_PARQUET, use_routing=False
         )
         assert routed.total_tuples_scanned <= no_route.total_tuples_scanned
         assert "no route" in no_route.label
 
-    def test_run_physical_profiles_differ(self, dataset):
-        layout = build_greedy_layout(dataset)
-        parquet = run_physical(layout, dataset.workload, SPARK_PARQUET)
-        dbms = run_physical(layout, dataset.workload, COMMERCIAL_DBMS)
+    def test_run_physical_profiles_differ(self, dataset, greedy):
+        parquet = run_physical(greedy, dataset.workload, SPARK_PARQUET)
+        dbms = run_physical(greedy, dataset.workload, COMMERCIAL_DBMS)
         assert parquet.total_modeled_ms != dbms.total_modeled_ms
 
 

@@ -338,7 +338,6 @@ class TestAdaptCommands:
                 "serve-bench",
                 "--layout", str(adaptive_layout_dir),
                 "--adapt",
-                "--admission", "lfu",
                 "--repeat", "3",
             ]
         )

@@ -494,6 +494,14 @@ class TestServe:
         with pytest.raises(TypeError, match="coordinator_workers"):
             db.serve(max_workers=2, coordinator_workers=8)
 
+    def test_serve_rejects_non_lru_admission(self, db):
+        db.build_layout("greedy", workload=STATEMENTS)
+        with db.serve(max_workers=1, admission="lru") as service:
+            assert service.execute_sql(STATEMENTS[0]).stats.rows_returned >= 0
+        for policy in ("lfu", "arc"):
+            with pytest.raises(ValueError, match="admission"):
+                db.serve(admission=policy)
+
     def test_result_cache_keyed_by_profile(self, db):
         from repro.engine.profiles import SPARK_PARQUET, CostProfile
 

@@ -10,13 +10,12 @@ from repro.baselines import (
 )
 from repro.bench import (
     build_baseline_layout,
-    build_greedy_layout,
-    build_rl_layout,
     logical_access_pct,
     materialize_tree,
     run_physical,
 )
 from repro.core import QdTree, QueryRouter
+from repro.db import Database
 from repro.engine import SPARK_PARQUET, speedup_cdf
 from repro.sql import SqlPlanner
 from repro.storage import load_store, save_store
@@ -37,6 +36,12 @@ def errlog():
     return errorlog_int_dataset(num_rows=20_000, num_queries=60, seed=0)
 
 
+def database(dataset):
+    return Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    )
+
+
 class TestTpchPipeline:
     def test_layout_ordering_matches_paper(self, tpch):
         """Greedy qd-tree < Random in access % (the Table 2 ordering)."""
@@ -45,7 +50,9 @@ class TestTpchPipeline:
         random = build_baseline_layout(
             tpch, RandomPartitioner(block_size=tpch.min_block_size * 4)
         )
-        greedy = build_greedy_layout(tpch, registry=registry)
+        greedy = database(tpch).build_layout(
+            "greedy", workload=tpch.workload, registry=registry
+        )
         rnd_pct = logical_access_pct(
             random, tpch.workload, num_advanced_cuts=nac
         )
@@ -56,7 +63,7 @@ class TestTpchPipeline:
 
     def test_greedy_within_factor_of_selectivity(self, tpch):
         """The paper's headline: within ~2-3x of the selectivity bound."""
-        greedy = build_greedy_layout(tpch)
+        greedy = database(tpch).build_layout("greedy", workload=tpch.workload)
         pct = logical_access_pct(
             greedy, tpch.workload,
             num_advanced_cuts=tpch.registry().num_advanced_cuts,
@@ -70,7 +77,9 @@ class TestTpchPipeline:
         random = build_baseline_layout(
             tpch, RandomPartitioner(block_size=tpch.min_block_size * 4)
         )
-        greedy = build_greedy_layout(tpch, registry=registry)
+        greedy = database(tpch).build_layout(
+            "greedy", workload=tpch.workload, registry=registry
+        )
         rnd = run_physical(
             random, tpch.workload, SPARK_PARQUET, num_advanced_cuts=nac
         )
@@ -83,7 +92,9 @@ class TestTpchPipeline:
 
     def test_persist_and_requery(self, tpch, tmp_path):
         registry = tpch.registry()
-        layout = build_greedy_layout(tpch, registry=registry)
+        layout = database(tpch).build_layout(
+            "greedy", workload=tpch.workload, registry=registry
+        )
         save_store(layout.store, tmp_path / "tpch")
         layout.tree.save(str(tmp_path / "tree.json"))
         store = load_store(tmp_path / "tpch")
@@ -113,7 +124,7 @@ class TestErrorLogPipeline:
         assert pct > 50.0
 
     def test_qdtree_aggressive_skipping(self, errlog):
-        greedy = build_greedy_layout(errlog)
+        greedy = database(errlog).build_layout("greedy", workload=errlog.workload)
         pct = logical_access_pct(greedy, errlog.workload)
         assert pct < 20.0
 
@@ -130,7 +141,9 @@ class TestErrorLogPipeline:
                 ),
             ),
         )
-        greedy = build_greedy_layout(errlog, registry=registry)
+        greedy = database(errlog).build_layout(
+            "greedy", workload=errlog.workload, registry=registry
+        )
         rng_layout = build_baseline_layout(
             errlog, RangePartitioner(column="ingest_date", block_size=2000)
         )
@@ -143,7 +156,7 @@ class TestErrorLogPipeline:
 
     def test_query_results_identical_across_layouts(self, errlog):
         """Layouts change performance, never answers."""
-        greedy = build_greedy_layout(errlog)
+        greedy = database(errlog).build_layout("greedy", workload=errlog.workload)
         random = build_baseline_layout(
             errlog, RandomPartitioner(block_size=2000)
         )
@@ -185,9 +198,12 @@ class TestRlIntegration:
     def test_rl_beats_greedy_on_disjunctive(self):
         ds = disjunctive_dataset(num_rows=10_000, seed=0)
         registry = ds.registry()
-        greedy = build_greedy_layout(ds, registry=registry)
-        rl = build_rl_layout(
-            ds, registry=registry, episodes=40, hidden_dim=32, seed=3
+        greedy = database(ds).build_layout(
+            "greedy", workload=ds.workload, registry=registry
+        )
+        rl = database(ds).build_layout(
+            "woodblock", workload=ds.workload, registry=registry,
+            episodes=40, hidden_dim=32, seed=3,
         )
         g_pct = logical_access_pct(greedy, ds.workload)
         rl_pct = logical_access_pct(rl, ds.workload)
@@ -196,9 +212,12 @@ class TestRlIntegration:
     def test_speedup_cdf_favors_rl(self):
         ds = disjunctive_dataset(num_rows=10_000, seed=0)
         registry = ds.registry()
-        greedy = build_greedy_layout(ds, registry=registry)
-        rl = build_rl_layout(
-            ds, registry=registry, episodes=40, hidden_dim=32, seed=3
+        greedy = database(ds).build_layout(
+            "greedy", workload=ds.workload, registry=registry
+        )
+        rl = database(ds).build_layout(
+            "woodblock", workload=ds.workload, registry=registry,
+            episodes=40, hidden_dim=32, seed=3,
         )
         g = run_physical(greedy, ds.workload, SPARK_PARQUET)
         r = run_physical(rl, ds.workload, SPARK_PARQUET)

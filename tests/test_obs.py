@@ -242,7 +242,7 @@ class TestBench:
             {
                 "n": np.int64(3),
                 "f": np.float64(0.5),
-                "stats": CacheStats(1, 2, 0, 3, 4, 5, 6, 7, 0),
+                "stats": CacheStats(1, 2, 0, 3, 4, 5, 6, 7),
                 "seq": (np.int64(1), 2),
             }
         )

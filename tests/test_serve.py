@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench import build_greedy_layout
+from repro.db import Database
 from repro.engine import ScanEngine
 from repro.serve import (
     AdmissionRejected,
@@ -21,7 +21,9 @@ from repro.workloads import disjunctive_dataset
 
 @pytest.fixture(scope="module")
 def layout():
-    return build_greedy_layout(disjunctive_dataset(num_rows=20_000, seed=0))
+    ds = disjunctive_dataset(num_rows=20_000, seed=0)
+    db = Database.from_table(ds.table, min_block_size=ds.min_block_size)
+    return db.build_layout("greedy", workload=ds.workload)
 
 
 STATEMENTS = [
@@ -132,10 +134,8 @@ class TestAdvancedCutAlignment:
         different slot index and prune on the wrong possibility bits."""
         import numpy as np
 
-        from repro.bench import build_greedy_layout
         from repro.core.cuts import CutRegistry
         from repro.storage import Schema, Table, numeric
-        from repro.workloads import Dataset
 
         rng = np.random.default_rng(7)
         schema = Schema(
@@ -155,8 +155,9 @@ class TestAdvancedCutAlignment:
         planner = SqlPlanner(schema)
         workload = planner.plan_workload(build_statements)
         registry = CutRegistry.from_workload(schema, workload)
-        dataset = Dataset("adv", schema, table, workload, min_block_size=500)
-        layout = build_greedy_layout(dataset, registry=registry)
+        layout = Database.from_table(table, min_block_size=500).build_layout(
+            "greedy", workload=workload, registry=registry
+        )
 
         # Serve ONLY the second statement — out of build order.
         served_sql = build_statements[1]
@@ -207,6 +208,27 @@ class TestBlockCache:
         misses_before = cache.stats().misses
         cache.read_columns(store.block(1), ["x"])
         assert cache.stats().misses == misses_before + 1
+
+    def test_hot_block_between_cold_pairs_exact_lru_counts(self, store):
+        """One hot block re-read between pairs of one-shot cold blocks,
+        with room for two columns: strict LRU evicts the hot column
+        before its next touch, so every read misses.  The counts pin
+        the eviction order exactly; the served arrays stay the
+        block's own values."""
+        one = store.block(0).decoded_nbytes(["x"])
+        cache = BlockCache(budget_bytes=2 * one)
+        cold = [store.block(bid) for bid in range(1, len(store))]
+        reads = []
+        for i in range(30):
+            reads.append(store.block(0))
+            reads += [cold[(2 * i) % len(cold)], cold[(2 * i + 1) % len(cold)]]
+        for block in reads:
+            np.testing.assert_array_equal(
+                cache.read_columns(block, ["x"])["x"], block.read_column("x")
+            )
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 90, 88)
+        assert sorted(cache._entries) == [(3, "x"), (4, "x")]
 
     def test_oversized_entry_is_decode_through(self, store):
         cache = BlockCache(budget_bytes=10)  # smaller than any column

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import build_greedy_layout
+from repro.db import Database
 from repro.serve import (
     AdmissionRejected,
     BlockCache,
@@ -36,7 +36,9 @@ NUM_CLIENTS = 8
 
 @pytest.fixture(scope="module")
 def layout():
-    return build_greedy_layout(disjunctive_dataset(num_rows=20_000, seed=0))
+    ds = disjunctive_dataset(num_rows=20_000, seed=0)
+    db = Database.from_table(ds.table, min_block_size=ds.min_block_size)
+    return db.build_layout("greedy", workload=ds.workload)
 
 
 REPEATED = [

@@ -14,7 +14,7 @@ admissible if it is provably equivalent to the unpartitioned plan.
 import numpy as np
 import pytest
 
-from repro.bench import build_greedy_layout
+from repro.db import Database
 from repro.core.router import subtree_shard_assignment
 from repro.serve import LayoutService, ShardedLayoutService, run_serial_baseline
 from repro.sql import SqlPlanner
@@ -60,7 +60,9 @@ def layout():
         workload=workload,
         min_block_size=300,
     )
-    return build_greedy_layout(dataset)
+    return Database.from_table(
+        dataset.table, min_block_size=dataset.min_block_size
+    ).build_layout("greedy", workload=dataset.workload)
 
 
 def random_statements(seed: int, count: int = 24):
