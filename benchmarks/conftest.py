@@ -6,7 +6,6 @@ suite completes in minutes on a laptop while preserving the paper's
 result *shapes* (who wins, rough factors, crossovers).
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

@@ -7,9 +7,6 @@ A4 — advanced cuts on/off for TPC-H.
 A5 — explicit BID routing vs `no route` min-max pruning only.
 """
 
-import numpy as np
-import pytest
-
 from repro.bench import (
     format_table,
     logical_access_pct,
@@ -26,8 +23,6 @@ from repro.core import (
 from repro.core.greedy import cut_gains
 from repro.db import Database
 from repro.engine import SPARK_PARQUET
-from repro.workloads import tpch_dataset
-from repro.workloads.tpch import generate_workload
 
 
 def choose_zero_gain(episode, node, options):

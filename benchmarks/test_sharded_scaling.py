@@ -2,15 +2,17 @@
 
 Replays the repeated TPC-H-style workload through the
 :class:`~repro.serve.shard.ShardedLayoutService` at 1 and 4 shards
-(equal per-shard resources: a shard models a machine, so adding shards
-adds capacity) and measures scaling two ways:
+(the same scheduler workers in front of both; a shard models a
+machine, so adding shards adds capacity) and measures scaling two
+ways:
 
 * **wall-clock QPS** — the real sustained throughput ratio, printed
   for context only.  All shards here are thread pools inside one
   GIL-bound CPython process, and the ratio moves with the host's
   scheduling from run to run, so it is not asserted.
 * **critical-path speedup, counted in tuples** — per-shard tuples
-  scanned are summed (the work a 1-shard service executes serially)
+  scanned (read off each query trace's ``scatter_scan.shard<i>``
+  spans) are summed (the work a 1-shard service executes serially)
   and divided by the busiest shard's tuples (the scatter-gather
   critical path once each shard owns its machine, which is what a
   shard models).  This is the partition balance the topology
@@ -24,9 +26,10 @@ import os
 
 import pytest
 
+from repro.obs import Tracer
 from repro.serve import LayoutService, ShardedLayoutService
 
-WORKERS_PER_SHARD = 2
+WORKERS = 2
 REPEAT = 20
 SHARDS = 4
 
@@ -45,30 +48,36 @@ STATEMENTS = [
 ]
 
 
-def shard_tuples_scanned(service) -> list:
-    """Per-shard tuples scanned over the service's lifetime."""
-    return [snap.metrics.tuples_scanned for snap in service.shard_snapshots()]
+def shard_tuples_scanned(tracer: Tracer) -> list:
+    """Per-shard tuples scanned over every traced query."""
+    tuples = [0] * SHARDS
+    for trace in tracer.query_traces():
+        for span in trace.child_spans("scatter_scan"):
+            tuples[span.attrs["shard"]] += span.attrs["tuples_scanned"]
+    return tuples
 
 
 def run_single(layout, repeat=REPEAT):
     with LayoutService(
         layout.store,
         layout.tree,
-        max_workers=WORKERS_PER_SHARD,
+        max_workers=WORKERS,
     ) as service:
         return service.run_closed_loop(STATEMENTS, repeat=repeat)
 
 
 def run_sharded(layout, partition, repeat=REPEAT):
+    tracer = Tracer()
     with ShardedLayoutService(
         layout.store,
         layout.tree,
         num_shards=SHARDS,
         partition=partition,
-        max_workers_per_shard=WORKERS_PER_SHARD,
+        max_workers=WORKERS,
+        tracer=tracer,
     ) as service:
         replay = service.run_closed_loop(STATEMENTS, repeat=repeat)
-        return replay, shard_tuples_scanned(service), service.mean_fanout
+        return replay, shard_tuples_scanned(tracer), service.mean_fanout
 
 
 @pytest.mark.parametrize("partition", ["rr", "subtree"])

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import (
-    CutRegistry,
     GreedyConfig,
     QueryRouter,
     QdTree,

@@ -24,7 +24,7 @@ from repro.core import (
     leaf_sizes,
     per_query_accessed,
 )
-from repro.workloads import disjunctive_dataset, overlap_dataset
+from repro.workloads import overlap_dataset
 
 
 def part1_overlap() -> None:

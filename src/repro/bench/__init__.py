@@ -7,7 +7,6 @@ from .harness import (
     logical_access_pct,
     materialize_tree,
     run_physical,
-    sample_for_construction,
 )
 from .report import format_cdf, format_series, format_table
 
@@ -23,5 +22,4 @@ __all__ = [
     "logical_access_pct",
     "materialize_tree",
     "run_physical",
-    "sample_for_construction",
 ]

@@ -13,9 +13,7 @@ go into :func:`logical_access_pct` and :func:`run_physical`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from ..core.router import QueryRouter
 from ..core.tree import QdTree
@@ -33,7 +31,6 @@ __all__ = [
     "build_baseline_layout",
     "logical_access_pct",
     "run_physical",
-    "sample_for_construction",
 ]
 
 
@@ -49,22 +46,6 @@ class LayoutResult:
     @property
     def num_blocks(self) -> int:
         return self.store.num_blocks
-
-
-def sample_for_construction(
-    dataset: Dataset, sample_ratio: Optional[float], seed: int = 0
-) -> Tuple[Table, int]:
-    """(construction sample, b scaled to sample rows) — Sec. 5.2.1.
-
-    ``sample_ratio=None`` uses the full table (appropriate at our
-    generated scales; the paper samples 0.1%-1% of 77M+ rows).
-    """
-    if sample_ratio is None:
-        return dataset.table, dataset.min_block_size
-    rng = np.random.default_rng(seed)
-    sample = dataset.table.sample(sample_ratio, rng)
-    scaled_b = max(1, round(dataset.min_block_size * sample_ratio))
-    return sample, scaled_b
 
 
 def materialize_tree(tree: QdTree, table: Table) -> BlockStore:

@@ -71,8 +71,9 @@ from typing import List, Optional
 
 from .adapt import AdaptPolicy
 from .db import Database, get_strategy, strategy_names
+from .exec import ResultCache
 from .obs import MetricsRegistry, Tracer, plain
-from .serve import ResultCache, run_serial_baseline
+from .serve import run_serial_baseline
 from .storage.catalog import load_table
 
 __all__ = ["main"]

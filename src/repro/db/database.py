@@ -49,13 +49,12 @@ from ..core.workload import Workload
 from ..core.cuts import CutRegistry
 from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
-from ..exec import QueryPipeline, ServeResult, single_layout_pipeline
+from ..exec import QueryPipeline, ResultCache, ServeResult, single_layout_pipeline
 from ..obs.clock import now
 from ..serve import (
     DEFAULT_CACHE_BUDGET,
     LayoutService,
     MultiLayoutService,
-    ResultCache,
     ShardedLayoutService,
 )
 from ..sql.planner import SqlPlanner
@@ -641,13 +640,13 @@ class Database:
         admission: str = "lru",
         record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
-        **kwargs,
     ):
         """Stand up the serving tier over a layout (default: active).
 
         ``shards=1`` returns a :class:`LayoutService`; ``shards>1`` a
         scatter-gather :class:`ShardedLayoutService` (``max_workers``
-        then sizes each shard's pool).  Both share the database's
+        then sizes the coordinator); ``shards<1`` raises
+        :class:`ValueError`.  Both share the database's
         planner and — unless ``result_cache=False`` — its
         generation-keyed result cache, stamped with the layout's
         generation (pass a :class:`ResultCache` instance instead of
@@ -663,11 +662,14 @@ class Database:
             raise ValueError(
                 f"the buffer pool is LRU only, got admission={admission!r}"
             )
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         handle = self._resolve(layout)
         common = dict(
             profile=profile,
             num_advanced_cuts=handle.num_advanced_cuts,
             cache_budget_bytes=cache_budget_bytes,
+            max_workers=max_workers,
             queue_depth=queue_depth,
             planner=self.planner,
             result_cache=self._resolve_result_cache(result_cache),
@@ -681,21 +683,9 @@ class Database:
                 handle.tree,
                 num_shards=shards,
                 partition=partition,
-                max_workers_per_shard=max_workers,
                 **common,
-                **kwargs,
             )
-        if kwargs:
-            # The sharded branch forwards extras (coordinator_workers,
-            # ...); silently swallowing them here would make typos and
-            # shard-only options look like they took effect.
-            raise TypeError(
-                "unknown serve() options for unsharded serving: "
-                + ", ".join(sorted(kwargs))
-            )
-        return LayoutService(
-            handle.store, handle.tree, max_workers=max_workers, **common
-        )
+        return LayoutService(handle.store, handle.tree, **common)
 
     def serve_multi(
         self,

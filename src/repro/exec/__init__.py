@@ -18,7 +18,7 @@ a stage is given: the serial baseline routes from scratch on every
 arrival (no memo, no cache); the library path adds the generation-keyed
 result cache and a per-handle memo; the serving facade adds metrics;
 the sharded coordinator swaps the scan stage for a scatter-gather over
-per-shard schedulers; the multi-layout arbiter swaps the route stage
+per-shard engines; the multi-layout arbiter swaps the route stage
 for a cost-model arbitration across several layouts (see
 :class:`ArbitrateStage`).
 

@@ -370,6 +370,7 @@ def single_layout_pipeline(
 def sharded_pipeline(
     planner: SqlPlanner,
     shards: Sequence[object],
+    partition: str,
     router: Optional[QueryRouter],
     engine: ScanEngine,
     result_cache: Optional[ResultCache] = None,
@@ -381,14 +382,13 @@ def sharded_pipeline(
     """The scatter-gather coordinator: routing happens once, at the
     coordinator, over the full store (``engine`` is the coordinator's
     own, over all blocks — it never scans), the scan stage splits the
-    survivors by owning shard and fans out to the shard schedulers,
-    and the merge stage folds the parts into one bit-identical
-    result."""
+    survivors by owning shard and scans each part on its shard, and
+    the merge stage folds the parts into one bit-identical result."""
     stages = [
         PlanStage(planner),
         RouteStage(router, engine, memo=RouteMemo()),
         ResultCacheStage(result_cache, generation, profile=engine.profile),
-        ScatterScanStage(shards),
+        ScatterScanStage(shards, partition),
         MergeStage(engine.profile, engine.store.schema),
     ]
     return QueryPipeline(

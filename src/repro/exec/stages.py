@@ -21,8 +21,8 @@ Stage                Responsibility
 
 Two substitutions cover the wider topologies: the sharded coordinator
 replaces scan with :class:`ScatterScanStage` (split the survivors by
-owning shard, scan each part through its shard's scheduler, gather
-the parts); the
+owning shard, scan each part on the shard's engine, gather the
+parts); the
 multi-layout arbiter replaces route with :class:`ArbitrateStage`,
 which scores every candidate layout with a blocks-surviving ×
 bytes-scanned cost model and binds the argmin layout to the context.
@@ -323,28 +323,28 @@ class ScatterScanStage(Stage):
     """Split the survivors by owning shard, scan each shard's part,
     gather the parts.
 
-    Shards are duck-typed records (``store``, ``engine``,
-    ``scheduler``, ``metrics`` — in practice
-    :class:`repro.serve.Shard`): the coordinator pipeline owns
-    planning, routing and the survivor memo; a shard owns its scan,
-    its buffer pool and its local accounting, and this stage is the
-    only code that drives one.
+    Shards are duck-typed records (``index``, ``store``, ``engine``,
+    ``cache`` — in practice :class:`repro.serve.Shard`): the
+    coordinator pipeline owns planning, routing, the survivor memo and
+    the scheduler; a shard owns its blocks and its buffer pool, and
+    this stage is the only code that scans one.
 
     Only shards owning surviving blocks see the query.  Each part runs
-    on the calling coordinator worker, through the shard scheduler's
-    :meth:`~repro.serve.scheduler.Scheduler.run` (admitted, counted and
-    bounded like queued work): a gathered shard scan takes less time
-    than handing it to another thread and waking the caller again, and
-    with one interpreter lock the threads would not overlap anyway.
-    The stage also keeps the fan-out accounting (mean shards scanned
-    per query — the partition-locality metric).
+    on the calling coordinator worker: a gathered shard scan takes
+    less time than handing it to another thread and waking the caller
+    again, and with one interpreter lock the threads would not overlap
+    anyway.  Each part's scan clock and counters land in a
+    ``scan.shard<i>`` mark.  The stage also keeps the fan-out
+    accounting (mean shards scanned per query — the partition-locality
+    metric) and reports the topology.
     """
 
     name = "scan"
     span_name = "scatter_scan"
 
-    def __init__(self, shards: Sequence[object]) -> None:
+    def __init__(self, shards: Sequence[object], partition: str) -> None:
         self.shards = tuple(shards)
+        self.partition = partition
         self._owner = {
             bid: i
             for i, shard in enumerate(self.shards)
@@ -353,17 +353,6 @@ class ScatterScanStage(Stage):
         self._fanout_lock = threading.Lock()
         self._fanout_queries = 0
         self._fanout_shards = 0
-
-    @staticmethod
-    def _scan(
-        shard: object, query: Query, survivors: Sequence[int], considered: int
-    ) -> QueryStats:
-        """The per-shard execution leaf: scan the shard's survivors,
-        book them in the shard's metrics."""
-        t0 = now()
-        stats = shard.engine.execute_pruned(query, survivors, considered)
-        shard.metrics.record(now() - t0, stats)
-        return stats
 
     def _split(self, ctx: ExecContext) -> None:
         """Per-shard survivor lists, candidate counts and the indices
@@ -387,10 +376,9 @@ class ScatterScanStage(Stage):
         self._split(ctx)
         parts = []
         for i in ctx.owners:
-            shard = self.shards[i]
             t_part = now()
-            part = shard.scheduler.run(
-                self._scan, shard, ctx.query, ctx.per_shard[i], ctx.shard_considered[i]
+            part = self.shards[i].engine.execute_pruned(
+                ctx.query, ctx.per_shard[i], ctx.shard_considered[i]
             )
             parts.append(part)
             # Per-shard attribution: dotted sub-keys under the stage's
@@ -431,6 +419,20 @@ class ScatterScanStage(Stage):
         return np.unique(np.concatenate(parts))
 
     # Fan-out observability -------------------------------------------
+
+    def report_lines(self) -> Tuple[str, ...]:
+        lines = [
+            f"topology           {len(self.shards)} shards "
+            f"({self.partition}), mean fan-out {self.mean_fanout:.2f}"
+        ]
+        for shard in self.shards:
+            cache = shard.cache
+            hit_rate = cache.stats().hit_rate if cache is not None else 0.0
+            lines.append(
+                f"  shard {shard.index:<2} {shard.store.num_blocks:>4} blocks  "
+                f"hit rate {100 * hit_rate:.1f}%"
+            )
+        return tuple(lines)
 
     @property
     def mean_fanout(self) -> float:

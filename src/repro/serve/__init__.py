@@ -14,10 +14,11 @@ configuration:
 * :class:`LayoutService` — one layout, one engine, a memory-budgeted
   :class:`BlockCache` buffer pool.
 * :class:`ShardedLayoutService` (:mod:`repro.serve.shard`) — the block
-  store partitioned across N :class:`Shard` records (round-robin by
-  BID or by qd-tree subtree) behind a scatter-gather coordinator that
-  fans each query out only to the shards owning surviving blocks and
-  merges per-shard stats into one bit-identical result.
+  store partitioned across N :class:`Shard` records (a store, its
+  engine and its buffer pool; round-robin by BID or by qd-tree
+  subtree) behind a scatter-gather coordinator whose scheduler is the
+  tier's only pool; each query scans only the shards owning surviving
+  blocks, and per-shard stats merge into one bit-identical result.
 * :class:`MultiLayoutService` (:mod:`repro.serve.multi`) — the same
   table under several layouts at once, with a cost-model arbiter
   routing each query to the layout that scans the least
@@ -27,8 +28,8 @@ configuration:
   re-learns itself; its pipeline and scheduler resolve to the current
   generation.
 
-:class:`ResultCache` (in :mod:`repro.exec.result_cache`, re-exported
-here) layers full result memoization over the routing memo: finished
+:class:`~repro.exec.ResultCache` (:mod:`repro.exec.result_cache`)
+layers full result memoization over the routing memo: finished
 :class:`~repro.engine.executor.QueryStats` are keyed by (query
 fingerprint, layout generation), so repeated queries skip scanning
 entirely, and a generation change (ingest or layout swap
@@ -37,7 +38,6 @@ The cache's byte-bounded row-id store makes repeated
 ``collect_row_ids`` calls free as well.
 """
 
-from ..exec import CachedResult, ResultCache, ResultCacheStats, ServeResult
 from .cache import BlockCache, CacheStats
 from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
 from .multi import MultiLayoutService
@@ -49,7 +49,7 @@ from .service import (
     Service,
     run_serial_baseline,
 )
-from .shard import Shard, ShardSnapshot, ShardedLayoutService
+from .shard import Shard, ShardedLayoutService
 
 __all__ = [
     "AdaptSnapshot",
@@ -57,20 +57,15 @@ __all__ = [
     "BlockCache",
     "DEFAULT_CACHE_BUDGET",
     "CacheStats",
-    "CachedResult",
     "LayoutService",
     "MetricsSnapshot",
     "MultiLayoutService",
     "ReplayResult",
-    "ResultCache",
-    "ResultCacheStats",
     "Scheduler",
     "SchedulerStats",
-    "ServeResult",
     "Service",
     "ServingMetrics",
     "Shard",
-    "ShardSnapshot",
     "ShardedLayoutService",
     "run_serial_baseline",
 ]

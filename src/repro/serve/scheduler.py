@@ -35,9 +35,6 @@ class SchedulerStats(Stats):
     #: Admitted work whose future holds a result.
     completed: int = counter("repro_scheduler_completed_total", "Queries completed")
     rejected: int = counter("repro_scheduler_rejected_total", "Queries shed at admission")
-    #: ``merged`` sums the peaks: each shard pool peaks independently,
-    #: so the sum is the topology's peak concurrent capacity actually
-    #: used (an upper bound on the true simultaneous peak).
     max_in_flight: int = gauge("repro_scheduler_max_in_flight", "Peak concurrent admitted work")
     in_flight: int = gauge("repro_scheduler_in_flight", "Admitted but unfinished right now")
     #: Admitted work whose future holds an exception (or was cancelled).
@@ -120,34 +117,6 @@ class Scheduler:
         future.add_done_callback(self._release)
         return future
 
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute one unit of work on the calling thread, admitted and
-        booked exactly like a submitted one: it waits for an admission
-        slot, counts as in flight while it runs, and ends completed or
-        failed.  For work shorter than a thread hand-off (a shard's
-        scan), where queueing it would cost more than doing it."""
-        if self._shutdown:
-            raise RuntimeError("scheduler is shut down")
-        self._slots.acquire()
-        stats = self._stats
-        with self._lock:
-            stats.submitted += 1
-            stats.in_flight += 1
-            stats.max_in_flight = max(stats.max_in_flight, stats.in_flight)
-        failed = True
-        try:
-            result = fn(*args, **kwargs)
-            failed = False
-            return result
-        finally:
-            self._slots.release()
-            with self._lock:
-                if failed:
-                    stats.failed += 1
-                else:
-                    stats.completed += 1
-                stats.in_flight -= 1
-
     def _release(self, future: "Future[Any]") -> None:
         self._slots.release()
         failed = future.cancelled() or future.exception() is not None
@@ -169,10 +138,10 @@ class Scheduler:
         :class:`~repro.obs.registry.MetricsRegistry`."""
         registry.register_view("scheduler", labels, lambda: self.stats().rows())
 
-    def report_lines(self, title: str = "scheduler") -> Tuple[str, ...]:
+    def report_lines(self) -> Tuple[str, ...]:
         s = self.stats()
         return (
-            f"{title:<18} {s.submitted} submitted / "
+            f"scheduler          {s.submitted} submitted / "
             f"{s.completed} completed / {s.rejected} rejected "
             f"(peak in-flight {s.max_in_flight})",
         )

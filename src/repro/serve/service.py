@@ -155,9 +155,10 @@ class Service:
     :class:`Scheduler`, a :class:`ServingMetrics` window and a flat,
     ordered list of labelled *resources* (everything that keeps
     counters or threads: metrics, schedulers, buffer pools, the stages
-    holding memos and caches, shards, the adaptation ledger).  The
-    client surface, the replay drivers, observability and lifecycle
-    are implemented here exactly once, as loops over those resources;
+    holding memos, caches and fan-out windows, the adaptation
+    ledger).  The client surface, the replay drivers, observability
+    and lifecycle are implemented here exactly once, as loops over
+    those resources;
     :class:`LayoutService`,
     :class:`~repro.serve.shard.ShardedLayoutService`,
     :class:`~repro.serve.multi.MultiLayoutService` and
@@ -165,8 +166,7 @@ class Service:
     that wire a topology and add only the reads that topology has.
 
     ``resources`` order is report order, publish order and close
-    order (so a coordinator pool drains before the shard pools it
-    feeds).  ``block_caches`` are the buffer pools whose merged stats
+    order.  ``block_caches`` are the buffer pools whose merged stats
     the window snapshot carries.
     """
 

@@ -4,11 +4,11 @@
 :class:`~repro.storage.blocks.BlockStore` into N disjoint shards
 (round-robin by BID, or by qd-tree subtree to preserve routing
 locality), gives each one a :class:`Shard` record — store, engine,
-buffer pool, scheduler, metrics, and nothing else: shards never plan,
-route, prune or cache results (a shard's engine builds no block
-metadata) — and fronts them with a scatter-gather
-coordinator.  The coordinator is a configuration of the shared
-:class:`~repro.exec.pipeline.QueryPipeline`::
+buffer pool, and nothing else: shards never plan, route, prune,
+schedule, count or cache results (a shard's engine builds no block
+metadata) — and fronts them with a scatter-gather coordinator whose
+scheduler is the tier's only pool.  The coordinator is a configuration
+of the shared :class:`~repro.exec.pipeline.QueryPipeline`::
 
     SQL text
       -> PlanStage         (shared, memoized)
@@ -19,7 +19,7 @@ coordinator.  The coordinator is a configuration of the shared
                            sees the query at all)
       -> ScatterScanStage  (split the survivors by owning shard and
                            scan ONLY the shards owning surviving
-                           blocks, each through its own scheduler)
+                           blocks, on the coordinator's worker)
       -> MergeStage        (per-shard QueryStats folded into one
                            result with the same ``result_key`` as
                            unsharded execution)
@@ -55,115 +55,30 @@ from ..core.router import subtree_shard_assignment
 from ..core.tree import QdTree
 from ..engine.executor import ScanEngine
 from ..engine.profiles import SPARK_PARQUET, CostProfile
-from ..exec import ResultCache, ScatterScanStage, sharded_pipeline
+from ..exec import ResultCache, sharded_pipeline
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
 from .cache import BlockCache
-from .metrics import MetricsSnapshot, ServingMetrics
-from .scheduler import Scheduler, SchedulerStats
+from .metrics import ServingMetrics
+from .scheduler import Scheduler
 from .service import DEFAULT_CACHE_BUDGET, Service, pooled_engine, serving_router
 
-__all__ = ["Shard", "ShardSnapshot", "ShardedLayoutService"]
-
-
-@dataclass(frozen=True)
-class ShardSnapshot:
-    """One shard's point-in-time observability bundle."""
-
-    shard: int
-    num_blocks: int
-    metrics: MetricsSnapshot
-    scheduler: SchedulerStats
+__all__ = ["Shard", "ShardedLayoutService"]
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard's resources: the blocks it owns and what scans them.
+    """One shard: the blocks it owns and what scans them.
 
     A plain record — :class:`~repro.exec.stages.ScatterScanStage`
-    runs the timed scan leaf through ``scheduler`` and books it in
-    ``metrics``; nothing here executes a query.
+    scans ``engine`` on the calling coordinator worker; nothing here
+    executes a query, keeps counters or owns threads.
     """
 
     index: int
     store: BlockStore
     engine: ScanEngine
     cache: Optional[BlockCache]
-    scheduler: Scheduler
-    metrics: ServingMetrics
-
-    def snapshot(self) -> ShardSnapshot:
-        return ShardSnapshot(
-            shard=self.index,
-            num_blocks=self.store.num_blocks,
-            metrics=self.metrics.snapshot(
-                self.cache.stats() if self.cache is not None else None
-            ),
-            scheduler=self.scheduler.stats(),
-        )
-
-
-class _ShardTier:
-    """The scatter-gather tier as one serving resource: the
-    coordinator pool, the shard schedulers behind it and the scatter
-    stage's fan-out window.  Closing drains the coordinator first —
-    its workers are the only ones running scans through the shard
-    schedulers."""
-
-    def __init__(
-        self,
-        coordinator: Scheduler,
-        shards: Tuple[Shard, ...],
-        scatter: ScatterScanStage,
-        partition: str,
-    ) -> None:
-        self.coordinator = coordinator
-        self.shards = shards
-        self.scatter = scatter
-        self.partition = partition
-
-    def scheduler_stats(self) -> Tuple[SchedulerStats, SchedulerStats]:
-        return (
-            self.coordinator.stats(),
-            SchedulerStats.merged([s.scheduler.stats() for s in self.shards]),
-        )
-
-    def publish(self, registry: object, **labels: object) -> None:
-        self.coordinator.publish(registry, role="coordinator", **labels)
-        for shard in self.shards:
-            own = {"shard": shard.index, **labels}
-            shard.metrics.publish(registry, **own)
-            shard.scheduler.publish(registry, role="shard", **own)
-            if shard.cache is not None:
-                shard.cache.publish(registry, **own)
-
-    def report_lines(self) -> Tuple[str, ...]:
-        _, pools = self.scheduler_stats()
-        lines = [
-            f"topology           {len(self.shards)} shards "
-            f"({self.partition}), mean fan-out {self.scatter.mean_fanout:.2f}",
-            *self.coordinator.report_lines("coordinator"),
-            f"shard pools        {pools.submitted} scans / "
-            f"{pools.completed} completed (peak in-flight {pools.max_in_flight})",
-        ]
-        for s in (shard.snapshot() for shard in self.shards):
-            lines.append(
-                f"  shard {s.shard:<2} {s.num_blocks:>4} blocks  "
-                f"{s.metrics.queries:>6} scans  "
-                f"p50 {s.metrics.latency_p50_ms:.3f} ms  "
-                f"hit rate {100 * s.metrics.cache_hit_rate:.1f}%"
-            )
-        return tuple(lines)
-
-    def reset(self) -> None:
-        for shard in self.shards:
-            shard.metrics.reset()
-        self.scatter.reset()
-
-    def close(self) -> None:
-        self.coordinator.close()
-        for shard in self.shards:
-            shard.scheduler.close()
 
 
 class ShardedLayoutService(Service):
@@ -187,14 +102,10 @@ class ShardedLayoutService(Service):
         TOTAL buffer-pool budget, split evenly across shards (each
         shard machine owns its memory in a real deployment).
         ``0``/``None`` disables caching on every shard.
-    max_workers_per_shard / queue_depth:
-        Per-shard scheduler sizing.
-    coordinator_workers:
-        Front-end pool size; defaults to ``max_workers_per_shard``.
-        Coordinator workers run the shard scans themselves (through
-        each shard scheduler's admission, see
-        :class:`~repro.exec.stages.ScatterScanStage`), and more threads
-        than that only contend for the interpreter lock.
+    max_workers / queue_depth:
+        Coordinator scheduler sizing, the tier's only pool.  Its
+        workers run the shard scans themselves (see
+        :class:`~repro.exec.stages.ScatterScanStage`).
     planner:
         Shared planner; pass the build workload's planner whenever the
         layout used advanced cuts (same caveat as
@@ -222,9 +133,8 @@ class ShardedLayoutService(Service):
         profile: CostProfile = SPARK_PARQUET,
         num_advanced_cuts: int = 0,
         cache_budget_bytes: Optional[int] = DEFAULT_CACHE_BUDGET,
-        max_workers_per_shard: int = 2,
+        max_workers: int = 2,
         queue_depth: int = 64,
-        coordinator_workers: Optional[int] = None,
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
         generation: int = 0,
@@ -261,24 +171,16 @@ class ShardedLayoutService(Service):
                 i,
                 sub,
                 *pooled_engine(sub, profile, num_advanced_cuts, per_shard_budget),
-                Scheduler(max_workers_per_shard, queue_depth),
-                ServingMetrics(),
             )
             for i, sub in enumerate(shard_stores)
         )
         self.router = serving_router(tree, store)
         metrics = ServingMetrics()
-        scheduler = Scheduler(
-            max_workers=(
-                coordinator_workers
-                if coordinator_workers is not None
-                else max_workers_per_shard
-            ),
-            queue_depth=queue_depth,
-        )
+        scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
         pipeline = sharded_pipeline(
             planner=planner if planner is not None else SqlPlanner(store.schema),
             shards=self.shards,
+            partition=partition,
             router=self.router,
             engine=ScanEngine(store, profile, num_advanced_cuts),
             result_cache=result_cache,
@@ -287,32 +189,22 @@ class ShardedLayoutService(Service):
             record_sink=record_sink,
             tracer=tracer,
         )
-        self._tier = _ShardTier(
-            scheduler, self.shards, pipeline.stage("scan"), partition
-        )
+        pooled = [s for s in self.shards if s.cache is not None]
         super().__init__(
             pipeline,
             scheduler,
             metrics,
-            [(metrics, {}), (self._tier, {})]
+            [(metrics, {}), (scheduler, {}), (pipeline.stage("scan"), {})]
+            + [(s.cache, {"shard": s.index}) for s in pooled]
             + [(pipeline.stage(name), {}) for name in ("route", "result_cache")],
-            block_caches=[s.cache for s in self.shards if s.cache is not None],
+            block_caches=[s.cache for s in pooled],
         )
-
-    def shard_snapshots(self) -> Tuple[ShardSnapshot, ...]:
-        """Per-shard metrics/scheduler snapshots (aggregate view comes
-        from :meth:`snapshot` / :meth:`scheduler_stats`)."""
-        return tuple(shard.snapshot() for shard in self.shards)
-
-    def scheduler_stats(self) -> Tuple[SchedulerStats, SchedulerStats]:
-        """(coordinator stats, aggregate-over-shards stats)."""
-        return self._tier.scheduler_stats()
 
     @property
     def mean_fanout(self) -> float:
         """Mean shards scattered to per query (the partition-locality
         metric: lower means the strategy kept survivors together)."""
-        return self._tier.scatter.mean_fanout
+        return self.pipeline.stage("scan").mean_fanout
 
     def __repr__(self) -> str:
         return (

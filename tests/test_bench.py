@@ -11,9 +11,8 @@ from repro.bench import (
     format_table,
     logical_access_pct,
     run_physical,
-    sample_for_construction,
 )
-from repro.db import Database
+from repro.db import Database, registry
 from repro.engine import COMMERCIAL_DBMS, SPARK_PARQUET
 from repro.workloads import disjunctive_dataset
 
@@ -34,16 +33,37 @@ def greedy(dataset):
     return database(dataset).build_layout("greedy", workload=dataset.workload)
 
 
-class TestHarness:
-    def test_sample_for_construction_full(self, dataset):
-        sample, b = sample_for_construction(dataset, None)
-        assert sample is dataset.table
-        assert b == dataset.min_block_size
+class CaptureContext:
+    """A strategy that records the :class:`BuildContext` it is handed
+    and puts every row in one block."""
 
-    def test_sample_for_construction_ratio(self, dataset):
-        sample, b = sample_for_construction(dataset, 0.1)
-        assert sample.num_rows == dataset.table.num_rows // 10
-        assert b == max(1, round(dataset.min_block_size * 0.1))
+    name = "capture-context"
+
+    def build(self, ctx):
+        self.ctx = ctx
+        return registry.BuiltLayout(assignment=np.zeros(ctx.table.num_rows, dtype=np.int64))
+
+
+def construction_context(monkeypatch, dataset, **build_options):
+    strategy = CaptureContext()
+    monkeypatch.setitem(registry._REGISTRY, strategy.name, strategy)
+    database(dataset).build_layout(strategy.name, **build_options)
+    return strategy.ctx
+
+
+class TestHarness:
+    def test_sample_for_construction_full(self, monkeypatch, dataset):
+        ctx = construction_context(monkeypatch, dataset)
+        assert ctx.sample is ctx.table
+        assert ctx.sample_block_size == dataset.min_block_size
+
+    def test_sample_for_construction_ratio(self, monkeypatch, dataset):
+        ctx = construction_context(monkeypatch, dataset, sample_ratio=0.1)
+        assert ctx.sample.num_rows == dataset.table.num_rows // 10
+        assert ctx.sample_block_size == max(
+            1, round(dataset.min_block_size * 0.1)
+        )
+        assert ctx.min_block_size == dataset.min_block_size
 
     def test_greedy_layout(self, dataset, greedy):
         assert greedy.tree is not None

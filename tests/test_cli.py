@@ -303,6 +303,13 @@ class TestServeBench:
         assert "cache hit rate" not in out
         assert "rejected" in out
 
+    def test_zero_shards_exit_2(self, layout_dir, capsys):
+        code = main(
+            ["serve-bench", "--layout", str(layout_dir), "--shards", "0"]
+        )
+        assert code == 2
+        assert "shards must be >= 1" in capsys.readouterr().err
+
 
 @pytest.fixture
 def adaptive_layout_dir(table_dir, queries_file, tmp_path, capsys):

@@ -473,7 +473,7 @@ class TestServe:
         assert replay.completed == 2 * len(STATEMENTS)
 
     def test_serve_private_result_cache(self, db):
-        from repro.serve import ResultCache
+        from repro.exec import ResultCache
 
         db.build_layout("greedy", workload=STATEMENTS)
         private = ResultCache()
@@ -493,6 +493,12 @@ class TestServe:
         db.build_layout("greedy", workload=STATEMENTS)
         with pytest.raises(TypeError, match="coordinator_workers"):
             db.serve(max_workers=2, coordinator_workers=8)
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_serve_rejects_shard_counts_below_one(self, db, shards):
+        db.build_layout("greedy", workload=STATEMENTS)
+        with pytest.raises(ValueError, match="shards"):
+            db.serve(shards=shards)
 
     def test_serve_rejects_non_lru_admission(self, db):
         db.build_layout("greedy", workload=STATEMENTS)

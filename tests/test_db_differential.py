@@ -34,7 +34,8 @@ from repro.core.router import QueryRouter
 from repro.db import Database, strategy_names
 from repro.engine.executor import ScanEngine
 from repro.rl.woodblock import Woodblock, WoodblockConfig
-from repro.serve import ResultCache, run_serial_baseline
+from repro.exec import ResultCache
+from repro.serve import run_serial_baseline
 from repro.storage import BlockStore, Schema, Table, categorical, numeric
 
 STATEMENTS = [

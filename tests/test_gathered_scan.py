@@ -347,19 +347,6 @@ class TestRetainedPerStatement:
 
 
 class TestInlineShardScans:
-    def test_scheduler_run_books_work_like_a_submission(self):
-        from repro.serve import Scheduler
-
-        with Scheduler(max_workers=1, queue_depth=0) as scheduler:
-            assert scheduler.run(lambda a, b: a + b, 2, b=3) == 5
-            with pytest.raises(ZeroDivisionError):
-                scheduler.run(lambda: 1 / 0)
-            # the failed run gave its admission slot back
-            assert scheduler.run(lambda: "again") == "again"
-            stats = scheduler.stats()
-        assert (stats.submitted, stats.completed, stats.failed) == (3, 2, 1)
-        assert stats.in_flight == 0 and stats.max_in_flight == 1
-
     def test_shard_scans_run_on_the_calling_thread(self, served_db):
         import threading
 
@@ -374,7 +361,5 @@ class TestInlineShardScans:
 
                 shard.engine.execute_pruned = traced
             result = svc.execute_sql("SELECT x FROM t WHERE x < 60")
-            _, pools = svc.scheduler_stats()
         assert len(seen) == 2 and set(seen) == {threading.current_thread()}
         assert result.stats.blocks_scanned > 0
-        assert pools.submitted == pools.completed == 2

@@ -220,7 +220,7 @@ class TestMultiLayoutService:
             assert result.stats.rows_returned == truth[result.sql]
 
     def test_result_cache_keys_on_winning_generation(self, db, layouts):
-        from repro.serve import ResultCache
+        from repro.exec import ResultCache
 
         by_x, by_y = layouts
         cache = ResultCache()

@@ -1,6 +1,6 @@
 """Concurrency stress tests for the serving tier.
 
-Hammers :class:`ShardedLayoutService` (both scheduler layers) and
+Hammers :class:`ShardedLayoutService` (its coordinator scheduler) and
 :class:`BlockCache` from many client threads mixing repeated and
 unique statements, and asserts the invariants that make concurrent
 serving trustworthy:
@@ -57,13 +57,12 @@ def unique_statement(client: int, i: int) -> str:
 
 
 def drain(service, timeout: float = 5.0) -> None:
-    """Wait for both scheduler layers' done-callbacks to settle: a
-    future's result can be observable a beat before its completion
-    callback has decremented the in-flight counter."""
+    """Wait for the scheduler's done-callbacks to settle: a future's
+    result can be observable a beat before its completion callback has
+    decremented the in-flight counter."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        coord, agg = service.scheduler_stats()
-        if coord.in_flight == 0 and agg.in_flight == 0:
+        if service.scheduler.stats().in_flight == 0:
             return
         time.sleep(0.002)
     raise AssertionError("scheduler counters did not drain")
@@ -92,7 +91,7 @@ def test_hammer_sharded_service(layout, partition):
         num_shards=4,
         partition=partition,
         cache_budget_bytes=budget,
-        max_workers_per_shard=2,
+        max_workers=2,
     ) as service:
         per_shard_budget = budget // 4
         results = [None] * NUM_CLIENTS
@@ -151,16 +150,14 @@ def test_hammer_sharded_service(layout, partition):
         for shard in service.shards:
             assert shard.cache.stats().cached_bytes <= per_shard_budget
 
-        # Counters reconcile on both scheduler layers.
+        # Scheduler counters reconcile.
         drain(service)
-        coord, agg = service.scheduler_stats()
+        coord = service.scheduler.stats()
         total = NUM_CLIENTS * per_client
         assert coord.submitted == total
         assert coord.submitted == coord.completed + coord.in_flight
         assert coord.in_flight == 0
         assert coord.offered == coord.submitted + coord.rejected
-        assert agg.submitted == agg.completed
-        assert agg.in_flight == 0
         # Coordinator metrics saw every query exactly once.
         assert service.snapshot().queries == total
 
@@ -174,15 +171,14 @@ def test_open_loop_admitted_equals_completed_plus_shed(layout):
         layout.tree,
         num_shards=2,
         partition="rr",
-        max_workers_per_shard=1,
+        max_workers=2,
         queue_depth=1,
-        coordinator_workers=2,
     ) as service:
         replay = service.run_open_loop(
             REPEATED, target_qps=10_000.0, repeat=20
         )
         drain(service)
-        coord, _ = service.scheduler_stats()
+        coord = service.scheduler.stats()
     offered = len(REPEATED) * 20
     assert replay.issued == offered
     assert replay.completed + replay.rejected == offered
@@ -302,7 +298,7 @@ def test_shed_counters_reconcile_single_service():
         max_workers=1, queue_depth=2, result_cache=False
     ) as service:
         shed = saturate(service, SHED_STATEMENTS, burst)
-        drain_single(service)
+        drain(service)
         stats = service.scheduler.stats()
     assert shed > 0, "burst never saturated the queue"
     assert stats.rejected == shed
@@ -313,31 +309,26 @@ def test_shed_counters_reconcile_single_service():
 
 
 def test_shed_counters_reconcile_sharded_service():
-    """Same reconciliation through the sharded coordinator: the
-    coordinator sheds, shard pools complete everything scattered to
-    them (the scatter stage's deferred pass blocks, never sheds)."""
+    """Same reconciliation through the sharded coordinator: it sheds,
+    and its workers scan the shards themselves."""
     db = small_layout()
     burst = 120
     with db.serve(
         shards=2,
         partition="rr",
-        max_workers=1,
+        max_workers=2,
         queue_depth=1,
-        coordinator_workers=2,
         result_cache=False,
     ) as service:
         shed = saturate(service, SHED_STATEMENTS, burst)
         drain(service)
-        coord, agg = service.scheduler_stats()
+        coord = service.scheduler.stats()
     assert shed > 0, "burst never saturated the coordinator queue"
     assert coord.rejected == shed
     assert coord.in_flight == 0
     assert coord.submitted == coord.completed  # admitted == completed
     assert coord.offered == coord.completed + coord.rejected
     assert coord.offered == burst
-    # Shard pools never shed scattered work and fully drained too.
-    assert agg.in_flight == 0
-    assert agg.submitted == agg.completed
 
 
 def _reconciles(stats, offered: int) -> None:
@@ -389,16 +380,15 @@ def test_scheduler_books_failures_apart_from_successes(monkeypatch):
 def test_failed_counters_reconcile_sharded_service():
     """Good, unplannable and shed statements through the sharded
     coordinator: the raising ones land in the coordinator's
-    ``failed``, and both scheduler layers still reconcile."""
+    ``failed``, and its counters still reconcile."""
     db = small_layout()
     statements = SHED_STATEMENTS + ["SELECT nope FROM t WHERE nope < 1"]
     futures, shed = [], 0
     with db.serve(
         shards=2,
         partition="rr",
-        max_workers=1,
+        max_workers=2,
         queue_depth=1,
-        coordinator_workers=2,
         result_cache=False,
     ) as service:
         for i in range(90):
@@ -411,26 +401,14 @@ def test_failed_counters_reconcile_sharded_service():
         futures += [service.submit_sql(sql) for sql in statements]
         raised = sum(f.exception(timeout=30) is not None for f in futures)
         drain(service)
-        coord, pools = service.scheduler_stats()
+        coord = service.scheduler.stats()
     assert shed > 0 and raised > 0
     assert coord.failed == raised
     assert coord.rejected == shed
     _reconciles(coord, offered=len(futures) + shed)
-    assert pools.in_flight == 0 and pools.failed == 0
-    _reconciles(pools, offered=pools.submitted + pools.rejected)
 
 
-def drain_single(service, timeout: float = 5.0) -> None:
-    """Single-service variant of :func:`drain`."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if service.scheduler.stats().in_flight == 0:
-            return
-        time.sleep(0.002)
-    raise AssertionError("scheduler counters did not drain")
-
-
-def test_scheduler_stats_merge_reconciles():
+def test_merged_scheduler_counters_reconcile():
     parts = [
         SchedulerStats(
             submitted=10, completed=8, rejected=2, max_in_flight=4, in_flight=2
