@@ -6,9 +6,9 @@ live traffic *drifts* — the filter-column distribution shifts from
 paper leaves open: every served query lands in a bounded query log,
 a drift detector compares the live template mix against the layout's
 build-time workload signature, and when the divergence crosses the
-threshold a candidate layout is rebuilt from the logged window in a
-background thread, evaluated offline on the blocks-scanned cost
-model, and hot-swapped in through the generation lifecycle (result
+threshold a candidate layout is rebuilt from the logged window
+inline on the serving worker that detects drift, evaluated offline on
+the blocks-scanned cost model, and hot-swapped in through the generation lifecycle (result
 cache purged, serving re-pointed) — with bit-identical results
 throughout.
 
@@ -83,7 +83,6 @@ def main() -> None:
         )
 
         phase2 = service.run_closed_loop(Y_WORKLOAD, repeat=args.repeat)
-        service.join_adaptation()
         print(
             f"phase 2 (drifted y traffic):    {phase2.completed} queries, "
             f"drift detected -> now serving gen {service.generation}"

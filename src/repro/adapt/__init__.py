@@ -4,7 +4,8 @@ The qd-tree paper builds a layout *once* from a training workload;
 every layer grown since (serving, sharding, caching, multi-layout
 arbitration) serves that frozen artifact.  This package closes the
 loop the paper leaves as future work — **observe the live query
-stream, rebuild and hot-swap layouts in the background**:
+stream, rebuild and hot-swap layouts inline on the serving worker
+that detects drift**:
 
 * :class:`QueryLog` (:mod:`~repro.adapt.log`) — bounded, thread-safe
   ring of normalized query fingerprints + realized per-query costs,
@@ -16,7 +17,7 @@ stream, rebuild and hot-swap layouts in the background**:
 * :class:`DriftDetector` (:mod:`~repro.adapt.drift`) — windowed
   divergence between the build-time mix and the live log;
 * :class:`Reoptimizer` (:mod:`~repro.adapt.reoptimize`) — drift-
-  triggered background rebuild through the strategy registry, offline
+  triggered inline rebuild through the strategy registry, offline
   blocks-scanned evaluation, install-or-discard via the existing
   generation lifecycle;
 * :class:`AdaptiveService` (:mod:`~repro.adapt.service`) — the

@@ -1,13 +1,15 @@
-"""Background re-optimization: rebuild the layout the workload wants.
+"""Inline re-optimization: rebuild the layout the workload wants.
 
 When the :class:`~repro.adapt.drift.DriftDetector` fires, the
-:class:`Reoptimizer` closes the loop the paper leaves as future work:
+:class:`Reoptimizer` closes the loop the paper leaves as future work,
+inline on the serving worker that detects drift (that query's client
+pays for the rebuild; the other workers keep serving):
 
 1. **rebuild** — a candidate layout is built from the recent query
    log (frequency-weighted window SQL) through the existing
-   :mod:`repro.db.registry` strategy registry, in a background thread,
-   without touching the serving path (``activate=False`` — just
-   another immutable generation);
+   :mod:`repro.db.registry` strategy registry, without touching the
+   serving path (``activate=False`` — just another immutable
+   generation);
 2. **evaluate offline** — incumbent and candidate are compared on the
    logged window with the blocks-scanned cost model (one routing
    pass per query, frequency-weighted; no wall-clock, so the verdict
@@ -15,7 +17,8 @@ When the :class:`~repro.adapt.drift.DriftDetector` fires, the
 3. **install or discard** — only a candidate beating the incumbent by
    ``min_improvement`` is installed, through the existing generation
    lifecycle (``db.swap_layout`` → result-cache purge), after which
-   the detector is rebased onto the mix that triggered the rebuild.
+   the superseded generation is dropped and the detector is rebased
+   onto the mix that triggered the rebuild.
 
 Everything the loop needs from the database is duck-typed
 (``build_layout`` / ``swap_layout`` / ``drop_layout`` /
@@ -26,7 +29,8 @@ Everything the loop needs from the database is duck-typed
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..exec import route_and_count
@@ -63,18 +67,6 @@ class AdaptPolicy:
     #: Fractional blocks-scanned improvement on the logged window the
     #: candidate must deliver to be installed (0.1 = 10% fewer).
     min_improvement: float = 0.1
-    #: Arrivals to wait after a *rejected* rebuild before trying again
-    #: (``None`` = half the window).  Early drift checks see a window
-    #: still mixed with the old template; the cooldown lets the ring
-    #: fill with the new mix instead of rebuilding on every check.
-    cooldown: Optional[int] = None
-    #: Drop the displaced incumbent from the database after a
-    #: successful swap.  Every generation pins a full materialized
-    #: copy of the table, so a long-running loop under recurring drift
-    #: would otherwise grow memory by one dataset copy per swap.
-    #: Disable to keep superseded generations around for rollback
-    #: (caller-held handles stay usable either way).
-    drop_superseded: bool = True
 
     def __post_init__(self) -> None:
         if self.window < 1 or self.log_capacity < self.window:
@@ -83,14 +75,6 @@ class AdaptPolicy:
             raise ValueError("min_improvement must be in [0, 1)")
         if self.check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if self.cooldown is not None and self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
-
-    @property
-    def effective_cooldown(self) -> int:
-        return (
-            self.cooldown if self.cooldown is not None else self.window // 2
-        )
 
 
 @dataclass(frozen=True)
@@ -114,6 +98,12 @@ class AdaptEvent:
         return 1.0 - self.candidate_blocks / self.incumbent_blocks
 
 
+def control_span(tracer: Optional[object], name: str):
+    """``tracer``'s control span ``name``, or a no-op one yielding a
+    throwaway attribute dict when there is no tracer."""
+    return tracer.control_span(name) if tracer is not None else nullcontext({})
+
+
 def offline_blocks_cost(
     handle,
     weighted_queries: Sequence[Tuple[object, int]],
@@ -134,7 +124,7 @@ def offline_blocks_cost(
 
 
 class Reoptimizer:
-    """Drift-triggered background rebuild + evaluate + hot-swap.
+    """Drift-triggered inline rebuild + evaluate + hot-swap.
 
     Parameters
     ----------
@@ -146,10 +136,10 @@ class Reoptimizer:
         The observation ring, the armed drift detector, and the loop
         knobs.
     on_swap:
-        Callback invoked (on the rebuild thread) with the newly
-        installed :class:`~repro.db.LayoutHandle` after a successful
-        swap — the adaptive service uses it to re-wire serving onto
-        the new generation.
+        Callback invoked (on the thread that ran the rebuild) with the
+        newly installed :class:`~repro.db.LayoutHandle` after a
+        successful swap — the adaptive service uses it to re-wire
+        serving onto the new generation.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when given, every
         drift check and rebuild decision records a control trace
@@ -181,12 +171,10 @@ class Reoptimizer:
         #: started, then whichever candidate it last installed.
         self.serving = db.active_layout
         self._lock = threading.Lock()
-        #: Serializes rebuild bodies: poke()'s is-alive guard is only
-        #: a cheap fast path, and adapt_now() may race the background
-        #: thread — two concurrent rebuilds would double-swap and leak
-        #: the first winner's generation.
+        #: Held by the one drift check or rebuild running: a worker
+        #: reaching a check meanwhile skips it, and adapt_now() waits,
+        #: so two rebuilds can never double-swap.
         self._rebuild_mutex = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._arrivals = 0
         self._cooldown_until = 0
@@ -196,17 +184,16 @@ class Reoptimizer:
 
     def observe(self, ctx) -> None:
         """Pipeline record sink: log the query, then poke the loop.
-        Runs on serving worker threads, so it never blocks — the
-        rebuild itself always runs on its own thread."""
+        Runs on the thread that served the query."""
         self.log.observe(ctx)
         self.poke()
 
     def poke(self) -> bool:
-        """Called after every recorded query (worker threads).  Cheap:
-        a counter bump, a windowed histogram fold every
-        ``check_every`` arrivals, and — at most once at a time — the
-        launch of a background rebuild.  Returns whether a rebuild was
-        launched."""
+        """Called after every recorded query.  Cheap on all but a few
+        calls: a counter bump, a windowed histogram fold every
+        ``check_every`` arrivals and, on drift, the rebuild itself,
+        inline — the query that saw the drift pays for it.  Returns
+        whether a rebuild ran."""
         with self._lock:
             if self._closed:
                 return False
@@ -215,179 +202,145 @@ class Reoptimizer:
                 return False
             if self._arrivals < self._cooldown_until:
                 return False
-            if self._thread is not None and self._thread.is_alive():
-                return False
-            self._ledger.checks += 1
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.control_span("drift_check") as attrs:
+        if not self._rebuild_mutex.acquire(blocking=False):
+            return False  # another worker is checking or rebuilding
+        try:
+            with self._lock:
+                self._ledger.checks += 1
+            with control_span(self.tracer, "drift_check") as attrs:
                 drifted = self.detector.drifted(self.log)
-                attrs["drifted"] = drifted
-                attrs["score"] = self.detector.last_score
-        else:
-            drifted = self.detector.drifted(self.log)
-        if not drifted:
-            return False
-        with self._lock:
-            if self._closed or (
-                self._thread is not None and self._thread.is_alive()
-            ):
+                attrs.update(drifted=drifted, score=self.detector.last_score)
+            if not drifted:
                 return False
-            self._ledger.rebuilds += 1
-            self._thread = threading.Thread(
-                target=self._rebuild_and_decide,
-                name="repro-adapt-rebuild",
-                daemon=True,
-            )
-            self._thread.start()
-        return True
+            with self._lock:
+                if self._closed:
+                    return False
+                self._ledger.rebuilds += 1
+            self._rebuild()
+            return True
+        finally:
+            self._rebuild_mutex.release()
 
     def adapt_now(self) -> Optional[AdaptEvent]:
         """Synchronous rebuild + decision regardless of the detector —
-        the deterministic entry point tests and the CLI use.  Returns
-        the decision event (``None`` if the window was empty)."""
-        with self._lock:
-            self._ledger.rebuilds += 1
-        return self._rebuild_and_decide()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for an in-flight background rebuild to finish."""
-        with self._lock:
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout)
+        the deterministic entry point tests and the CLI use; waits
+        for a rebuild already running.  Returns the decision event
+        (``None`` if the window was empty or the rebuild raised)."""
+        with self._rebuild_mutex:
+            with self._lock:
+                self._ledger.rebuilds += 1
+            return self._rebuild()
 
     def close(self) -> None:
+        """Stop starting rebuilds (one already running finishes)."""
         with self._lock:
             self._closed = True
-        self.join()
 
-    # -- the background loop body --------------------------------------
+    # -- the rebuild ---------------------------------------------------
 
-    def _rebuild_and_decide(self) -> Optional[AdaptEvent]:
-        with self._rebuild_mutex:
-            try:
-                return self._traced_rebuild()
-            except Exception as exc:  # the loop must never kill serving
-                with self._lock:
-                    self._ledger.last_error = f"{type(exc).__name__}: {exc}"
-                    self._ledger.rejected += 1
-                    self._cooldown_until = (
-                        self._arrivals + self.policy.effective_cooldown
-                    )
-                return None
-
-    def _traced_rebuild(self) -> Optional[AdaptEvent]:
-        """Run the rebuild body, recording a ``rebuild`` control trace
-        when a tracer is attached (attributes carry the decision)."""
-        tracer = self.tracer
-        if tracer is None:
-            return self._rebuild_and_decide_inner()
-        with tracer.control_span("rebuild") as attrs:
-            event = self._rebuild_and_decide_inner()
-            if event is None:
-                attrs["kind"] = "empty_window"
-            else:
-                attrs.update(
-                    kind=event.kind,
-                    strategy=event.strategy,
-                    drift_score=event.drift_score,
-                    incumbent_blocks=event.incumbent_blocks,
-                    candidate_blocks=event.candidate_blocks,
-                    generation=event.generation,
-                )
-            return event
-
-    def _rebuild_and_decide_inner(self) -> Optional[AdaptEvent]:
-        drift_score = self.detector.last_score
-        weighted_sql = self.log.statements(self.policy.window)
-        if not weighted_sql:
-            return None
-        incumbent = self.db.active_layout
-        # Frequency-weighted build workload: the window's statements,
-        # repeated by observed count, so the builder optimizes for the
-        # mix as served, not one-of-each.
-        statements = [
-            sql for sql, count in weighted_sql for _ in range(count)
-        ]
-        candidate = self.db.build_layout(
-            self.policy.strategy,
-            workload=statements,
-            activate=False,
-            label=f"adapt-{self.policy.strategy}",
-        )
+    def _rebuild(self) -> Optional[AdaptEvent]:
+        """Build a candidate from the logged window, score it against
+        the incumbent offline, then install it or drop it; the caller
+        holds ``_rebuild_mutex``.  Returns the decision, or ``None``
+        for an empty window or a rebuild that raised: it runs inside a
+        served query, which must still return its rows, so an error is
+        booked as a rejection (``last_error``) and never escapes."""
+        policy = self.policy
+        candidate = None
         try:
-            return self._decide(candidate, incumbent, weighted_sql, drift_score)
-        except Exception:
+            with control_span(self.tracer, "rebuild") as attrs:
+                drift_score = self.detector.last_score
+                weighted_sql = self.log.statements(policy.window)
+                if not weighted_sql:
+                    attrs["kind"] = "empty_window"
+                    return None
+                incumbent = self.db.active_layout
+                # Frequency-weighted build workload: the window's
+                # statements, repeated by observed count, so the
+                # builder optimizes for the mix as served, not
+                # one-of-each.
+                candidate = self.db.build_layout(
+                    policy.strategy,
+                    workload=[
+                        sql for sql, count in weighted_sql for _ in range(count)
+                    ],
+                    activate=False,
+                    label=f"adapt-{policy.strategy}",
+                )
+                planner = self.db.planner
+                weighted_queries = [
+                    (planner.plan(sql).query, count)
+                    for sql, count in weighted_sql
+                ]
+                incumbent_blocks = offline_blocks_cost(incumbent, weighted_queries)
+                candidate_blocks = offline_blocks_cost(candidate, weighted_queries)
+                beats = candidate_blocks <= incumbent_blocks * (
+                    1.0 - policy.min_improvement
+                )
+                event = AdaptEvent(
+                    kind="swap" if beats else "rejected",
+                    drift_score=drift_score,
+                    strategy=policy.strategy,
+                    incumbent_blocks=incumbent_blocks,
+                    candidate_blocks=candidate_blocks,
+                    generation=candidate.generation,
+                )
+                if beats:
+                    self.db.swap_layout(candidate)
+                    # Every generation pins a full materialized copy
+                    # of the table: keeping the superseded one would
+                    # grow memory by one dataset copy per swap.
+                    if incumbent is not None:
+                        try:
+                            self.db.drop_layout(incumbent)
+                        except ValueError:
+                            pass  # already dropped, or externally managed
+                    self.detector.rebase(self.log.signature(policy.window))
+                    if self.on_swap is not None:
+                        self.on_swap(candidate)
+                    self.serving = candidate
+                else:
+                    self.db.drop_layout(candidate)
+                attrs.update(asdict(event))
+                self._book(event)
+                return event
+        except Exception as exc:  # the loop must never fail a query
             # The candidate is a full materialized copy of the table:
-            # a decision that crashed must not leave it registered.
-            if candidate is not self.db.active_layout:
+            # a rebuild that crashed must not leave it registered.
+            if candidate is not None and candidate is not self.db.active_layout:
                 try:
                     self.db.drop_layout(candidate)
                 except ValueError:
                     pass  # the reject branch already dropped it
-            raise
+            self._book(None, error=f"{type(exc).__name__}: {exc}")
+            return None
 
-    def _decide(
-        self, candidate, incumbent, weighted_sql, drift_score: float
-    ) -> AdaptEvent:
-        """Score the built candidate against the incumbent on the
-        window, then install it or drop it."""
-        planner = self.db.planner
-        weighted_queries = [
-            (planner.plan(sql).query, count) for sql, count in weighted_sql
-        ]
-        incumbent_blocks = offline_blocks_cost(incumbent, weighted_queries)
-        candidate_blocks = offline_blocks_cost(candidate, weighted_queries)
-        beats = candidate_blocks <= incumbent_blocks * (
-            1.0 - self.policy.min_improvement
-        )
-        if beats:
-            self.db.swap_layout(candidate)
-            if self.policy.drop_superseded and incumbent is not None:
-                try:
-                    self.db.drop_layout(incumbent)
-                except ValueError:
-                    pass  # already dropped, or externally managed
-            self.detector.rebase(self.log.signature(self.policy.window))
-            event = AdaptEvent(
-                kind="swap",
-                drift_score=drift_score,
-                strategy=self.policy.strategy,
-                incumbent_blocks=incumbent_blocks,
-                candidate_blocks=candidate_blocks,
-                generation=candidate.generation,
-            )
-            with self._lock:
+    def _book(
+        self, event: Optional[AdaptEvent], error: Optional[str] = None
+    ) -> None:
+        """Count one decision: a swap, or a rejection (``event`` is
+        ``None`` for a crash, whose ``error`` becomes ``last_error``).
+        A rejection holds off the next rebuild for half a window: early
+        drift checks see a window still mixed with the old template,
+        and the wait lets the ring fill with the new mix instead of
+        rebuilding on every check."""
+        with self._lock:
+            if error is not None:
+                self._ledger.last_error = error
+            if event is not None:
+                self._ledger.events += (event,)
+            if event is not None and event.kind == "swap":
                 self._ledger.swaps += 1
-                self._ledger.events += (event,)
-            if self.on_swap is not None:
-                self.on_swap(candidate)
-            self.serving = candidate
-        else:
-            self.db.drop_layout(candidate)
-            event = AdaptEvent(
-                kind="rejected",
-                drift_score=drift_score,
-                strategy=self.policy.strategy,
-                incumbent_blocks=incumbent_blocks,
-                candidate_blocks=candidate_blocks,
-                generation=candidate.generation,
-            )
-            with self._lock:
+            else:
                 self._ledger.rejected += 1
-                self._ledger.events += (event,)
-                self._cooldown_until = (
-                    self._arrivals + self.policy.effective_cooldown
-                )
-        return event
+                self._cooldown_until = self._arrivals + self.policy.window // 2
 
     # -- observability -------------------------------------------------
 
     def stats(self) -> AdaptSnapshot:
         """The adaptation ledger: the counters and decision events,
-        plus the point-in-time drift score, log depth, serving
-        generation and whether a rebuild is running."""
+        plus the point-in-time drift score, log depth and serving
+        generation."""
         drift_score, log_records = self.detector.last_score, len(self.log)
         with self._lock:
             return replace(
@@ -395,9 +348,6 @@ class Reoptimizer:
                 drift_score=drift_score,
                 log_records=log_records,
                 generation=self.serving.generation,
-                in_progress=(
-                    self._thread is not None and self._thread.is_alive()
-                ),
             )
 
     #: The same ledger, under the name serving snapshots ask for.
@@ -429,5 +379,5 @@ class Reoptimizer:
         s = self.stats()
         return (
             f"Reoptimizer(swaps={s.swaps}, rejected={s.rejected}, "
-            f"checks={s.checks}, in_progress={s.in_progress})"
+            f"checks={s.checks})"
         )

@@ -1,37 +1,36 @@
 """Adaptive serving: a :class:`~repro.serve.Service` that re-learns
 its layout.
 
-:class:`AdaptiveService` is the closed loop in one object: a service
-whose pipeline, scheduler and buffer pool resolve to the *current
-generation's* single-layout service, with the adapt control plane
-wired around it:
+:class:`AdaptiveService` is the closed loop in one object: one
+service, with one scheduler and one metrics window for its whole
+life, whose pipeline and buffer pool are the *current generation's*,
+and the adapt control plane wired around it:
 
 * every served query is recorded into a :class:`~repro.adapt.log
   .QueryLog` by the pipeline's tail stage;
 * a :class:`~repro.adapt.drift.DriftDetector` periodically compares
   the live mix against the signature the active layout was built for;
 * on drift, a :class:`~repro.adapt.reoptimize.Reoptimizer` rebuilds a
-  candidate from the logged window in a **background thread**,
-  evaluates it offline on the same window (blocks-scanned cost model)
-  and — only if it wins by the policy margin — installs it through
-  ``db.swap_layout`` (new generation, result-cache purge);
-* the service then **hot-swaps** its inner service onto the new
-  generation: new arrivals serve from the new layout, in-flight
-  queries finish on the old one (both generations hold identical
-  rows, so every result stays bit-identical; ``ServeResult.generation``
-  says which layout answered).
+  candidate from the logged window **inline on the serving worker
+  that detects drift**, evaluates it offline on the same window
+  (blocks-scanned cost model) and — only if it wins by the policy
+  margin — installs it through ``db.swap_layout`` (new generation,
+  result-cache purge);
+* the service then **hot-swaps** its pipeline and buffer pool onto
+  the new generation: new arrivals serve from the new layout,
+  in-flight queries finish on the old one (both generations hold
+  identical rows, so every result stays bit-identical;
+  ``ServeResult.generation`` says which layout answered).
 
 The client surface is :class:`~repro.serve.Service`'s, unchanged;
-what is this class's own is the hot swap, a swap-race retry in
-``submit_sql``, the swapped-pool window fix-up and the adaptation
-ledger (:meth:`adapt_snapshot`, :attr:`events`).  Construct through
+what is this class's own is the hot swap, the swapped-pool window
+fix-up and the adaptation ledger (:meth:`adapt_snapshot`,
+:attr:`events`).  Construct through
 :meth:`repro.db.Database.auto_adapt`.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
 from typing import Optional
 
 from ..engine.profiles import SPARK_PARQUET, CostProfile
@@ -39,14 +38,15 @@ from ..exec import ResultCache
 from ..serve import (
     DEFAULT_CACHE_BUDGET,
     AdaptSnapshot,
-    LayoutService,
+    Scheduler,
     Service,
     ServingMetrics,
 )
 from ..serve.metrics import MetricsSnapshot
+from ..serve.service import layout_generation
 from .drift import DriftDetector
 from .log import QueryLog
-from .reoptimize import AdaptPolicy, Reoptimizer
+from .reoptimize import AdaptPolicy, Reoptimizer, control_span
 from .signature import WorkloadSignature
 
 __all__ = ["AdaptiveService"]
@@ -62,20 +62,21 @@ class AdaptiveService(Service):
         table (rebuilds need the rows) and an active layout.
     policy:
         The :class:`~repro.adapt.reoptimize.AdaptPolicy` loop knobs.
-    profile / cache_budget_bytes / max_workers / queue_depth:
-        Forwarded to each inner :class:`LayoutService` (including the
-        ones created by hot swaps).
+    profile / cache_budget_bytes:
+        Each generation's scan engine and buffer-pool budget.
+    max_workers / queue_depth:
+        The one scheduler's sizing.
     result_cache:
-        The generation-keyed result cache the inner services consult
-        (``None`` = uncached).  Pass the database's shared cache to
-        have swaps purge it per the generation lifecycle; a private
-        cache is purged by this service.
+        The generation-keyed result cache every generation's pipeline
+        consults (``None`` = uncached).  Pass the database's shared
+        cache to have swaps purge it per the generation lifecycle; a
+        private cache is purged by this service.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` shared by every
-        inner service across hot swaps AND the control plane — one
-        tracer sees query traces from every generation plus the
-        ``drift_check`` / ``rebuild`` / ``generation_swap`` control
-        traces, on one timeline.
+        generation's pipeline AND the control plane — one tracer sees
+        query traces from every generation plus the ``drift_check`` /
+        ``rebuild`` / ``generation_swap`` control traces, on one
+        timeline.
     """
 
     def __init__(
@@ -96,11 +97,8 @@ class AdaptiveService(Service):
             )
         self.db = db
         self.policy = policy or AdaptPolicy()
-        self._result_cache = result_cache
         self.tracer = tracer
-        #: One collector across hot swaps: the observation window is
-        #: the service's, not any single generation's.
-        self.metrics = ServingMetrics()
+        metrics = ServingMetrics()
         self.log = QueryLog(self.policy.log_capacity)
         baseline = active.workload_signature or WorkloadSignature()
         self.detector = DriftDetector(
@@ -117,105 +115,69 @@ class AdaptiveService(Service):
             on_swap=self._install,
             tracer=tracer,
         )
-        #: What survives hot swaps.  The current generation's pools
-        #: are deliberately absent: a registry collector bound to them
-        #: would go stale at the next swap.  The rebuild loop closes
-        #: first so no swap can install a service after ``close``.
-        self.resources = ((self.metrics, {}), (self.reoptimizer, {}))
-        #: What every generation's inner service is built with.
-        self._inner_options = dict(
+        #: What every generation's pipeline is built with.
+        self._generation_options = dict(
             profile=profile,
             cache_budget_bytes=cache_budget_bytes,
-            max_workers=max_workers,
-            queue_depth=queue_depth,
             planner=db.planner,
             result_cache=result_cache,
-            metrics=self.metrics,
+            metrics=metrics,
             record_sink=self.reoptimizer,
             tracer=tracer,
         )
-        self._swap_lock = threading.Lock()
-        self._service = self._make_service(active)
+        # The resources are what a swap leaves in place.  The current
+        # generation's pool is absent (a registry collector bound to it
+        # would go stale at the next swap), and so is the scheduler:
+        # this topology reports and publishes the window and the
+        # ledger only.  The rebuild loop closes first, so no query
+        # starts a rebuild while the scheduler drains.
+        pipeline, pools = self._generation(active)
+        super().__init__(
+            pipeline,
+            Scheduler(max_workers=max_workers, queue_depth=queue_depth),
+            metrics,
+            [(metrics, {}), (self.reoptimizer, {})],
+            block_caches=pools,
+        )
+        self.generation = active.generation
 
     # -- generation hot-swap -------------------------------------------
 
-    def _make_service(self, handle) -> LayoutService:
-        return LayoutService(
+    def _generation(self, handle):
+        """``handle``'s pipeline and buffer pool(s): a generation gets
+        its own pool, because pool keys are ``(block id, column)`` and
+        two generations' block ids collide."""
+        _, cache, _, pipeline = layout_generation(
             handle.store,
             handle.tree,
+            handle.generation,
             num_advanced_cuts=handle.num_advanced_cuts,
-            generation=handle.generation,
-            **self._inner_options,
+            **self._generation_options,
         )
+        return pipeline, (cache,) if cache is not None else ()
 
     def _install(self, handle) -> None:
-        """Hot-swap serving onto a freshly installed generation
-        (called on the rebuild thread).  New arrivals see the new
-        inner service immediately; the old scheduler drains its
-        in-flight queries before shutting down, and those late results
-        are still correct — their generation's store holds the same
-        rows, it just skips fewer blocks."""
-        span = (
-            self.tracer.control_span("generation_swap")
-            if self.tracer is not None
-            else nullcontext({})
-        )
-        with span as attrs:
+        """Hot-swap serving onto a freshly installed generation (called
+        inside the query that ran the rebuild, so it never closes or
+        waits on the scheduler).  In-flight queries finish on the old
+        pipeline, and those late results are still correct — their
+        generation's store holds the same rows, it just skips fewer
+        blocks."""
+        with control_span(self.tracer, "generation_swap") as attrs:
             attrs["generation"] = handle.generation
-            new = self._make_service(handle)
-            with self._swap_lock:
-                old, self._service = self._service, new
-            old.close()
+            # A statement already running finishes on the pipeline it
+            # read; the next one reads this.
+            self.pipeline, self.block_caches = self._generation(handle)
+            self.generation = handle.generation
             # db.swap_layout purged the database's shared cache; a
             # private cache is ours to keep hygienic, or each swap
             # would strand the prior generation's entries as
             # unreachable garbage.
-            rc = self._result_cache
+            rc = self.result_cache
             if rc is not None and rc is not self.db.result_cache:
                 rc.retain(handle.generation)
 
-    @property
-    def service(self) -> LayoutService:
-        """The current inner service (changes across hot swaps)."""
-        with self._swap_lock:
-            return self._service
-
-    # What Service reads resolves to the current generation.
-
-    @property
-    def pipeline(self):
-        return self.service.pipeline
-
-    @property
-    def scheduler(self):
-        return self.service.scheduler
-
-    @property
-    def block_caches(self):
-        return self.service.block_caches
-
-    @property
-    def generation(self) -> int:
-        """Generation currently being served."""
-        return self.service.generation
-
     # -- what is this topology's own -----------------------------------
-
-    def submit_sql(
-        self, sql: str, block: bool = True, timeout: Optional[float] = None
-    ):
-        """Admit one statement; returns its future.  Retries once if a
-        hot swap closed the scheduler between the reference read and
-        the submit (the new service accepts the work)."""
-        for attempt in (0, 1):
-            service = self.service
-            try:
-                return service.submit_sql(sql, block=block, timeout=timeout)
-            except RuntimeError:
-                # Scheduler shut down mid-swap; re-read and retry once.
-                if attempt or service is self.service:
-                    raise
-        raise AssertionError("unreachable")
 
     def adapt_snapshot(self) -> AdaptSnapshot:
         return self.reoptimizer.stats()
@@ -238,10 +200,6 @@ class AdaptiveService(Service):
             # ARE the window since the swap — report those.
             cache_before = None
         return super()._window_snapshot(cache_before)
-
-    def join_adaptation(self, timeout: Optional[float] = None) -> None:
-        """Wait for an in-flight background rebuild (tests, shutdown)."""
-        self.reoptimizer.join(timeout)
 
     def __repr__(self) -> str:
         r = self.reoptimizer.stats()

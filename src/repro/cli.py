@@ -288,7 +288,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     def serve(shards: int, traced: bool = True):
         active_tracer = tracer if traced else None
         if args.adapt:
-            if shards > 1:
+            if shards != 1:
                 raise ValueError(
                     "--adapt serves a single adaptive service; "
                     "drop --shards"
@@ -395,7 +395,6 @@ def _cmd_adapt_report(args: argparse.Namespace) -> int:
         )
         if drifted:
             second = service.run_closed_loop(drifted, repeat=args.repeat)
-            service.join_adaptation()
             print(
                 f"replayed {second.completed} drifted queries "
                 f"-> drift {service.detector.last_score:.3f}, "

@@ -444,10 +444,10 @@ class Database:
         so this is memory hygiene, and together they guarantee a swap
         can never surface a stale result.
 
-        Thread-safety (the adapt loop swaps from a background thread
-        while queries are in flight): the lifecycle mutation and the
-        purge happen under the database lock, and the lock ordering is
-        strictly ``Database._lock`` → ``ResultCache._lock`` — the hot
+        Thread-safety (the adapt loop swaps inline on the serving
+        worker that detects drift, while other queries are in
+        flight): the lifecycle mutation and the purge happen under the
+        database lock, and the lock ordering is strictly ``Database._lock`` → ``ResultCache._lock`` — the hot
         query path takes only the cache lock, so the two can never
         deadlock.  A query racing the swap on the *old* generation may
         re-publish an old-generation cache entry after the purge;
@@ -772,7 +772,8 @@ class Database:
         :class:`~repro.adapt.log.QueryLog`; when the live mix diverges
         from the layout's build-time workload signature past
         ``policy.threshold``, a candidate layout is rebuilt from the
-        logged window in a background thread, evaluated offline on the
+        logged window inline on the serving worker that detects drift
+        (that query's client pays for it), evaluated offline on the
         blocks-scanned cost model, and — if it wins by
         ``policy.min_improvement`` — installed through
         :meth:`swap_layout` (new generation, cache purge) with the

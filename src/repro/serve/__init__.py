@@ -25,8 +25,8 @@ configuration:
   (blocks-surviving × bytes-scanned argmin) and per-layout win counts
   in the metrics.
 * :class:`repro.adapt.AdaptiveService` — a single layout that
-  re-learns itself; its pipeline and scheduler resolve to the current
-  generation.
+  re-learns itself; one scheduler for its whole life, and a pipeline
+  and buffer pool per generation.
 
 :class:`~repro.exec.ResultCache` (:mod:`repro.exec.result_cache`)
 layers full result memoization over the routing memo: finished

@@ -42,8 +42,9 @@ class AdaptSnapshot(Stats):
         "repro_adapt_drift_score", "Live-vs-baseline workload divergence", 0.0
     )
     swaps: int = counter("repro_adapt_swaps_total", "Generation hot-swaps installed")
-    #: Swaps + rejected + in flight.
-    rebuilds: int = counter("repro_adapt_rebuilds_total", "Background rebuilds attempted")
+    #: Swaps + rejected, plus the rebuild running now and any
+    #: ``adapt_now`` that found an empty window.
+    rebuilds: int = counter("repro_adapt_rebuilds_total", "Rebuilds attempted")
     #: Insufficient improvement, or the rebuild itself crashed
     #: (``last_error`` tells them apart).
     rejected: int = counter("repro_adapt_rejected_total", "Candidates built but discarded")
@@ -51,8 +52,6 @@ class AdaptSnapshot(Stats):
     generation: int = gauge("repro_adapt_generation", "Generation currently serving")
     #: Drift checks run (every ``check_every`` arrivals).
     checks: int = counter()
-    #: A background rebuild is running right now.
-    in_progress: bool = False
     last_error: Optional[str] = None
     #: Completed rebuild decisions (:class:`repro.adapt.AdaptEvent`),
     #: oldest first.

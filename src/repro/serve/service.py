@@ -139,11 +139,43 @@ def serving_router(
     return QueryRouter(tree, store, max_latency_samples=10_000)
 
 
+def layout_generation(
+    store: BlockStore,
+    tree: Optional[QdTree],
+    generation: int,
+    profile: CostProfile,
+    num_advanced_cuts: int,
+    cache_budget_bytes: Optional[int],
+    planner: SqlPlanner,
+    **pipeline_options: object,
+) -> Tuple[ScanEngine, Optional[BlockCache], Optional[QueryRouter], QueryPipeline]:
+    """One layout generation's serving parts: a scan engine over its
+    own buffer pool, the router over its pruning table and the
+    single-layout pipeline through both, keyed under ``generation``
+    (``pipeline_options`` go to
+    :func:`~repro.exec.pipeline.single_layout_pipeline`).
+    :class:`LayoutService` builds one; the adaptive service builds one
+    per installed generation."""
+    engine, cache = pooled_engine(
+        store, profile, num_advanced_cuts, cache_budget_bytes
+    )
+    router = serving_router(tree, store)
+    pipeline = single_layout_pipeline(
+        planner=planner,
+        engine=engine,
+        router=router,
+        store=store,
+        generation=generation,
+        **pipeline_options,
+    )
+    return engine, cache, router, pipeline
+
+
 #: One serving resource and the labels its samples carry.  A resource
 #: implements whichever of four hooks it has something for:
 #: ``publish(registry, **labels)`` (it owns counters),
 #: ``report_lines()`` (it renders them for operators), ``reset()`` (it
-#: keeps a per-window count) and ``close()`` (it owns threads).
+#: keeps a per-window count) and ``close()`` (it owns threads or a loop).
 Resource = Tuple[object, Mapping[str, object]]
 
 
@@ -332,10 +364,11 @@ class Service:
         return "\n".join(lines)
 
     def close(self) -> None:
-        """Close every resource that owns threads, in resource order,
-        then the front scheduler — a no-op where it was listed, and
-        for the adaptive service read only now, after the rebuild loop
-        has stopped, so it is the last generation's."""
+        """Close every resource that owns threads or a loop, in order,
+        then the front scheduler (a no-op where it was listed).  The
+        adaptive service's rebuild loop closes first: no query starts
+        a rebuild after that, and the scheduler's drain lets one that
+        is already running inside a query finish."""
         for close, _ in self._hooks("close"):
             close()
         self.scheduler.close()
@@ -382,10 +415,6 @@ class LayoutService(Service):
         scanning; entries are keyed under ``generation`` so a database
         that swaps or re-ingests layouts can never serve a stale
         result through a cache shared across generations.
-    metrics:
-        Optional pre-existing :class:`ServingMetrics` collector.  The
-        adaptive service passes one shared collector so the observation
-        window survives generation hot-swaps of the inner service.
     record_sink:
         Optional query-log sink (``observe(ctx)``, e.g. a
         :class:`repro.adapt.log.QueryLog`) appended as the pipeline's
@@ -408,25 +437,22 @@ class LayoutService(Service):
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
         generation: int = 0,
-        metrics: Optional[ServingMetrics] = None,
         record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> None:
         self.store = store
         self.generation = generation
-        self.engine, self.cache = pooled_engine(
-            store, profile, num_advanced_cuts, cache_budget_bytes
-        )
-        self.router = serving_router(tree, store)
-        metrics = metrics if metrics is not None else ServingMetrics()
+        metrics = ServingMetrics()
         scheduler = Scheduler(max_workers=max_workers, queue_depth=queue_depth)
-        pipeline = single_layout_pipeline(
-            planner=planner if planner is not None else SqlPlanner(store.schema),
-            engine=self.engine,
-            router=self.router,
-            store=store,
+        self.engine, self.cache, self.router, pipeline = layout_generation(
+            store,
+            tree,
+            generation,
+            profile,
+            num_advanced_cuts,
+            cache_budget_bytes,
+            planner if planner is not None else SqlPlanner(store.schema),
             result_cache=result_cache,
-            generation=generation,
             metrics=metrics,
             record_sink=record_sink,
             tracer=tracer,

@@ -1,10 +1,10 @@
 """The repro.adapt control plane: log capture, drift detection,
-background re-optimization with hot swap.
+inline re-optimization with hot swap.
 
 Acceptance proofs:
 
 * **Closed loop** — under a drifting replay the adaptive service
-  performs ≥1 background rebuild + generation swap with bit-identical
+  performs ≥1 inline rebuild + generation swap with bit-identical
   query results throughout, and blocks scanned on the post-drift mix
   drop to ≤70% of the frozen layout (avoided work, not wall-clock).
 * **Crash safety** — a rebuild that raises after its candidate was
@@ -305,7 +305,7 @@ ADAPT_POLICY = AdaptPolicy(
 class TestClosedLoop:
     def test_drift_triggers_rebuild_swap_and_saves_blocks(self, schema):
         """The tentpole proof: shift the filter-column distribution
-        mid-replay; the detector fires, a background rebuild + swap
+        mid-replay; the detector fires, an inline rebuild + swap
         happens, results stay bit-identical, and post-swap blocks
         scanned on the new mix is ≤70% of the frozen layout's."""
         db = make_db(schema, rows=20_000, seed=3)
@@ -326,7 +326,6 @@ class TestClosedLoop:
             assert service.generation == frozen.generation
             assert not service.events  # stationary: no rebuild
             after = service.run_closed_loop(Y_SQL, repeat=12)
-            service.join_adaptation(timeout=120)
             swaps = [e for e in service.events if e.kind == "swap"]
             assert swaps, (
                 f"no swap happened: drift={service.detector.last_score}, "
@@ -337,7 +336,7 @@ class TestClosedLoop:
 
         # Bit-identical results throughout: every replayed result
         # returned exactly the rows the table says it should, before,
-        # during and after the background swap.
+        # during and after the swap.
         for replay, statements in (
             (before, X_SQL),
             (after, Y_SQL),
@@ -369,6 +368,48 @@ class TestClosedLoop:
         # handle stays usable, as exercised above.
         assert frozen not in db.layouts()
 
+    def test_inline_rebuild_is_repeatable_and_serves_the_next_statement(
+        self, schema
+    ):
+        """The rebuild runs inside the query whose check saw drift, so
+        two fresh runs of one statement sequence swap at the same
+        statement, and the statement right after it is answered by
+        the new generation."""
+
+        def run():
+            db = make_db(schema, rows=12_000, seed=3)
+            db.build_layout("greedy", workload=X_SQL)
+            generations, swaps_after = [], []
+            with db.auto_adapt(policy=ADAPT_POLICY) as service:
+                for sql in X_SQL * 5 + Y_SQL * 12:
+                    generations.append(service.execute_sql(sql).generation)
+                    swaps_after.append(
+                        sum(e.kind == "swap" for e in service.events)
+                    )
+                events = service.events
+            return generations, swaps_after, events
+
+        generations, swaps_after, events = run()
+        assert (generations, swaps_after, events) == run()
+        swaps = [e for e in events if e.kind == "swap"]
+        assert swaps, f"no swap inside the sequence: {events}"
+        trigger = swaps_after.index(1)
+        assert trigger + 1 < len(generations)
+        assert generations[trigger] != swaps[0].generation
+        assert generations[trigger + 1] == swaps[0].generation
+
+    def test_one_scheduler_counts_every_statement_across_swaps(self, schema):
+        db = make_db(schema, rows=12_000, seed=3)
+        frozen = db.build_layout("greedy", workload=X_SQL)
+        with db.auto_adapt(policy=ADAPT_POLICY) as service:
+            before = service.run_closed_loop(X_SQL, repeat=5)
+            after = service.run_closed_loop(Y_SQL, repeat=12)
+            assert service.generation != frozen.generation
+        # close() drained the pool, so every done-callback has counted.
+        stats = service.scheduler.stats()
+        assert stats.completed == before.completed + after.completed
+        assert stats.completed == len(X_SQL) * 5 + len(Y_SQL) * 12
+
     def test_insufficient_improvement_discards_candidate(self, schema):
         """A drift whose rebuilt candidate cannot beat the incumbent
         is rejected, the candidate generation is dropped, and serving
@@ -386,7 +427,6 @@ class TestClosedLoop:
         )
         with db.auto_adapt(policy=policy) as service:
             service.run_closed_loop(Y_SQL, repeat=10)
-            service.join_adaptation(timeout=120)
             stats = service.reoptimizer.stats()
             assert stats.rebuilds >= 1
             assert stats.swaps == 0
@@ -430,7 +470,7 @@ class TestClosedLoop:
         db.build_layout("greedy", workload=X_SQL)
         with db.auto_adapt(result_cache=False) as service:
             service.run_closed_loop(X_SQL, repeat=3)
-            assert service.service.result_cache is None
+            assert service.result_cache is None
         assert len(db.result_cache) == 0
 
     def test_window_snapshot_survives_mid_replay_cache_swap(self, schema):
@@ -451,7 +491,6 @@ class TestClosedLoop:
         db.build_layout("greedy", workload=X_SQL)
         with db.auto_adapt(policy=ADAPT_POLICY) as service:
             service.run_closed_loop(Y_SQL, repeat=12)
-            service.join_adaptation(timeout=120)
             report = service.report()
         assert "drift score" in report
         assert "adaptation" in report
@@ -472,7 +511,7 @@ class TestClosedLoop:
 @pytest.mark.adapt
 def test_drift_stress_concurrent_submissions(schema):
     """The closed loop under concurrent scheduler traffic: drifting
-    load submitted through the pool while the rebuild thread swaps
+    load submitted through the pool while a worker rebuilds and swaps
     generations — every future resolves, every result is row-exact,
     and at least one swap lands."""
     db = make_db(schema, rows=30_000, seed=10)
@@ -510,7 +549,6 @@ def test_drift_stress_concurrent_submissions(schema):
                 result = future.result(timeout=120)
                 assert result.stats.rows_returned == expected_rows[sql]
             futures.clear()
-            service.join_adaptation(timeout=120)
             if any(e.kind == "swap" for e in service.events):
                 break
         swaps = [e for e in service.events if e.kind == "swap"]

@@ -353,15 +353,16 @@ class TestAdaptCommands:
         assert "drift score" in out
         assert "adaptation" in out
 
+    @pytest.mark.parametrize("shards", ["2", "0"])
     def test_serve_bench_adapt_rejects_shards(
-        self, adaptive_layout_dir, capsys
+        self, adaptive_layout_dir, capsys, shards
     ):
         code = main(
             [
                 "serve-bench",
                 "--layout", str(adaptive_layout_dir),
                 "--adapt",
-                "--shards", "2",
+                "--shards", shards,
             ]
         )
         assert code == 2

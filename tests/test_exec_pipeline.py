@@ -89,6 +89,7 @@ SERVICE_MODULES = [
 #: The surface :class:`repro.serve.Service` implements exactly once.
 SURFACE = (
     "execute_sql",
+    "submit_sql",
     "collect_row_ids",
     "run_closed_loop",
     "run_open_loop",
@@ -142,13 +143,6 @@ def test_surface_method_defined_once(method):
         f"{method} is re-implemented by {owners}: the serving surface "
         f"lives on Service, topologies only construct"
     )
-
-
-def test_submit_sql_only_overridden_for_the_swap_race():
-    owners = {
-        n for n, methods in service_classes().items() if "submit_sql" in methods
-    }
-    assert owners == {"Service", "AdaptiveService"}
 
 
 def test_no_shard_scan_entry_points_on_services():

@@ -200,7 +200,6 @@ class TestAdaptTracing:
         with db.auto_adapt(policy=policy, tracer=tracer) as service:
             service.run_closed_loop(X_SQL, repeat=4)
             service.run_closed_loop(Y_SQL, repeat=12)
-            service.join_adaptation(timeout=120)
             swapped = service.generation != frozen.generation
             final = service.run_closed_loop(Y_SQL, repeat=1)
 
