@@ -8,13 +8,6 @@ result *shapes* (who wins, rough factors, crossovers).
 
 import pytest
 
-from repro.baselines import (
-    BottomUpConfig,
-    BottomUpPartitioner,
-    RandomPartitioner,
-    RangePartitioner,
-)
-from repro.bench import build_baseline_layout
 from repro.db import Database
 from repro.workloads import (
     errorlog_ext_dataset,
@@ -94,26 +87,26 @@ def _baseline_block(dataset) -> int:
 
 @pytest.fixture(scope="session")
 def tpch_random(tpch):
-    return build_baseline_layout(
-        tpch, RandomPartitioner(block_size=_baseline_block(tpch))
+    return _database(tpch).build_layout(
+        "random", min_block_size=_baseline_block(tpch), activate=False
+    )
+
+
+def _bottom_up_plus(db, dataset, registry):
+    """Bottom-Up tuned as BU+ (features more selective than 10%
+    dropped); its groups of at least ``block`` rows are stored as
+    blocks of at most ``block`` rows."""
+    block = max(dataset.min_block_size, 64)
+    return db.build_layout(
+        "bottom_up", workload=dataset.workload, registry=registry,
+        min_block_size=block, selectivity_threshold=0.10,
+        max_block_size=block, label="bottom-up+", activate=False,
     )
 
 
 @pytest.fixture(scope="session")
 def tpch_bottom_up(tpch, tpch_registry):
-    return build_baseline_layout(
-        tpch,
-        BottomUpPartitioner(
-            tpch_registry,
-            tpch.workload,
-            BottomUpConfig(
-                min_block_size=max(tpch.min_block_size, 64),
-                selectivity_threshold=0.10,
-                max_block_size=max(tpch.min_block_size, 64),
-                name="bottom-up+",
-            ),
-        ),
-    )
+    return _bottom_up_plus(_database(tpch), tpch, tpch_registry)
 
 
 @pytest.fixture(scope="session")
@@ -143,23 +136,12 @@ def _errlog_layouts(dataset, registry, episodes=RL_EPISODES):
     # the workload-oblivious baseline gets lucky dictionary pruning
     # that the production system never saw.
     range_block = max(block * 8, dataset.num_rows // 12)
-    range_layout = build_baseline_layout(
-        dataset, RangePartitioner(column="ingest_date", block_size=range_block)
-    )
-    bu_layout = build_baseline_layout(
-        dataset,
-        BottomUpPartitioner(
-            registry,
-            dataset.workload,
-            BottomUpConfig(
-                min_block_size=block,
-                selectivity_threshold=0.10,
-                max_block_size=block,
-                name="bottom-up+",
-            ),
-        ),
-    )
     db = _database(dataset)
+    range_layout = db.build_layout(
+        "range", column="ingest_date", min_block_size=range_block,
+        activate=False,
+    )
+    bu_layout = _bottom_up_plus(db, dataset, registry)
     greedy_layout = db.build_layout(
         "greedy", workload=dataset.workload, registry=registry
     )

@@ -7,11 +7,7 @@ A4 — advanced cuts on/off for TPC-H.
 A5 — explicit BID routing vs `no route` min-max pruning only.
 """
 
-from repro.bench import (
-    format_table,
-    logical_access_pct,
-    run_physical,
-)
+from repro.bench import format_table, run_physical
 from repro.core import (
     ConstructionEnv,
     CutRegistry,
@@ -80,10 +76,10 @@ def test_a2_sample_ratio(benchmark, tpch):
             layout = db.build_layout(
                 "greedy", workload=tpch.workload, sample_ratio=ratio
             )
-            pct = logical_access_pct(
+            pct = run_physical(
                 layout, tpch.workload,
                 num_advanced_cuts=tpch.registry().num_advanced_cuts,
-            )
+            ).access_percentage(layout.store.logical_rows)
             rows.append((ratio, layout.num_blocks, pct))
         return rows
 

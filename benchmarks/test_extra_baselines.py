@@ -6,38 +6,35 @@ partitioning and classical workload-oblivious multi-dimensional indexes
 quantifies that on the TPC-H workload.
 """
 
-from repro.baselines import HashPartitioner, KdTreePartitioner
-from repro.bench import build_baseline_layout, format_table, logical_access_pct
+from repro.bench import format_table, run_physical
+from repro.db import Database
 
 
 def test_hash_and_kdtree_vs_qdtree(benchmark, tpch, tpch_registry, tpch_greedy):
     nac = tpch_registry.num_advanced_cuts
 
+    def access_pct(layout):
+        report = run_physical(layout, tpch.workload, num_advanced_cuts=nac)
+        return report.access_percentage(layout.store.logical_rows)
+
     def run():
-        hash_layout = build_baseline_layout(
-            tpch,
-            HashPartitioner(
-                columns=["l_shipdate", "p_brand"],
-                num_blocks=max(tpch_greedy.num_blocks, 4),
-            ),
+        db = Database.from_table(tpch.table, min_block_size=tpch.min_block_size)
+        hash_layout = db.build_layout(
+            "hash",
+            columns=["l_shipdate", "p_brand"],
+            num_blocks=max(tpch_greedy.num_blocks, 4),
+            activate=False,
         )
-        kd_layout = build_baseline_layout(
-            tpch,
-            KdTreePartitioner(
-                columns=["l_shipdate", "o_orderdate", "l_quantity", "p_size"],
-                min_block_size=tpch.min_block_size,
-            ),
+        kd_layout = db.build_layout(
+            "kdtree",
+            columns=["l_shipdate", "o_orderdate", "l_quantity", "p_size"],
+            label="kd-tree",
+            activate=False,
         )
         return {
-            "hash": logical_access_pct(
-                hash_layout, tpch.workload, num_advanced_cuts=nac
-            ),
-            "kd-tree": logical_access_pct(
-                kd_layout, tpch.workload, num_advanced_cuts=nac
-            ),
-            "qd-tree (greedy)": logical_access_pct(
-                tpch_greedy, tpch.workload, num_advanced_cuts=nac
-            ),
+            "hash": access_pct(hash_layout),
+            "kd-tree": access_pct(kd_layout),
+            "qd-tree (greedy)": access_pct(tpch_greedy),
         }
 
     pcts = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,7 +11,13 @@ The shape to reproduce: Baseline >> BU+ > Greedy >= RL, with qd-trees
 within a small factor of the workload's true selectivity.
 """
 
-from repro.bench import format_table, logical_access_pct
+from repro.bench import format_table, run_physical
+
+
+def logical_access_pct(layout, workload, num_advanced_cuts=0):
+    """% of (tuple, query) pairs the layout scans for the workload."""
+    report = run_physical(layout, workload, num_advanced_cuts=num_advanced_cuts)
+    return report.access_percentage(layout.store.logical_rows)
 
 
 def _row(label, layouts, dataset, num_advanced):

@@ -17,15 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    GreedyConfig,
-    QueryRouter,
-    QdTree,
-    build_greedy_tree,
-)
-from repro.bench import materialize_tree
+from repro.core import QueryRouter, QdTree
+from repro.db import Database
 from repro.engine import SPARK_PARQUET, ScanEngine, WorkloadReport
-from repro.sql import SqlPlanner
 from repro.storage import (
     Schema,
     Table,
@@ -78,19 +72,16 @@ SQL_WORKLOAD = [
 
 def main() -> None:
     table = make_table()
-    planner = SqlPlanner(table.schema)
-    workload = planner.plan_workload(SQL_WORKLOAD)
-    registry = planner.candidate_cuts(workload)
+    db = Database.from_table(table, min_block_size=500)
+    workload = db.planner.plan_workload(SQL_WORKLOAD)
+    registry = db.planner.candidate_cuts(workload)
     print(f"planned {len(workload)} queries -> {len(registry)} candidate "
           f"cuts ({registry.num_advanced_cuts} advanced)")
     for cut in registry.cuts:
         print(f"  cut: {cut!r}")
 
-    tree = build_greedy_tree(
-        table.schema, registry, table, workload,
-        GreedyConfig(min_leaf_size=500),
-    )
-    store = materialize_tree(tree, table)
+    layout = db.build_layout("greedy", workload=workload, registry=registry)
+    tree, store = layout.tree, layout.store
     print(f"\nlearned tree: {len(tree.leaves())} blocks")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -13,13 +13,7 @@ Run:  python examples/errorlog_skipping.py [--rows 60000] [--queries 300]
 
 import argparse
 
-from repro.baselines import BottomUpConfig, BottomUpPartitioner, RangePartitioner
-from repro.bench import (
-    build_baseline_layout,
-    format_table,
-    logical_access_pct,
-    run_physical,
-)
+from repro.bench import format_table, run_physical
 from repro.db import Database
 from repro.engine import SPARK_PARQUET
 from repro.workloads import errorlog_int_dataset
@@ -46,21 +40,14 @@ def main() -> None:
         dataset.table, min_block_size=dataset.min_block_size
     )
     layouts = [
-        build_baseline_layout(
-            dataset,
-            RangePartitioner(column="ingest_date", block_size=range_block),
+        db.build_layout(
+            "range", column="ingest_date", min_block_size=range_block,
+            activate=False,
         ),
-        build_baseline_layout(
-            dataset,
-            BottomUpPartitioner(
-                registry,
-                dataset.workload,
-                BottomUpConfig(
-                    min_block_size=block,
-                    selectivity_threshold=0.1,
-                    name="bottom-up+",
-                ),
-            ),
+        db.build_layout(
+            "bottom_up", workload=dataset.workload, registry=registry,
+            min_block_size=block, selectivity_threshold=0.1,
+            max_block_size=None, label="bottom-up+", activate=False,
         ),
         db.build_layout("greedy", workload=dataset.workload, registry=registry),
         db.build_layout(
@@ -71,8 +58,8 @@ def main() -> None:
 
     rows = []
     for layout in layouts:
-        pct = logical_access_pct(layout, dataset.workload)
         report = run_physical(layout, dataset.workload, SPARK_PARQUET)
+        pct = report.access_percentage(layout.store.logical_rows)
         rows.append(
             [
                 layout.label,

@@ -17,14 +17,15 @@ Run:  python examples/quickstart.py [--rows 50000] [--episodes 60]
 
 import argparse
 
-from repro.bench import logical_access_pct
+from repro.bench import run_physical
 from repro.db import Database, strategy_names
 from repro.workloads import disjunctive_dataset
 
 
 def access_pct(dataset, handle) -> float:
     """Table-2-style % of tuples the workload accesses under a layout."""
-    return logical_access_pct(handle, dataset.workload)
+    report = run_physical(handle, dataset.workload)
+    return report.access_percentage(handle.store.logical_rows)
 
 
 def main() -> None:

@@ -12,13 +12,7 @@ Run:  python examples/tpch_layout.py [--rows 60000] [--episodes 60]
 
 import argparse
 
-from repro.baselines import RandomPartitioner
-from repro.bench import (
-    build_baseline_layout,
-    format_table,
-    logical_access_pct,
-    run_physical,
-)
+from repro.bench import format_table, run_physical
 from repro.db import Database
 from repro.engine import SPARK_PARQUET
 from repro.workloads import tpch_dataset
@@ -43,8 +37,9 @@ def main() -> None:
         dataset.table, min_block_size=dataset.min_block_size
     )
     layouts = [
-        build_baseline_layout(
-            dataset, RandomPartitioner(block_size=dataset.min_block_size * 4)
+        db.build_layout(
+            "random", min_block_size=dataset.min_block_size * 4,
+            activate=False,
         ),
         db.build_layout("greedy", workload=dataset.workload, registry=registry),
         db.build_layout(
@@ -56,15 +51,13 @@ def main() -> None:
     rows = []
     reports = {}
     for layout in layouts:
-        pct = logical_access_pct(
-            layout, dataset.workload, num_advanced_cuts=registry.num_advanced_cuts
-        )
         report = run_physical(
             layout,
             dataset.workload,
             SPARK_PARQUET,
             num_advanced_cuts=registry.num_advanced_cuts,
         )
+        pct = report.access_percentage(layout.store.logical_rows)
         reports[layout.label] = report
         rows.append(
             [

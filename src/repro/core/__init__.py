@@ -3,8 +3,8 @@
 Exports the predicate algebra, node descriptions, the
 :class:`~repro.core.tree.QdTree` itself, candidate-cut extraction, the
 skipping cost model, the construction environment and its greedy policy,
-data/query routers, and the Sec. 6 extensions (overlap, two-tree
-replication).
+the ingestion and query routers, and the Sec. 6 extensions (overlap,
+two-tree replication).
 """
 
 from .cost import (
@@ -19,7 +19,7 @@ from .cost import (
 from .construct import ConstructionEnv
 from .cuts import CutRegistry, extract_candidate_cuts
 from .greedy import GreedyConfig, build_greedy_tree
-from .ingest import IngestionPipeline, SegmentInfo
+from .ingest import IngestionPipeline
 from .hypercube import Hypercube, Interval
 from .node import NodeDescription, QdNode
 from .overlap import OverlapLayout, build_overlap_layout, hypercubes_adjacent
@@ -42,7 +42,7 @@ from .predicates import (
     disjunction,
 )
 from .replication import TwoTreeLayout, build_two_tree_layout, combined_accessed
-from .router import DataRouter, QueryRouter, RoutedQuery, RoutingStats
+from .router import QueryRouter, RoutedQuery
 from .tree import QdTree
 from .validate import ValidationReport, validate_layout
 from .workload import Query, Workload
@@ -53,11 +53,9 @@ __all__ = [
     "ColumnPredicate",
     "ConstructionEnv",
     "CutRegistry",
-    "DataRouter",
     "GreedyConfig",
     "Hypercube",
     "IngestionPipeline",
-    "SegmentInfo",
     "Interval",
     "NodeDescription",
     "Not",
@@ -70,7 +68,6 @@ __all__ = [
     "Query",
     "QueryRouter",
     "RoutedQuery",
-    "RoutingStats",
     "TruePredicate",
     "TwoTreeLayout",
     "ValidationReport",

@@ -1,13 +1,9 @@
-"""Online data and query routing (paper Sec. 3.1, 3.3, Fig. 6).
-
-:class:`DataRouter` routes batches of incoming records through a
-frozen-or-not qd-tree to BIDs, optionally with a thread pool over
-batches (the paper's ingestion experiment, Fig. 6a — threads work
-because the heavy per-node kernels are vectorized numpy which releases
-the GIL).
+"""Online query routing (paper Sec. 3.3, Fig. 6b).
 
 :class:`QueryRouter` rewrites queries with an explicit ``BID IN (...)``
-clause (Sec. 3.3) and records per-query routing latency (Fig. 6b).  It
+clause (Sec. 3.3); each :class:`RoutedQuery` carries its routing time
+(Fig. 6b).  Records reach BIDs through
+:meth:`~repro.core.tree.QdTree.route_to_blocks` alone.  The router
 routes the way the paper says — "by scanning leaf metadata" — over a
 :class:`PruningTable`: the leaves' sub-space descriptions as stacked
 arrays (:func:`block_descriptions`; with the layout generation's block
@@ -33,8 +29,7 @@ per-statement memo in front of it.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -46,7 +41,6 @@ from ..obs.clock import now
 from ..storage.blocks import BlockStore
 from ..storage.minmax import MinMaxIndex
 from ..storage.schema import Column, Schema
-from ..storage.table import Table
 from .node import NodeDescription
 from .predicates import (
     AdvancedCut,
@@ -62,12 +56,10 @@ from .tree import QdTree
 from .workload import Query, Workload
 
 __all__ = [
-    "DataRouter",
     "MEMO_CAP",
     "PruningTable",
     "QueryRouter",
     "RoutedQuery",
-    "RoutingStats",
     "block_descriptions",
     "subtree_shard_assignment",
 ]
@@ -142,66 +134,6 @@ def subtree_shard_assignment(
                     break
         remaining_weight -= acc
     return assignment
-
-
-@dataclass
-class RoutingStats:
-    """Throughput accounting for one :meth:`DataRouter.route` call."""
-
-    records: int
-    seconds: float
-    threads: int
-
-    @property
-    def records_per_second(self) -> float:
-        return self.records / self.seconds if self.seconds > 0 else float("inf")
-
-
-class DataRouter:
-    """Routes record batches to block IDs through a qd-tree."""
-
-    def __init__(self, tree: QdTree, batch_size: int = 65536) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.tree = tree
-        self.batch_size = batch_size
-        # BIDs must be assigned before ingestion starts.
-        if any(leaf.block_id is None for leaf in tree.leaves()):
-            tree.assign_block_ids()
-
-    def route(self, table: Table, threads: int = 1) -> Tuple[np.ndarray, RoutingStats]:
-        """Route all rows; returns (per-row BIDs, throughput stats).
-
-        With ``threads > 1`` the table is chunked into batches routed
-        concurrently (appends at the leaves in a real system would be
-        lock-protected; here each batch owns its output slice).
-        """
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        n = table.num_rows
-        out = np.empty(n, dtype=np.int64)
-        columns = table.columns()
-        starts = list(range(0, n, self.batch_size))
-        t0 = now()
-
-        def work(start: int) -> None:
-            stop = min(start + self.batch_size, n)
-            batch = {name: arr[start:stop] for name, arr in columns.items()}
-            out[start:stop] = self.tree.route_columns(batch, stop - start)
-
-        if threads == 1 or len(starts) <= 1:
-            for start in starts:
-                work(start)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, starts))
-        seconds = now() - t0
-        # Map leaf node ids to dense BIDs.
-        lut = np.full(self.tree.num_nodes, -1, dtype=np.int64)
-        for leaf in self.tree.leaves():
-            assert leaf.block_id is not None
-            lut[leaf.node_id] = leaf.block_id
-        return lut[out], RoutingStats(records=n, seconds=seconds, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -551,40 +483,27 @@ def block_descriptions(
 class QueryRouter:
     """Intercepts queries and augments them with BID filters.
 
-    The paper routes queries by scanning leaf metadata; latencies here
-    are real wall-clock per-query routing times (Fig. 6b).  The
-    metadata scanned is a :func:`block_descriptions` table built once
-    here: the layout generation's blocks with a ``store`` (route and
-    min-max prune are then one vector pass), the tree's own leaf
-    descriptions without one (the paper-figure path).  The tree is
-    only read.
+    The paper routes queries by scanning leaf metadata; each
+    :class:`RoutedQuery` carries its real wall-clock routing time
+    (Fig. 6b).  The metadata scanned is a :func:`block_descriptions`
+    table built once here: the layout generation's blocks with a
+    ``store`` (route and min-max prune are then one vector pass), the
+    tree's own leaf descriptions without one (the paper-figure path).
+    The tree is only read, and the table is immutable, so concurrent
+    routes share the router freely.
     """
 
-    def __init__(
-        self,
-        tree: QdTree,
-        store: Optional[BlockStore] = None,
-        max_latency_samples: Optional[int] = None,
-    ) -> None:
+    def __init__(self, tree: QdTree, store: Optional[BlockStore] = None) -> None:
         self.tree = tree
         if any(leaf.block_id is None for leaf in tree.leaves()):
             tree.assign_block_ids()
         self._table = block_descriptions(store, tree)
-        # With a cap, only the most recent samples are retained so a
-        # long-lived router cannot grow without bound.  The lock covers
-        # the samples only: the table is immutable, so concurrent
-        # routes share it freely.
-        self._latencies: "deque[float]" = deque(maxlen=max_latency_samples)
-        self._lock = threading.Lock()
 
     def route(self, query: Query) -> RoutedQuery:
-        """Prune blocks for one query, recording latency."""
+        """Prune blocks for one query, timing the pass."""
         t0 = now()
         bids = self._table.matching(query.predicate)
-        latency = now() - t0
-        with self._lock:
-            self._latencies.append(latency)
-        return RoutedQuery(query=query, block_ids=bids, latency_seconds=latency)
+        return RoutedQuery(query=query, block_ids=bids, latency_seconds=now() - t0)
 
     def route_workload(self, workload: Workload) -> List[RoutedQuery]:
         """Route every query in a workload."""
@@ -594,19 +513,3 @@ class QueryRouter:
         """The augmented SQL fragment the paper injects (Sec. 3.3)."""
         bids = ",".join(str(b) for b in routed.block_ids)
         return f"({routed.query.predicate!r}) AND BID IN ({bids})"
-
-    @property
-    def latencies(self) -> Tuple[float, ...]:
-        """All recorded per-query routing latencies, in seconds."""
-        with self._lock:
-            return tuple(self._latencies)
-
-    def latency_cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(sorted latencies, cumulative fraction) — Fig. 6b's CDF."""
-        xs = np.sort(np.asarray(self.latencies))
-        ys = np.arange(1, len(xs) + 1) / len(xs)
-        return xs, ys
-
-    def reset_latencies(self) -> None:
-        with self._lock:
-            self._latencies.clear()

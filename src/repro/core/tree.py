@@ -3,9 +3,9 @@
 A :class:`QdTree` is a binary tree of :class:`~repro.core.node.QdNode`.
 It supports the two usages of paper Sec. 3:
 
-* **Data routing** (Sec. 3.1): :meth:`route_table` recursively routes a
-  batch of records down the tree with vectorized predicate evaluation,
-  returning a per-row block-ID (BID) assignment.
+* **Data routing** (Sec. 3.1): :meth:`route_to_blocks` recursively
+  routes a batch of records down the tree with vectorized predicate
+  evaluation, returning a per-row block-ID (BID) assignment.
 * **Query routing** (Sec. 3.3): the leaves' semantic descriptions,
   stacked once into a :class:`~repro.core.router.PruningTable`
   (``block_descriptions(None, tree)``, or
@@ -185,13 +185,20 @@ class QdTree:
         return mapping
 
     def route_to_blocks(self, table: Table) -> np.ndarray:
-        """Route rows and return per-row *block* IDs (dense)."""
-        leaf_to_bid = self.assign_block_ids()
-        leaf_ids = self.route_table(table)
+        """Route rows and return per-row *block* IDs (dense) — the
+        library's one rows -> BID function: layouts are built from it
+        (:meth:`freeze`) and future rows are routed through it
+        (:class:`~repro.core.ingest.IngestionPipeline`)."""
+        self.assign_block_ids()
+        return self.block_id_table()[self.route_table(table)]
+
+    def block_id_table(self) -> np.ndarray:
+        """Leaf node id -> BID (``-1`` at internal nodes): the lookup
+        :meth:`route_to_blocks` maps routed leaves through."""
         lut = np.full(self.num_nodes, -1, dtype=np.int64)
-        for leaf_id, bid in leaf_to_bid.items():
-            lut[leaf_id] = bid
-        return lut[leaf_ids]
+        for leaf in self.leaves():
+            lut[leaf.node_id] = leaf.block_id
+        return lut
 
     # ------------------------------------------------------------------
     # Freezing (min-max tightening, Sec. 3.2)

@@ -488,9 +488,7 @@ class Database:
             if self._active is not None:
                 self.result_cache.retain(self._active.generation)
 
-    def ingest(
-        self, batch: Table, segment_rows: Optional[int] = None
-    ) -> LayoutHandle:
+    def ingest(self, batch: Table) -> LayoutHandle:
         """Route ``batch`` through the active layout's learned tree and
         merge it into the store — producing a NEW generation.
 
@@ -512,14 +510,7 @@ class Database:
                 f"ingest needs a tree-backed layout (active strategy "
                 f"{active.strategy!r} has no learned partitioning function)"
             )
-        pipeline = IngestionPipeline(
-            active.tree,
-            segment_rows=segment_rows or max(1, batch.num_rows),
-        )
-        # route(), not ingest(): the merge below materializes blocks
-        # itself, so the pipeline's per-leaf segment buffers would be
-        # a dead second copy of the batch.
-        bids = pipeline.route(batch)
+        bids = IngestionPipeline(active.tree).route(batch)
         store = active.store
         base = store.logical_rows
         descriptions = active.tree.leaf_descriptions()

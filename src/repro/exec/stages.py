@@ -78,8 +78,9 @@ class Stage:
     """Protocol every pipeline stage implements.
 
     ``run`` executes on the way down the stage list; ``finish`` runs
-    for every stage after the result is known (only the result-cache
-    stage uses it, to publish the computed result).  ``span_attrs``
+    for every stage after the result is known, in stage order (the
+    result-cache stage publishes the computed result, then the record
+    stage feeds its sink).  ``span_attrs``
     describes what ``run`` just did for the stage's trace span.
 
     A stage that owns a memo or cache is also a *serving resource*
@@ -503,10 +504,14 @@ class RecordStage(Stage):
     (in practice a :class:`repro.adapt.log.QueryLog` or the adapt
     loop's :class:`~repro.adapt.reoptimize.Reoptimizer`) so
     :mod:`repro.exec` never imports the control plane it feeds.  The stage sits at the tail of every
-    pipeline configuration that asked for one: by the time it runs,
-    ``ctx.stats`` exists whether the result came from the cache, a
-    single-engine scan, or the scatter-gather merge.  Sink failures
-    must never fail the query — observation is strictly best-effort.
+    pipeline configuration that asked for one and observes in
+    ``finish``, after every other stage's ``finish``: ``ctx.stats``
+    exists whether the result came from the cache, a single-engine
+    scan, or the scatter-gather merge, and the result cache already
+    holds it — so a sink that swaps the layout (the adapt loop) purges
+    this query's entry along with the rest of the old generation's.
+    Sink failures must never fail the query — observation is strictly
+    best-effort.
     """
 
     name = "record"
@@ -515,6 +520,9 @@ class RecordStage(Stage):
         self.sink = sink
 
     def run(self, ctx: ExecContext) -> None:
+        """Nothing on the way down: the sink sees the finished query."""
+
+    def finish(self, ctx: ExecContext) -> None:
         if ctx.stats is None:
             return
         try:

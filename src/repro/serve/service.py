@@ -131,12 +131,11 @@ def pooled_engine(
 def serving_router(
     tree: Optional[QdTree], store: BlockStore
 ) -> Optional[QueryRouter]:
-    """The query router over this generation's pruning table, latency
-    samples bounded for a long-lived service (``None`` for a tree-less
-    layout)."""
+    """The query router over this generation's pruning table (``None``
+    for a tree-less layout)."""
     if tree is None:
         return None
-    return QueryRouter(tree, store, max_latency_samples=10_000)
+    return QueryRouter(tree, store)
 
 
 def layout_generation(

@@ -72,3 +72,22 @@ def mixed_workload(mixed_schema: Schema) -> Workload:
             ),
         ]
     )
+
+
+@pytest.fixture
+def count_routes(monkeypatch):
+    """``count_routes(router)`` wraps the router's ``route`` and
+    returns the list every query walk is appended to."""
+
+    def wrap(router):
+        walks = []
+        route = router.route
+
+        def counted(query):
+            walks.append(query)
+            return route(query)
+
+        monkeypatch.setattr(router, "route", counted)
+        return walks
+
+    return wrap

@@ -410,6 +410,24 @@ class TestClosedLoop:
         assert stats.completed == before.completed + after.completed
         assert stats.completed == len(X_SQL) * 5 + len(Y_SQL) * 12
 
+    def test_swapping_query_leaves_no_old_generation_cache_entry(self, schema):
+        """The statement whose check swaps the layout publishes its
+        result before the swap purges the cache, so after a stream of
+        never-seen statements only the active generation holds
+        entries."""
+        fresh_y = [
+            f"SELECT y FROM t WHERE y >= {lo:.3f} AND y < {lo + 0.05:.3f}"
+            for lo in np.linspace(0.01, 0.9, 120)
+        ]
+        db = make_db(schema, rows=12_000, seed=3)
+        frozen = db.build_layout("greedy", workload=X_SQL)
+        with db.auto_adapt(policy=ADAPT_POLICY) as service:
+            for sql in X_SQL * 5 + fresh_y:
+                service.execute_sql(sql)
+            assert any(e.kind == "swap" for e in service.events)
+        assert db.generation != frozen.generation
+        assert db.result_cache.generations() == (db.generation,)
+
     def test_insufficient_improvement_discards_candidate(self, schema):
         """A drift whose rebuilt candidate cannot beat the incumbent
         is rejected, the candidate generation is dropped, and serving

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import RandomPartitioner
 from repro.bench import (
-    build_baseline_layout,
     format_cdf,
     format_series,
     format_table,
-    logical_access_pct,
     run_physical,
 )
 from repro.db import Database, registry
@@ -79,19 +76,20 @@ class TestHarness:
         assert layout.diagnostics.episodes_run == 5
 
     def test_baseline_layout(self, dataset):
-        layout = build_baseline_layout(
-            dataset, RandomPartitioner(block_size=1000)
+        layout = database(dataset).build_layout(
+            "random", min_block_size=1000, activate=False
         )
         assert layout.tree is None
         assert layout.label == "random"
 
     def test_logical_access_pct_qdtree_beats_random(self, dataset, greedy):
-        random = build_baseline_layout(
-            dataset, RandomPartitioner(block_size=1000)
+        random = database(dataset).build_layout(
+            "random", min_block_size=1000, activate=False
         )
-        assert logical_access_pct(greedy, dataset.workload) < (
-            logical_access_pct(random, dataset.workload)
-        )
+        rows = dataset.table.num_rows
+        assert run_physical(greedy, dataset.workload).access_percentage(
+            rows
+        ) < run_physical(random, dataset.workload).access_percentage(rows)
 
     def test_run_physical_routing_vs_no_route(self, dataset, greedy):
         routed = run_physical(greedy, dataset.workload, SPARK_PARQUET)

@@ -144,7 +144,6 @@ def assignments(n):
 GROUPING_MODULES = [
     "storage/blocks.py",
     "core/tree.py",
-    "core/ingest.py",
     "db/database.py",
     "baselines/bottom_up.py",
 ]

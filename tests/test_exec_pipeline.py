@@ -160,12 +160,14 @@ def test_serving_modules_never_execute_themselves():
     metadata) lives below it, in repro/core and repro/engine.  That
     matcher is the library's only one: no scalar ``may_match`` (nor its
     ``_may`` recursion, nor a tree's ``route_query`` loop over it) may
-    grow back anywhere under repro."""
+    grow back anywhere under repro.  Nor may a second way of turning
+    rows into blocks: a table becomes a ``BlockStore`` in
+    ``Database.build_layout`` alone."""
     for path in SERVING_MODULES + sorted((SRC / "db").glob("*.py")):
         source = path.read_text()
         for needle in (
             "router.route(",      # qd-tree query walks belong to RouteStage
-            ".route(query",       # (ingest's DataRouter batch routing is fine)
+            ".route(query",       # (ingest's batch routing is fine)
             "result_cache.get(",  # cache gets belong to ResultCacheStage
             "result_cache.put(",  # cache puts belong to ResultCacheStage
             "prune_blocks(",      # the stats-only pass is route_and_count's
@@ -184,6 +186,12 @@ def test_serving_modules_never_execute_themselves():
                 f"{path.relative_to(SRC)} contains {needle!r} — sub-spaces "
                 f"are matched by PruningTable.match alone"
             )
+        if path != SRC / "db" / "database.py":
+            for needle in ("BlockStore.from_assignment(", ".freeze("):
+                assert needle not in source, (
+                    f"{path.relative_to(SRC)} contains {needle!r} — "
+                    f"layouts are materialized by Database.build_layout"
+                )
 
 
 def test_adapt_imports_no_stage_class():
@@ -413,7 +421,7 @@ class TestPipelineSemantics:
         assert snap.tuples_scanned == sum(r.stats.tuples_scanned for r in served)
         assert snap.rows_returned == sum(r.stats.rows_returned for r in served)
 
-    def test_serial_pipeline_never_memoizes(self, db):
+    def test_serial_pipeline_never_memoizes(self, db, count_routes):
         """The serial baseline walks the tree on every arrival — its
         configuration must carry no route memo and no cache."""
         handle = db.active_layout
@@ -421,18 +429,20 @@ class TestPipelineSemantics:
             handle.store, num_advanced_cuts=handle.num_advanced_cuts
         )
         router = QueryRouter(handle.tree)
+        walks = count_routes(router)
         pipe = serial_pipeline(db.planner, engine, router, handle.store)
         for _ in range(3):
             pipe.execute(STATEMENTS[0])
-        assert len(router.latencies) == 3  # one walk per arrival
+        assert len(walks) == 3  # one walk per arrival
         assert pipe.result_cache is None
 
-    def test_service_pipeline_memoizes_routes(self, db):
+    def test_service_pipeline_memoizes_routes(self, db, count_routes):
         with db.serve(max_workers=1, result_cache=False) as svc:
+            walks = count_routes(svc.router)
             for _ in range(3):
                 for sql in STATEMENTS:
                     svc.execute_sql(sql)
-            assert len(svc.router.latencies) == len(STATEMENTS)
+            assert len(walks) == len(STATEMENTS)
             assert len(svc.pipeline.stage("route").memo) == len(STATEMENTS)
 
 

@@ -9,6 +9,7 @@ from repro.core import (
     IngestionPipeline,
     build_greedy_tree,
 )
+from repro.db import Database
 from repro.storage import Table
 
 
@@ -44,68 +45,47 @@ def fresh_batches(mixed_schema, seed, num_batches=4, rows=500):
 
 class TestIngestionPipeline:
     def test_routes_every_row(self, learned_tree, mixed_schema):
-        pipeline = IngestionPipeline(learned_tree, segment_rows=300)
-        total = 0
+        pipeline = IngestionPipeline(learned_tree)
+        leaf_bids = {leaf.block_id for leaf in learned_tree.leaves()}
         for batch in fresh_batches(mixed_schema, seed=9):
-            bids = pipeline.ingest(batch)
+            bids = pipeline.route(batch)
             assert len(bids) == batch.num_rows
-            total += batch.num_rows
-        assert pipeline.rows_ingested == total
-
-    def test_finish_preserves_all_rows(self, learned_tree, mixed_schema):
-        pipeline = IngestionPipeline(learned_tree, segment_rows=300)
-        batches = fresh_batches(mixed_schema, seed=10)
-        for batch in batches:
-            pipeline.ingest(batch)
-        store = pipeline.finish()
-        assert store.stored_rows == sum(b.num_rows for b in batches)
-        assert pipeline.buffered_rows() == 0
-
-    def test_segments_respect_size(self, learned_tree, mixed_schema):
-        pipeline = IngestionPipeline(learned_tree, segment_rows=200)
-        for batch in fresh_batches(mixed_schema, seed=11):
-            pipeline.ingest(batch)
-        pipeline.finish()
-        for info in pipeline.segments:
-            assert info.num_rows <= 200
+            assert set(bids.tolist()) <= leaf_bids
 
     def test_ingested_rows_match_tree_routing(
         self, learned_tree, mixed_schema
     ):
         """Online routing equals offline bulk routing."""
-        pipeline = IngestionPipeline(learned_tree, segment_rows=10_000)
+        pipeline = IngestionPipeline(learned_tree)
         batch = fresh_batches(mixed_schema, seed=12, num_batches=1)[0]
-        online = pipeline.ingest(batch)
+        online = pipeline.route(batch)
         offline = learned_tree.route_to_blocks(batch)
         np.testing.assert_array_equal(online, offline)
 
     def test_blocks_keep_completeness_on_future_data(
-        self, learned_tree, mixed_schema
+        self, mixed_schema, mixed_table, mixed_workload
     ):
         """The learned partitioning function stays complete on unseen
-        tuples from the same distribution (Problem 2)."""
-        pipeline = IngestionPipeline(learned_tree, segment_rows=500)
-        batches = fresh_batches(mixed_schema, seed=13)
-        merged = batches[0]
-        for batch in batches[1:]:
-            merged = merged.concat(batch)
+        tuples from the same distribution (Problem 2): after two
+        ingests every block holds exactly the rows the tree routes to
+        its BID over the grown table."""
+        db = Database.from_table(mixed_table, min_block_size=100)
+        handle = db.build_layout("greedy", workload=mixed_workload)
+        batches = fresh_batches(mixed_schema, seed=13, num_batches=2)
         for batch in batches:
-            pipeline.ingest(batch)
-        store = pipeline.finish()
-        bids = learned_tree.route_to_blocks(merged)
+            db.ingest(batch)
+        grown = db.table
+        assert grown.num_rows == mixed_table.num_rows + sum(
+            b.num_rows for b in batches
+        )
+        bids = handle.tree.route_to_blocks(grown)
+        store = db.active_layout.store
+        assert store.stored_rows == grown.num_rows
         for block in store:
-            stored = block.num_rows
-            routed = int((bids == block.block_id).sum())
-            assert stored == routed
-
-    def test_throughput_positive(self, learned_tree, mixed_schema):
-        pipeline = IngestionPipeline(learned_tree, segment_rows=300)
-        pipeline.ingest(fresh_batches(mixed_schema, seed=14, num_batches=1)[0])
-        assert pipeline.routing_throughput > 0
-
-    def test_invalid_segment_rows(self, learned_tree):
-        with pytest.raises(ValueError):
-            IngestionPipeline(learned_tree, segment_rows=0)
+            np.testing.assert_array_equal(
+                np.sort(block.row_ids),
+                np.flatnonzero(bids == block.block_id),
+            )
 
     def test_layout_quality_holds_on_future_data(
         self, learned_tree, mixed_schema, mixed_workload, mixed_table

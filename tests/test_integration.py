@@ -2,22 +2,10 @@
 
 import pytest
 
-from repro.baselines import (
-    BottomUpConfig,
-    BottomUpPartitioner,
-    RandomPartitioner,
-    RangePartitioner,
-)
-from repro.bench import (
-    build_baseline_layout,
-    logical_access_pct,
-    materialize_tree,
-    run_physical,
-)
+from repro.bench import run_physical
 from repro.core import QdTree, QueryRouter
 from repro.db import Database
 from repro.engine import SPARK_PARQUET, speedup_cdf
-from repro.sql import SqlPlanner
 from repro.storage import load_store, save_store
 from repro.workloads import (
     disjunctive_dataset,
@@ -42,29 +30,32 @@ def database(dataset):
     )
 
 
+def access_pct(layout, workload, num_advanced_cuts=0):
+    """Table 2's % of (tuple, query) pairs scanned."""
+    report = run_physical(layout, workload, num_advanced_cuts=num_advanced_cuts)
+    return report.access_percentage(layout.store.logical_rows)
+
+
 class TestTpchPipeline:
     def test_layout_ordering_matches_paper(self, tpch):
         """Greedy qd-tree < Random in access % (the Table 2 ordering)."""
         registry = tpch.registry()
         nac = registry.num_advanced_cuts
-        random = build_baseline_layout(
-            tpch, RandomPartitioner(block_size=tpch.min_block_size * 4)
+        db = database(tpch)
+        random = db.build_layout(
+            "random", min_block_size=tpch.min_block_size * 4, activate=False
         )
-        greedy = database(tpch).build_layout(
+        greedy = db.build_layout(
             "greedy", workload=tpch.workload, registry=registry
         )
-        rnd_pct = logical_access_pct(
-            random, tpch.workload, num_advanced_cuts=nac
-        )
-        greedy_pct = logical_access_pct(
-            greedy, tpch.workload, num_advanced_cuts=nac
-        )
+        rnd_pct = access_pct(random, tpch.workload, num_advanced_cuts=nac)
+        greedy_pct = access_pct(greedy, tpch.workload, num_advanced_cuts=nac)
         assert greedy_pct < rnd_pct
 
     def test_greedy_within_factor_of_selectivity(self, tpch):
         """The paper's headline: within ~2-3x of the selectivity bound."""
         greedy = database(tpch).build_layout("greedy", workload=tpch.workload)
-        pct = logical_access_pct(
+        pct = access_pct(
             greedy, tpch.workload,
             num_advanced_cuts=tpch.registry().num_advanced_cuts,
         )
@@ -74,10 +65,11 @@ class TestTpchPipeline:
     def test_physical_speedup_follows_logical(self, tpch):
         registry = tpch.registry()
         nac = registry.num_advanced_cuts
-        random = build_baseline_layout(
-            tpch, RandomPartitioner(block_size=tpch.min_block_size * 4)
+        db = database(tpch)
+        random = db.build_layout(
+            "random", min_block_size=tpch.min_block_size * 4, activate=False
         )
-        greedy = database(tpch).build_layout(
+        greedy = db.build_layout(
             "greedy", workload=tpch.workload, registry=registry
         )
         rnd = run_physical(
@@ -116,49 +108,46 @@ class TestTpchPipeline:
 class TestErrorLogPipeline:
     def test_range_baseline_useless(self, errlog):
         """Queries ignore ingest time: range partitioning skips ~nothing."""
-        layout = build_baseline_layout(
-            errlog,
-            RangePartitioner(column="ingest_date", block_size=2000),
+        layout = database(errlog).build_layout(
+            "range", column="ingest_date", min_block_size=2000
         )
-        pct = logical_access_pct(layout, errlog.workload)
+        pct = access_pct(layout, errlog.workload)
         assert pct > 50.0
 
     def test_qdtree_aggressive_skipping(self, errlog):
         greedy = database(errlog).build_layout("greedy", workload=errlog.workload)
-        pct = logical_access_pct(greedy, errlog.workload)
+        pct = access_pct(greedy, errlog.workload)
         assert pct < 20.0
 
     def test_bu_plus_between_range_and_qdtree(self, errlog):
         registry = errlog.registry()
         block = max(errlog.min_block_size, 64)
-        bu = build_baseline_layout(
-            errlog,
-            BottomUpPartitioner(
-                registry,
-                errlog.workload,
-                BottomUpConfig(
-                    min_block_size=block, selectivity_threshold=0.1
-                ),
-            ),
+        db = database(errlog)
+        bu = db.build_layout(
+            "bottom_up", workload=errlog.workload, registry=registry,
+            min_block_size=block, selectivity_threshold=0.1,
+            max_block_size=None, activate=False,
         )
-        greedy = database(errlog).build_layout(
+        greedy = db.build_layout(
             "greedy", workload=errlog.workload, registry=registry
         )
-        rng_layout = build_baseline_layout(
-            errlog, RangePartitioner(column="ingest_date", block_size=2000)
+        rng_layout = db.build_layout(
+            "range", column="ingest_date", min_block_size=2000,
+            activate=False,
         )
-        bu_pct = logical_access_pct(bu, errlog.workload)
-        greedy_pct = logical_access_pct(greedy, errlog.workload)
-        rng_pct = logical_access_pct(rng_layout, errlog.workload)
+        bu_pct = access_pct(bu, errlog.workload)
+        greedy_pct = access_pct(greedy, errlog.workload)
+        rng_pct = access_pct(rng_layout, errlog.workload)
         # The paper's ordering: qd-tree < BU+ < range baseline.
         assert greedy_pct <= bu_pct
         assert bu_pct < rng_pct
 
     def test_query_results_identical_across_layouts(self, errlog):
         """Layouts change performance, never answers."""
-        greedy = database(errlog).build_layout("greedy", workload=errlog.workload)
-        random = build_baseline_layout(
-            errlog, RandomPartitioner(block_size=2000)
+        db = database(errlog)
+        greedy = db.build_layout("greedy", workload=errlog.workload)
+        random = db.build_layout(
+            "random", min_block_size=2000, activate=False
         )
         g = run_physical(greedy, errlog.workload, SPARK_PARQUET)
         r = run_physical(random, errlog.workload, SPARK_PARQUET)
@@ -168,26 +157,18 @@ class TestErrorLogPipeline:
 
 class TestSqlToLayout:
     def test_sql_workload_end_to_end(self, mixed_table):
-        planner = SqlPlanner(mixed_table.schema)
-        wl = planner.plan_workload(
-            [
-                "SELECT age FROM t WHERE age < 25",
-                "SELECT age FROM t WHERE city = 'sf' AND salary >= 100000",
-                "SELECT age FROM t WHERE level IN ('senior','mid') AND age >= 60",
-            ]
-        )
-        registry = planner.candidate_cuts(wl)
-        from repro.core import GreedyConfig, build_greedy_tree
-
-        tree = build_greedy_tree(
-            mixed_table.schema, registry, mixed_table, wl, GreedyConfig(100)
-        )
-        store = materialize_tree(tree, mixed_table)
-        router = QueryRouter(tree)
+        statements = [
+            "SELECT age FROM t WHERE age < 25",
+            "SELECT age FROM t WHERE city = 'sf' AND salary >= 100000",
+            "SELECT age FROM t WHERE level IN ('senior','mid') AND age >= 60",
+        ]
+        db = Database.from_table(mixed_table, min_block_size=100)
+        layout = db.build_layout("greedy", workload=statements)
+        router = QueryRouter(layout.tree)
         from repro.engine import ScanEngine
 
-        engine = ScanEngine(store, SPARK_PARQUET)
-        for q in wl:
+        engine = ScanEngine(layout.store, SPARK_PARQUET)
+        for q in db.planner.plan_workload(statements):
             routed = router.route(q)
             stats = engine.execute(q, routed.block_ids)
             expected = int(q.predicate.evaluate(mixed_table.columns()).sum())
@@ -205,8 +186,8 @@ class TestRlIntegration:
             "woodblock", workload=ds.workload, registry=registry,
             episodes=40, hidden_dim=32, seed=3,
         )
-        g_pct = logical_access_pct(greedy, ds.workload)
-        rl_pct = logical_access_pct(rl, ds.workload)
+        g_pct = access_pct(greedy, ds.workload)
+        rl_pct = access_pct(rl, ds.workload)
         assert rl_pct < g_pct
 
     def test_speedup_cdf_favors_rl(self):

@@ -1,11 +1,9 @@
-"""Unit tests for repro.core.router (data + query routing)."""
+"""Unit tests for repro.core.router (query routing)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
     CutRegistry,
-    DataRouter,
     QdTree,
     QueryRouter,
     column_eq,
@@ -25,56 +23,17 @@ def tree(mixed_schema, mixed_table):
     return t
 
 
-class TestDataRouter:
-    def test_single_thread_routing(self, tree, mixed_table):
-        router = DataRouter(tree, batch_size=256)
-        bids, stats = router.route(mixed_table)
-        assert len(bids) == mixed_table.num_rows
-        assert stats.records == mixed_table.num_rows
-        assert stats.records_per_second > 0
-
-    def test_matches_direct_routing(self, tree, mixed_table):
-        router = DataRouter(tree, batch_size=100)
-        bids, _ = router.route(mixed_table)
-        np.testing.assert_array_equal(bids, tree.route_to_blocks(mixed_table))
-
-    def test_multithreaded_same_result(self, tree, mixed_table):
-        router = DataRouter(tree, batch_size=64)
-        single, _ = router.route(mixed_table, threads=1)
-        multi, stats = router.route(mixed_table, threads=4)
-        np.testing.assert_array_equal(single, multi)
-        assert stats.threads == 4
-
-    def test_invalid_args(self, tree, mixed_table):
-        with pytest.raises(ValueError):
-            DataRouter(tree, batch_size=0)
-        router = DataRouter(tree)
-        with pytest.raises(ValueError):
-            router.route(mixed_table, threads=0)
-
-    def test_assigns_bids_if_missing(self, mixed_schema, mixed_table):
-        reg = CutRegistry(mixed_schema)
-        reg.add(column_lt("age", 40))
-        t = QdTree(mixed_schema, reg)
-        t.apply_cut(t.root, column_lt("age", 40))
-        # No assign_block_ids() call: DataRouter should handle it.
-        router = DataRouter(t)
-        bids, _ = router.route(mixed_table)
-        assert set(np.unique(bids)) == {0, 1}
-
-
 class TestQueryRouter:
     def test_route_records_latency(self, tree, mixed_workload):
         router = QueryRouter(tree)
         routed = router.route(mixed_workload[0])
         assert routed.latency_seconds >= 0
-        assert len(router.latencies) == 1
 
     def test_route_workload(self, tree, mixed_workload):
         router = QueryRouter(tree)
         results = router.route_workload(mixed_workload)
         assert len(results) == len(mixed_workload)
-        assert len(router.latencies) == len(mixed_workload)
+        assert all(r.latency_seconds >= 0 for r in results)
 
     def test_bids_prune(self, tree, mixed_workload, mixed_table):
         router = QueryRouter(tree)
@@ -88,21 +47,3 @@ class TestQueryRouter:
         routed = router.route(mixed_workload[0])
         sql = router.rewrite_sql(routed)
         assert "BID IN (" in sql
-
-    def test_latency_cdf_monotone(self, tree, mixed_workload):
-        router = QueryRouter(tree)
-        router.route_workload(mixed_workload)
-        xs, ys = router.latency_cdf()
-        assert (np.diff(xs) >= 0).all()
-        assert ys[-1] == 1.0
-
-    def test_latency_cdf_empty(self, tree):
-        router = QueryRouter(tree)
-        xs, ys = router.latency_cdf()
-        assert len(xs) == 0 and len(ys) == 0
-
-    def test_reset_latencies(self, tree, mixed_workload):
-        router = QueryRouter(tree)
-        router.route_workload(mixed_workload)
-        router.reset_latencies()
-        assert len(router.latencies) == 0

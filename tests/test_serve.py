@@ -80,28 +80,29 @@ class TestServiceCorrectness:
         # Decoded work is bounded by the unique (block, column) pairs.
         assert snap.cache.decoded_bytes < snap.bytes_read
 
-    def test_routing_memo_reused(self, layout):
+    def test_routing_memo_reused(self, layout, count_routes):
         repeat = 4
         with service_for(layout) as svc:
+            assert svc.router is not None
+            walks = count_routes(svc.router)
             svc.run_closed_loop(STATEMENTS, repeat=repeat)
             assert len(svc.pipeline.stage("route").memo) == len(STATEMENTS)
-            assert svc.router is not None
             # The tree was walked roughly once per unique predicate:
             # concurrent first arrivals may race the memo fill (benign
             # duplicate computation), but far fewer walks happen than
             # the total query count.
-            walks = len(svc.router.latencies)
-            assert len(STATEMENTS) <= walks < repeat * len(STATEMENTS)
+            assert len(STATEMENTS) <= len(walks) < repeat * len(STATEMENTS)
 
-    def test_routing_memo_serial_walks_once(self, layout):
+    def test_routing_memo_serial_walks_once(self, layout, count_routes):
         """Without concurrency the memo is deterministic: exactly one
         tree walk per unique predicate."""
         with service_for(layout) as svc:
+            assert svc.router is not None
+            walks = count_routes(svc.router)
             for _ in range(4):
                 for sql in STATEMENTS:
                     svc.execute_sql(sql)
-            assert svc.router is not None
-            assert len(svc.router.latencies) == len(STATEMENTS)
+            assert len(walks) == len(STATEMENTS)
 
     def test_replay_snapshot_covers_only_its_window(self, layout):
         """Back-to-back replays on one service: each ReplayResult's
