@@ -52,6 +52,22 @@ class TestIngestionPipeline:
             assert len(bids) == batch.num_rows
             assert set(bids.tolist()) <= leaf_bids
 
+    def test_finish_preserves_all_rows(
+        self, mixed_schema, mixed_table, mixed_workload
+    ):
+        """After a run of ingests the final generation's store holds
+        every original and every ingested row exactly once."""
+        db = Database.from_table(mixed_table, min_block_size=100)
+        db.build_layout("greedy", workload=mixed_workload)
+        batches = fresh_batches(mixed_schema, seed=10)
+        for batch in batches:
+            db.ingest(batch)
+        total = mixed_table.num_rows + sum(b.num_rows for b in batches)
+        store = db.active_layout.store
+        assert store.stored_rows == total
+        row_ids = np.concatenate([block.row_ids for block in store])
+        np.testing.assert_array_equal(np.sort(row_ids), np.arange(total))
+
     def test_ingested_rows_match_tree_routing(
         self, learned_tree, mixed_schema
     ):

@@ -1,9 +1,12 @@
-"""Unit tests for repro.core.router (query routing)."""
+"""Unit tests for routing: rows to BIDs, and queries to BIDs
+(repro.core.router)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
     CutRegistry,
+    IngestionPipeline,
     QdTree,
     QueryRouter,
     column_eq,
@@ -21,6 +24,20 @@ def tree(mixed_schema, mixed_table):
     t.apply_cut(left, column_eq("city", 1))
     t.assign_block_ids()
     return t
+
+
+class TestDataRouter:
+    def test_matches_direct_routing(self, tree, mixed_table):
+        """Routing a table batch by batch, as the online data router
+        does, gives the same BIDs as routing it whole."""
+        pipeline = IngestionPipeline(tree)
+        batches = [
+            pipeline.route(mixed_table.slice(start, start + 100))
+            for start in range(0, mixed_table.num_rows, 100)
+        ]
+        np.testing.assert_array_equal(
+            np.concatenate(batches), tree.route_to_blocks(mixed_table)
+        )
 
 
 class TestQueryRouter:
