@@ -49,12 +49,10 @@ def test_fig6a_data_routing_throughput(benchmark, tpch, tpch_rl):
     whole = benchmark(tree.route_to_blocks, tpch.table)
 
     rows = []
-    best_throughput = 0.0
     for threads in (1, 2, 4, 8, 16):
         bids, seconds = route_in_parts(tree, tpch.table, threads)
         np.testing.assert_array_equal(bids, whole)
         records_per_second = tpch.table.num_rows / seconds
-        best_throughput = max(best_throughput, records_per_second)
         rows.append([threads, f"{records_per_second / 1000:.0f}K rec/s"])
     print()
     print(
@@ -70,9 +68,9 @@ def test_fig6a_data_routing_throughput(benchmark, tpch, tpch_rl):
         )
     )
     # Shape: vectorized routing reaches the paper's throughput regime
-    # (hundreds of K records/s).  Assert on the sweep's best sample —
-    # a fresh timing call can dip under transient CPU contention.
-    assert best_throughput > 250_000
+    # (hundreds of K records/s).  Assert on the fixture's best round:
+    # a one-shot sweep sample can dip under transient CPU contention.
+    assert tpch.table.num_rows / benchmark.stats.stats.min > 250_000
 
 
 def test_fig6b_query_routing_latency(benchmark, tpch, tpch_rl):

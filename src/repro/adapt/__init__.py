@@ -8,9 +8,9 @@ stream, rebuild and hot-swap layouts inline on the serving worker
 that detects drift**:
 
 * :class:`QueryLog` (:mod:`~repro.adapt.log`) — bounded, thread-safe
-  ring of normalized query fingerprints + realized per-query costs,
-  fed by the ``RecordStage`` at the tail of every
-  :class:`~repro.exec.pipeline.QueryPipeline` configuration;
+  ring of the last ``window`` statements' fingerprints, fed by the
+  ``RecordStage`` at the tail of each of the adaptive service's
+  single-layout pipelines;
 * :class:`WorkloadSignature` / :func:`divergence`
   (:mod:`~repro.adapt.signature`) — comparable template/filter-column
   histograms; the build-time signature persists in layout metadata;
@@ -19,7 +19,7 @@ that detects drift**:
 * :class:`Reoptimizer` (:mod:`~repro.adapt.reoptimize`) — drift-
   triggered inline rebuild through the strategy registry, offline
   blocks-scanned evaluation, install-or-discard via the existing
-  generation lifecycle;
+  generation lifecycle, and the :class:`AdaptSnapshot` ledger;
 * :class:`AdaptiveService` (:mod:`~repro.adapt.service`) — the
   serving facade tying it together, constructed via
   :meth:`repro.db.Database.auto_adapt`.
@@ -30,6 +30,7 @@ from .log import QueryLog, QueryRecord
 from .reoptimize import (
     AdaptEvent,
     AdaptPolicy,
+    AdaptSnapshot,
     Reoptimizer,
     offline_blocks_cost,
 )
@@ -39,6 +40,7 @@ from .signature import WorkloadSignature, divergence, template_key
 __all__ = [
     "AdaptEvent",
     "AdaptPolicy",
+    "AdaptSnapshot",
     "AdaptiveService",
     "DriftDetector",
     "QueryLog",

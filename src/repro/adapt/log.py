@@ -1,14 +1,13 @@
 """Query-log capture: the observed side of the adaptation loop.
 
 :class:`QueryLog` is a bounded, thread-safe ring of
-:class:`QueryRecord` — one normalized fingerprint plus the *realized*
-per-query costs (blocks surviving the prune, bytes scanned, cache
-hit) for every statement the system served.  It is fed by the
-``RecordStage`` at the tail of every
-:class:`~repro.exec.pipeline.QueryPipeline` configuration, so the
-serial baseline, ``db.execute``, :class:`LayoutService`, the sharded
-coordinator and the multi-layout arbiter all populate the same log
-shape.
+:class:`QueryRecord` — one statement's SQL and normalized filter
+shape — holding the adaptive service's most recent statements: its
+capacity is :attr:`AdaptPolicy.window
+<repro.adapt.reoptimize.AdaptPolicy.window>`, the window the drift
+check and the rebuild read.  The adaptive service's generations feed
+it through the ``RecordStage`` at their pipeline's tail.  What a
+query cost is in ``ServeResult.stats`` and its trace, not here.
 
 The log answers two questions for the control plane:
 
@@ -37,27 +36,13 @@ __all__ = ["QueryLog", "QueryRecord"]
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One served query's fingerprint and realized cost."""
+    """One served statement's fingerprint."""
 
     sql: str
     #: Canonical filter shape (:func:`~repro.adapt.signature.template_key`).
     template: str
     #: Columns the filter referenced (sorted).
     filter_columns: Tuple[str, ...]
-    #: Generation of the layout that answered (the arbitration winner's
-    #: under multi-layout serving).
-    generation: int
-    blocks_considered: int
-    blocks_scanned: int
-    tuples_scanned: int
-    bytes_read: int
-    rows_returned: int
-    #: True when the result came from the result cache (the costs above
-    #: are then the original execution's — the deterministic cost of
-    #: this layout, not of this arrival).
-    cached: bool = False
-    #: Label of the arbitration winner (multi-layout serving only).
-    winner: Optional[str] = None
 
 
 class QueryLog:
@@ -65,16 +50,16 @@ class QueryLog:
 
     Implements the record-sink protocol (:meth:`observe`) the
     pipeline's ``RecordStage`` calls, so a log can be passed directly
-    as ``record_sink=`` to any serving facade or pipeline factory.
+    as :func:`~repro.exec.pipeline.single_layout_pipeline`'s
+    ``record_sink=``.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
         self._records: "deque[QueryRecord]" = deque(maxlen=capacity)
-        self._total = 0
 
     # -- the RecordStage sink protocol ---------------------------------
 
@@ -82,8 +67,8 @@ class QueryLog:
         """Fold one finished :class:`~repro.exec.context.ExecContext`
         into the ring (duck-typed so this module never imports
         :mod:`repro.exec`)."""
-        query, stats = ctx.query, ctx.stats
-        if query is None or stats is None:
+        query = ctx.query
+        if query is None:
             return
         self.append(
             QueryRecord(
@@ -92,33 +77,18 @@ class QueryLog:
                 filter_columns=tuple(
                     sorted(query.predicate.referenced_columns())
                 ),
-                generation=ctx.generation,
-                blocks_considered=stats.blocks_considered,
-                blocks_scanned=stats.blocks_scanned,
-                tuples_scanned=stats.tuples_scanned,
-                bytes_read=stats.bytes_read,
-                rows_returned=stats.rows_returned,
-                cached=ctx.cached,
-                winner=ctx.winner,
             )
         )
 
     def append(self, record: QueryRecord) -> None:
         with self._lock:
             self._records.append(record)
-            self._total += 1
 
     # -- reading the window --------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
-
-    @property
-    def total_recorded(self) -> int:
-        """Every record ever appended (ring overwrites don't subtract)."""
-        with self._lock:
-            return self._total
 
     def window(self, n: Optional[int] = None) -> Tuple[QueryRecord, ...]:
         """The ``n`` most recent records (default: the whole ring)."""
@@ -149,20 +119,5 @@ class QueryLog:
         counts = Counter(r.sql for r in self.window(n))
         return counts.most_common()
 
-    def blocks_scanned(self, n: Optional[int] = None) -> int:
-        """Total blocks scanned over the window (uncached arrivals
-        only — cached hits did no scan work)."""
-        return sum(
-            r.blocks_scanned for r in self.window(n) if not r.cached
-        )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"QueryLog({len(self._records)}/{self.capacity} records, "
-                f"{self._total} total)"
-            )
+        return f"QueryLog({len(self)}/{self.capacity} records)"

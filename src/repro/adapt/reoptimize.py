@@ -34,13 +34,14 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..exec import route_and_count
-from ..serve.metrics import AdaptSnapshot
+from ..obs.stats import Stats, counter, gauge
 from .drift import DriftDetector
 from .log import QueryLog
 
 __all__ = [
     "AdaptEvent",
     "AdaptPolicy",
+    "AdaptSnapshot",
     "Reoptimizer",
     "offline_blocks_cost",
 ]
@@ -50,9 +51,8 @@ __all__ = [
 class AdaptPolicy:
     """Knobs of the observe → detect → rebuild → swap loop."""
 
-    #: Ring capacity of the query log feeding the loop.
-    log_capacity: int = 4096
-    #: Most-recent records the drift signature / rebuild workload use.
+    #: Records the query log keeps, and so the drift signature and the
+    #: rebuild workload cover.
     window: int = 256
     #: Divergence (total variation, [0, 1]) that arms a rebuild.
     threshold: float = 0.3
@@ -69,8 +69,8 @@ class AdaptPolicy:
     min_improvement: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.log_capacity < self.window:
-            raise ValueError("need log_capacity >= window >= 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if not 0.0 <= self.min_improvement < 1.0:
             raise ValueError("min_improvement must be in [0, 1)")
         if self.check_every < 1:
@@ -96,6 +96,33 @@ class AdaptEvent:
         if self.incumbent_blocks <= 0:
             return 0.0
         return 1.0 - self.candidate_blocks / self.incumbent_blocks
+
+
+@dataclass
+class AdaptSnapshot(Stats):
+    """The adaptation ledger: the re-optimizer's live counters and (as
+    a copy) what :meth:`Reoptimizer.stats` returns — the current drift
+    score and the rebuild/swap ledger with its decision events."""
+
+    #: Divergence between the build-time and live workload mixes.
+    drift_score: float = gauge(
+        "repro_adapt_drift_score", "Live-vs-baseline workload divergence", 0.0
+    )
+    swaps: int = counter("repro_adapt_swaps_total", "Generation hot-swaps installed")
+    #: Swaps + rejected + crashed, plus the rebuild running now and any
+    #: ``adapt_now`` that found an empty window.
+    rebuilds: int = counter("repro_adapt_rebuilds_total", "Rebuilds attempted")
+    #: Candidates that lost the offline evaluation.
+    rejected: int = counter("repro_adapt_rejected_total", "Candidates built but discarded")
+    log_records: int = gauge("repro_adapt_log_records", "Records in the query-log ring")
+    generation: int = gauge("repro_adapt_generation", "Generation currently serving")
+    #: Drift checks run (every ``check_every`` arrivals).
+    checks: int = counter()
+    #: Rebuilds that raised (the latest error is ``last_error``).
+    crashed: int = counter()
+    last_error: Optional[str] = None
+    #: Completed rebuild decisions (:class:`AdaptEvent`), oldest first.
+    events: Tuple[AdaptEvent, ...] = ()
 
 
 def control_span(tracer: Optional[object], name: str):
@@ -244,7 +271,8 @@ class Reoptimizer:
         holds ``_rebuild_mutex``.  Returns the decision, or ``None``
         for an empty window or a rebuild that raised: it runs inside a
         served query, which must still return its rows, so an error is
-        booked as a rejection (``last_error``) and never escapes."""
+        booked as a crash (``crashed``, ``last_error``) and never
+        escapes."""
         policy = self.policy
         candidate = None
         try:
@@ -318,22 +346,24 @@ class Reoptimizer:
     def _book(
         self, event: Optional[AdaptEvent], error: Optional[str] = None
     ) -> None:
-        """Count one decision: a swap, or a rejection (``event`` is
-        ``None`` for a crash, whose ``error`` becomes ``last_error``).
-        A rejection holds off the next rebuild for half a window: early
-        drift checks see a window still mixed with the old template,
-        and the wait lets the ring fill with the new mix instead of
-        rebuilding on every check."""
+        """Count one decision: a swap, a rejection, or a crash
+        (``event`` is ``None``; ``error`` becomes ``last_error``).  A
+        rejection or a crash holds off the next rebuild for half a
+        window: early drift checks see a window still mixed with the
+        old template, and the wait lets the ring fill with the new mix
+        instead of rebuilding on every check."""
+        ledger = self._ledger
         with self._lock:
-            if error is not None:
-                self._ledger.last_error = error
-            if event is not None:
-                self._ledger.events += (event,)
-            if event is not None and event.kind == "swap":
-                self._ledger.swaps += 1
+            if event is None:
+                ledger.crashed += 1
+                ledger.last_error = error
             else:
-                self._ledger.rejected += 1
-                self._cooldown_until = self._arrivals + self.policy.window // 2
+                ledger.events += (event,)
+                if event.kind == "swap":
+                    ledger.swaps += 1
+                    return
+                ledger.rejected += 1
+            self._cooldown_until = self._arrivals + self.policy.window // 2
 
     # -- observability -------------------------------------------------
 
@@ -350,22 +380,23 @@ class Reoptimizer:
                 generation=self.serving.generation,
             )
 
-    #: The same ledger, under the name serving snapshots ask for.
-    snapshot = stats
-
     def publish(self, registry: object, **labels: object) -> None:
         """Publish :meth:`stats` as a view into a
         :class:`~repro.obs.registry.MetricsRegistry`."""
         registry.register_view("adapt", labels, lambda: self.stats().rows())
 
     def report_lines(self) -> Tuple[str, ...]:
-        """The serving generation, then one line per rebuild decision."""
-        serving = self.serving
+        """The ledger's counters and the serving generation, then one
+        line per rebuild decision."""
+        s, serving = self.stats(), self.serving
         lines = [
+            f"drift score        {s.drift_score:.3f}",
+            f"adaptation         {s.swaps} swaps / {s.rebuilds} rebuilds / "
+            f"{s.rejected} rejected ({s.log_records} log records)",
             f"serving generation {serving.generation} "
-            f"({serving.strategy}, {serving.store.num_blocks} blocks)"
+            f"({serving.strategy}, {serving.store.num_blocks} blocks)",
         ]
-        for event in self.stats().events:
+        for event in s.events:
             lines.append(
                 f"  [{event.kind}] drift {event.drift_score:.3f}: "
                 f"window blocks {event.incumbent_blocks} -> "

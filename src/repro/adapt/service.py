@@ -24,9 +24,9 @@ and the adapt control plane wired around it:
 
 The client surface is :class:`~repro.serve.Service`'s, unchanged;
 what is this class's own is the hot swap, the swapped-pool window
-fix-up and the adaptation ledger (:meth:`adapt_snapshot`,
-:attr:`events`).  Construct through
-:meth:`repro.db.Database.auto_adapt`.
+fix-up and the reads of the adaptation loop (:attr:`generation`,
+:attr:`events`; the ledger is ``reoptimizer.stats()``).  Construct
+through :meth:`repro.db.Database.auto_adapt`.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from typing import Optional
 
 from ..engine.profiles import SPARK_PARQUET, CostProfile
 from ..exec import ResultCache
-from ..serve import (
-    DEFAULT_CACHE_BUDGET,
-    AdaptSnapshot,
-    Scheduler,
-    Service,
-    ServingMetrics,
-)
+from ..serve import DEFAULT_CACHE_BUDGET, Scheduler, Service, ServingMetrics
 from ..serve.metrics import MetricsSnapshot
 from ..serve.service import layout_generation
 from .drift import DriftDetector
@@ -99,7 +93,7 @@ class AdaptiveService(Service):
         self.policy = policy or AdaptPolicy()
         self.tracer = tracer
         metrics = ServingMetrics()
-        self.log = QueryLog(self.policy.log_capacity)
+        self.log = QueryLog(self.policy.window)
         baseline = active.workload_signature or WorkloadSignature()
         self.detector = DriftDetector(
             baseline,
@@ -139,7 +133,6 @@ class AdaptiveService(Service):
             [(metrics, {}), (self.reoptimizer, {})],
             block_caches=pools,
         )
-        self.generation = active.generation
 
     # -- generation hot-swap -------------------------------------------
 
@@ -168,7 +161,6 @@ class AdaptiveService(Service):
             # A statement already running finishes on the pipeline it
             # read; the next one reads this.
             self.pipeline, self.block_caches = self._generation(handle)
-            self.generation = handle.generation
             # db.swap_layout purged the database's shared cache; a
             # private cache is ours to keep hygienic, or each swap
             # would strand the prior generation's entries as
@@ -179,8 +171,10 @@ class AdaptiveService(Service):
 
     # -- what is this topology's own -----------------------------------
 
-    def adapt_snapshot(self) -> AdaptSnapshot:
-        return self.reoptimizer.stats()
+    @property
+    def generation(self) -> int:
+        """Generation of the layout serving follows."""
+        return self.reoptimizer.serving.generation
 
     @property
     def events(self):

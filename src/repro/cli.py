@@ -40,7 +40,8 @@ Subcommands
     (Prometheus text exposition or JSON).
 
 ``serve-bench`` and ``adapt-report`` also take ``--json`` (one JSON
-document on stdout, human report on stderr), ``--trace PREFIX``
+document on stdout, human report on stderr; an adaptive replay's
+ledger is its ``extra.adapt``), ``--trace PREFIX``
 (per-query + control-plane traces as ``PREFIX.jsonl`` and the
 Perfetto-loadable ``PREFIX.trace.json``).
 
@@ -316,6 +317,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     with serve(args.shards) as service:
         replay, report = replay_service(service)
+    extra = {"shards": args.shards, "mode": args.mode}
+    if args.adapt:
+        extra["adapt"] = service.reoptimizer.stats()
     print(
         f"replayed {replay.completed}/{replay.issued} queries "
         f"({replay.rejected} rejected) in {replay.wall_seconds:.3f} s "
@@ -351,7 +355,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         compare["serving_speedup"] = speedup
         print(f"\nserial uncached baseline: {base_qps:.1f} qps", file=info)
         print(f"serving speedup: {speedup:.2f}x", file=info)
-    extra = {"shards": args.shards, "mode": args.mode}
     if compare:
         extra["compare"] = compare
     _emit_exports(
@@ -404,11 +407,11 @@ def _cmd_adapt_report(args: argparse.Namespace) -> int:
         print(file=info)
         print(service.report(), file=info)
         final_snapshot = service.snapshot()
-        final_generation = service.generation
-        final_drift = service.detector.last_score
+        ledger = service.reoptimizer.stats()
     extra = {
-        "generation": final_generation,
-        "drift_score": final_drift,
+        "generation": ledger.generation,
+        "drift_score": ledger.drift_score,
+        "adapt": ledger,
         "baseline": _replay_summary(first),
     }
     if second is not None:

@@ -217,16 +217,15 @@ class Database:
         statements = tuple(meta.get("queries") or ())
         registry: Optional[CutRegistry] = None
         num_advanced = 0
-        signature: Optional[WorkloadSignature] = None
         if statements:
             workload = planner.plan_workload(list(statements))
             registry = planner.candidate_cuts(workload)
             num_advanced = registry.num_advanced_cuts
-            # Fallback baseline for layouts saved before signatures
-            # were persisted: recompute from the build statements.
-            signature = WorkloadSignature.from_queries(workload)
-        if meta.get(SIGNATURE_KEY):
-            signature = WorkloadSignature.from_json(meta[SIGNATURE_KEY])
+        signature = (
+            WorkloadSignature.from_json(meta[SIGNATURE_KEY])
+            if meta.get(SIGNATURE_KEY)
+            else None
+        )
         tree: Optional[QdTree] = None
         tree_path = layout_tree_path(path)
         if tree_path.exists():
@@ -237,7 +236,7 @@ class Database:
                 )
             tree = QdTree.load(str(tree_path), store.schema, registry)
         generation = int(meta.get("generation", 1))
-        strategy = str(meta.get("strategy") or meta.get("method") or "unknown")
+        strategy = str(meta.get("strategy") or "unknown")
         db = cls(
             table,
             min_block_size=int(meta.get("min_block_size", 1000)),
@@ -285,9 +284,6 @@ class Database:
         if handle.tree is not None:
             handle.tree.save(str(layout_tree_path(path)))
         meta: Dict[str, object] = {
-            # "method" kept alongside "strategy" so pre-facade
-            # readers of layout-meta.json keep working.
-            "method": handle.strategy,
             "strategy": handle.strategy,
             "generation": handle.generation,
             "label": handle.label or handle.strategy,
@@ -629,7 +625,6 @@ class Database:
         # Accepted only as "lru" because benchmarks/perf still passes
         # it; a change to that benchmark deletes the keyword.
         admission: str = "lru",
-        record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ):
         """Stand up the serving tier over a layout (default: active).
@@ -642,10 +637,9 @@ class Database:
         generation-keyed result cache, stamped with the layout's
         generation (pass a :class:`ResultCache` instance instead of
         ``True`` to give the service a private cache, e.g. for
-        like-for-like benchmark comparisons).  ``record_sink`` (e.g. a
-        :class:`~repro.adapt.log.QueryLog`) observes every served
-        query, and ``tracer`` (a :class:`~repro.obs.trace.Tracer`)
-        records one per-stage trace per served query.  The buffer pool
+        like-for-like benchmark comparisons).  ``tracer`` (a
+        :class:`~repro.obs.trace.Tracer`) records one per-stage trace
+        per served query.  The buffer pool
         is LRU; ``admission`` accepts only ``"lru"``.  Close the
         service when done (both are context managers).
         """
@@ -665,7 +659,6 @@ class Database:
             planner=self.planner,
             result_cache=self._resolve_result_cache(result_cache),
             generation=handle.generation,
-            record_sink=record_sink,
             tracer=tracer,
         )
         if shards > 1:
@@ -686,7 +679,6 @@ class Database:
         max_workers: int = 4,
         queue_depth: int = 64,
         result_cache: Union[bool, ResultCache] = True,
-        record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> MultiLayoutService:
         """Serve the table under several layouts, cheapest layout wins.
@@ -704,9 +696,7 @@ class Database:
         ``service.snapshot().layout_wins``.  The result cache (shared
         with the database by default, same semantics as
         :meth:`serve`) keys entries on the winning layout's
-        generation.  ``record_sink`` (e.g. a
-        :class:`~repro.adapt.log.QueryLog`) observes every served
-        query.  Close the service when done (context manager).
+        generation.  Close the service when done (context manager).
         """
         with self._lock:
             known = list(self._layouts)
@@ -742,7 +732,6 @@ class Database:
             queue_depth=queue_depth,
             planner=self.planner,
             result_cache=self._resolve_result_cache(result_cache),
-            record_sink=record_sink,
             tracer=tracer,
         )
 

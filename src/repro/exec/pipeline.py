@@ -304,24 +304,11 @@ class QueryPipeline:
 # ----------------------------------------------------------------------
 
 
-def _with_record(stages: list, sink: Optional[object]) -> list:
-    """Append the observability tail stage when a sink was asked for.
-
-    Every factory funnels through here so all four execution paths
-    (serial, single-layout, sharded, multi-layout) populate the same
-    query-log shape — the adapt control plane's one observation point.
-    """
-    if sink is not None:
-        stages.append(RecordStage(sink))
-    return stages
-
-
 def serial_pipeline(
     planner: SqlPlanner,
     engine: ScanEngine,
     router: Optional[QueryRouter],
     store: BlockStore,
-    record_sink: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """The pre-serving baseline: no memo, no cache, no metrics —
@@ -334,7 +321,6 @@ def serial_pipeline(
         store=store,
         result_cache=None,
         memoize=False,
-        record_sink=record_sink,
         tracer=tracer,
     )
 
@@ -353,7 +339,10 @@ def single_layout_pipeline(
 ) -> QueryPipeline:
     """One engine over one layout: ``Database.execute`` (cache, no
     metrics) and :class:`~repro.serve.LayoutService` (cache +
-    metrics) are both this configuration."""
+    metrics) are both this configuration.  ``record_sink`` appends a
+    :class:`~repro.exec.stages.RecordStage` feeding it every finished
+    query; the adaptive service's layout generations are the one
+    configuration that asks for it."""
     stages = [
         PlanStage(planner),
         RouteStage(router, engine, memo=RouteMemo() if memoize else None),
@@ -361,10 +350,9 @@ def single_layout_pipeline(
         ScanStage(engine),
         MergeStage(engine.profile, store.schema),
     ]
-    return QueryPipeline(
-        planner, _with_record(stages, record_sink), metrics=metrics,
-        tracer=tracer,
-    )
+    if record_sink is not None:
+        stages.append(RecordStage(record_sink))
+    return QueryPipeline(planner, stages, metrics=metrics, tracer=tracer)
 
 
 def sharded_pipeline(
@@ -376,7 +364,6 @@ def sharded_pipeline(
     result_cache: Optional[ResultCache] = None,
     generation: int = 0,
     metrics: Optional[object] = None,
-    record_sink: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """The scatter-gather coordinator: routing happens once, at the
@@ -391,10 +378,7 @@ def sharded_pipeline(
         ScatterScanStage(shards, partition),
         MergeStage(engine.profile, engine.store.schema),
     ]
-    return QueryPipeline(
-        planner, _with_record(stages, record_sink), metrics=metrics,
-        tracer=tracer,
-    )
+    return QueryPipeline(planner, stages, metrics=metrics, tracer=tracer)
 
 
 def multi_layout_pipeline(
@@ -403,7 +387,6 @@ def multi_layout_pipeline(
     profile: CostProfile,
     result_cache: Optional[ResultCache] = None,
     metrics: Optional[object] = None,
-    record_sink: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> QueryPipeline:
     """Cost-arbitrated serving over several layouts of one table: the
@@ -417,7 +400,4 @@ def multi_layout_pipeline(
         ScanStage(engine=None),
         MergeStage(profile, bindings[0].store.schema),
     ]
-    return QueryPipeline(
-        planner, _with_record(stages, record_sink), metrics=metrics,
-        tracer=tracer,
-    )
+    return QueryPipeline(planner, stages, metrics=metrics, tracer=tracer)

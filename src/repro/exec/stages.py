@@ -15,8 +15,8 @@ Stage                Responsibility
 :class:`ScanStage`   scan the survivors on one engine
 :class:`MergeStage`  fold scatter-gather parts into one result
 :class:`RecordStage` feed the finished execution to a query-log sink
-                     (optional tail stage; the adapt control plane's
-                     observation point)
+                     (optional single-layout tail stage; the adapt
+                     control plane's observation point)
 ===================  ====================================================
 
 Two substitutions cover the wider topologies: the sharded coordinator
@@ -501,15 +501,16 @@ class RecordStage(Stage):
     """Feed the finished execution to an observability sink.
 
     The sink is duck-typed — anything with ``observe(ctx)`` qualifies
-    (in practice a :class:`repro.adapt.log.QueryLog` or the adapt
-    loop's :class:`~repro.adapt.reoptimize.Reoptimizer`) so
-    :mod:`repro.exec` never imports the control plane it feeds.  The stage sits at the tail of every
-    pipeline configuration that asked for one and observes in
+    (the adapt loop's :class:`~repro.adapt.reoptimize.Reoptimizer`
+    in the library, a :class:`repro.adapt.log.QueryLog` in tests) so
+    :mod:`repro.exec` never imports the control plane it feeds.  The
+    stage is the optional tail of the single-layout configuration (the
+    adaptive service's generations ask for it) and observes in
     ``finish``, after every other stage's ``finish``: ``ctx.stats``
-    exists whether the result came from the cache, a single-engine
-    scan, or the scatter-gather merge, and the result cache already
-    holds it — so a sink that swaps the layout (the adapt loop) purges
-    this query's entry along with the rest of the old generation's.
+    exists whether the result came from the cache or the scan, and the
+    result cache already holds it — so a sink that swaps the layout
+    (the adapt loop) purges this query's entry along with the rest of
+    the old generation's.
     Sink failures must never fail the query — observation is strictly
     best-effort.
     """

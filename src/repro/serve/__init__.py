@@ -26,7 +26,8 @@ configuration:
   in the metrics.
 * :class:`repro.adapt.AdaptiveService` — a single layout that
   re-learns itself; one scheduler for its whole life, and a pipeline
-  and buffer pool per generation.
+  and buffer pool per generation.  Its query log and adaptation
+  ledger are :mod:`repro.adapt`'s own: no other topology records.
 
 :class:`~repro.exec.ResultCache` (:mod:`repro.exec.result_cache`)
 layers full result memoization over the routing memo: finished
@@ -39,7 +40,7 @@ The cache's byte-bounded row-id store makes repeated
 """
 
 from .cache import BlockCache, CacheStats
-from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
+from .metrics import MetricsSnapshot, ServingMetrics
 from .multi import MultiLayoutService
 from .scheduler import AdmissionRejected, Scheduler, SchedulerStats
 from .service import (
@@ -52,7 +53,6 @@ from .service import (
 from .shard import Shard, ShardedLayoutService
 
 __all__ = [
-    "AdaptSnapshot",
     "AdmissionRejected",
     "BlockCache",
     "DEFAULT_CACHE_BUDGET",

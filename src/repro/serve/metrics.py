@@ -6,8 +6,7 @@ query.  :meth:`ServingMetrics.snapshot` freezes the counters into a
 :class:`MetricsSnapshot` with the numbers an operator watches: QPS,
 latency percentiles (p50/p95/p99), cache hit rate, and bytes decoded
 versus bytes served from the buffer pool.  Multi-layout serving adds
-per-layout win counts; adaptive serving adds the re-optimizer's
-:class:`AdaptSnapshot` ledger.
+per-layout win counts.
 """
 
 from __future__ import annotations
@@ -24,46 +23,7 @@ from ..obs.clock import now
 from ..obs.stats import Stats, counter, gauge
 from .cache import CacheStats
 
-__all__ = ["AdaptSnapshot", "MetricsSnapshot", "ServingMetrics"]
-
-
-@dataclass
-class AdaptSnapshot(Stats):
-    """The adaptation ledger: the re-optimizer's live counters and (as
-    a copy) the view every serving snapshot carries.
-
-    Filled by the :mod:`repro.adapt` control plane (the serving tier
-    itself never computes these): the current drift score and the
-    rebuild/swap ledger with its decision events.
-    """
-
-    #: Divergence between the build-time and live workload mixes.
-    drift_score: float = gauge(
-        "repro_adapt_drift_score", "Live-vs-baseline workload divergence", 0.0
-    )
-    swaps: int = counter("repro_adapt_swaps_total", "Generation hot-swaps installed")
-    #: Swaps + rejected, plus the rebuild running now and any
-    #: ``adapt_now`` that found an empty window.
-    rebuilds: int = counter("repro_adapt_rebuilds_total", "Rebuilds attempted")
-    #: Insufficient improvement, or the rebuild itself crashed
-    #: (``last_error`` tells them apart).
-    rejected: int = counter("repro_adapt_rejected_total", "Candidates built but discarded")
-    log_records: int = gauge("repro_adapt_log_records", "Records in the query-log ring")
-    generation: int = gauge("repro_adapt_generation", "Generation currently serving")
-    #: Drift checks run (every ``check_every`` arrivals).
-    checks: int = counter()
-    last_error: Optional[str] = None
-    #: Completed rebuild decisions (:class:`repro.adapt.AdaptEvent`),
-    #: oldest first.
-    events: Tuple[object, ...] = ()
-
-    def report_lines(self) -> Tuple[str, ...]:
-        return (
-            f"drift score        {self.drift_score:.3f}",
-            f"adaptation         {self.swaps} swaps / "
-            f"{self.rebuilds} rebuilds / {self.rejected} rejected "
-            f"({self.log_records} log records)",
-        )
+__all__ = ["MetricsSnapshot", "ServingMetrics"]
 
 
 @dataclass
@@ -106,8 +66,6 @@ class MetricsSnapshot(Stats):
         label="layout",
         default=(),
     )
-    #: Adaptation-loop counters (``None`` outside adaptive serving).
-    adapt: Optional[AdaptSnapshot] = None
     #: Queries a raising stage aborted (they count nowhere else).
     errors: int = counter("repro_serve_errors_total", "Queries that raised")
 
@@ -157,8 +115,6 @@ class MetricsSnapshot(Stats):
         if self.layout_wins:
             won = ", ".join(f"{label}: {n}" for label, n in self.layout_wins)
             lines.append(f"layout wins        {won}")
-        if self.adapt is not None:
-            lines.extend(self.adapt.report_lines())
         return "\n".join(lines)
 
 
@@ -245,14 +201,9 @@ class ServingMetrics:
             "serving_metrics", labels, lambda: self.snapshot().rows()
         )
 
-    def snapshot(
-        self,
-        cache: Optional[CacheStats] = None,
-        adapt: Optional[AdaptSnapshot] = None,
-    ) -> MetricsSnapshot:
-        """Freeze the current window (optionally attaching cache and
-        adaptation accounting so one report covers the whole serving
-        stack)."""
+    def snapshot(self, cache: Optional[CacheStats] = None) -> MetricsSnapshot:
+        """Freeze the current window (optionally attaching buffer-pool
+        accounting so one report covers the whole serving stack)."""
         with self._lock:
             wins = tuple(
                 sorted(self._wins.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -272,5 +223,4 @@ class ServingMetrics:
                 latency_p99_ms=_percentile(lat_ms, 99),
                 cache=cache,
                 layout_wins=wins,
-                adapt=adapt,
             )

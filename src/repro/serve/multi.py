@@ -109,8 +109,6 @@ class MultiLayoutService(Service):
         Optional generation-keyed result cache; entries key on the
         *winning* layout's generation, so the cache is exactly as
         stale-proof as single-layout serving.
-    record_sink:
-        Optional query-log sink at the pipeline tail.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; traced queries
         carry an ``arbitrate`` span with the winning layout label and
@@ -126,7 +124,6 @@ class MultiLayoutService(Service):
         queue_depth: int = 64,
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
-        record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> None:
         layouts = list(layouts)
@@ -144,7 +141,6 @@ class MultiLayoutService(Service):
             profile=profile,
             result_cache=result_cache,
             metrics=metrics,
-            record_sink=record_sink,
             tracer=tracer,
         )
         self._arbiter = pipeline.stage("route")

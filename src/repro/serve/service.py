@@ -38,7 +38,7 @@ from ..obs.clock import now
 from ..sql.planner import SqlPlanner
 from ..storage.blocks import BlockStore
 from .cache import BlockCache, CacheStats
-from .metrics import AdaptSnapshot, MetricsSnapshot, ServingMetrics
+from .metrics import MetricsSnapshot, ServingMetrics
 from .scheduler import AdmissionRejected, Scheduler
 
 __all__ = [
@@ -62,7 +62,6 @@ def run_serial_baseline(
     planner: Optional[SqlPlanner] = None,
     num_advanced_cuts: int = 0,
     profile: CostProfile = SPARK_PARQUET,
-    record_sink: Optional[object] = None,
 ) -> Tuple[float, Tuple[QueryStats, ...]]:
     """The pre-serving execution path, for speedup comparisons.
 
@@ -72,16 +71,12 @@ def run_serial_baseline(
     routes and scans from scratch, one at a time — exactly
     what executing the workload cost before :class:`LayoutService`
     existed.  Returns ``(sustained QPS, per-query stats)``.
-    ``record_sink`` (e.g. a :class:`repro.adapt.log.QueryLog`) observes
-    every execution, same as on the serving paths.
     """
     engine = ScanEngine(store, profile, num_advanced_cuts=num_advanced_cuts)
     if planner is None:
         planner = SqlPlanner(store.schema)
     router = QueryRouter(tree, store) if tree is not None else None
-    pipeline = serial_pipeline(
-        planner, engine, router, store, record_sink=record_sink
-    )
+    pipeline = serial_pipeline(planner, engine, router, store)
     for sql in statements:
         planner.plan(sql)
     t0 = now()
@@ -186,11 +181,10 @@ class Service:
     :class:`Scheduler`, a :class:`ServingMetrics` window and a flat,
     ordered list of labelled *resources* (everything that keeps
     counters or threads: metrics, schedulers, buffer pools, the stages
-    holding memos, caches and fan-out windows, the adaptation
-    ledger).  The client surface, the replay drivers, observability
-    and lifecycle are implemented here exactly once, as loops over
-    those resources;
-    :class:`LayoutService`,
+    holding memos, caches and fan-out windows, the adaptation loop).
+    The client surface, the replay drivers, observability and
+    lifecycle are implemented here exactly once, as loops over those
+    resources; :class:`LayoutService`,
     :class:`~repro.serve.shard.ShardedLayoutService`,
     :class:`~repro.serve.multi.MultiLayoutService` and
     :class:`~repro.adapt.service.AdaptiveService` are *constructors*
@@ -329,11 +323,6 @@ class Service:
         parts = [cache.stats() for cache in self.block_caches]
         return CacheStats.merged(parts) if parts else None
 
-    def adapt_snapshot(self) -> Optional[AdaptSnapshot]:
-        """Adaptation-loop view riding along in every snapshot
-        (``None`` for a topology that adapts nothing)."""
-        return None
-
     def snapshot(self) -> MetricsSnapshot:
         """Current-window metrics with cache accounting attached."""
         return self._window_snapshot(None)
@@ -345,7 +334,7 @@ class Service:
         cache = self._cache_stats()
         if cache is not None and cache_before is not None:
             cache = cache.since(cache_before)
-        return self.metrics.snapshot(cache, adapt=self.adapt_snapshot())
+        return self.metrics.snapshot(cache)
 
     def publish_metrics(self, registry: object, **labels: object) -> None:
         """Publish every resource this service owns into a
@@ -414,10 +403,6 @@ class LayoutService(Service):
         scanning; entries are keyed under ``generation`` so a database
         that swaps or re-ingests layouts can never serve a stale
         result through a cache shared across generations.
-    record_sink:
-        Optional query-log sink (``observe(ctx)``, e.g. a
-        :class:`repro.adapt.log.QueryLog`) appended as the pipeline's
-        tail stage.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when given, every
         served query records one per-stage trace.  ``None`` (default)
@@ -436,7 +421,6 @@ class LayoutService(Service):
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
         generation: int = 0,
-        record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> None:
         self.store = store
@@ -453,7 +437,6 @@ class LayoutService(Service):
             planner if planner is not None else SqlPlanner(store.schema),
             result_cache=result_cache,
             metrics=metrics,
-            record_sink=record_sink,
             tracer=tracer,
         )
         caches = [self.cache] if self.cache is not None else []

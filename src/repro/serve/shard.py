@@ -114,9 +114,6 @@ class ShardedLayoutService(Service):
         Optional generation-keyed :class:`~repro.exec.ResultCache`,
         consulted at the coordinator: a hit skips the whole scatter —
         no shard sees the query at all.
-    record_sink:
-        Query-log sink appended at the coordinator pipeline's tail
-        (shards never double-record).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` attached at the
         coordinator pipeline: each query's trace carries the
@@ -138,7 +135,6 @@ class ShardedLayoutService(Service):
         planner: Optional[SqlPlanner] = None,
         result_cache: Optional[ResultCache] = None,
         generation: int = 0,
-        record_sink: Optional[object] = None,
         tracer: Optional[object] = None,
     ) -> None:
         if num_shards < 1:
@@ -186,7 +182,6 @@ class ShardedLayoutService(Service):
             result_cache=result_cache,
             generation=generation,
             metrics=metrics,
-            record_sink=record_sink,
             tracer=tracer,
         )
         pooled = [s for s in self.shards if s.cache is not None]

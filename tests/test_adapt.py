@@ -5,10 +5,12 @@ Acceptance proofs:
 
 * **Closed loop** — under a drifting replay the adaptive service
   performs ≥1 inline rebuild + generation swap with bit-identical
-  query results throughout, and blocks scanned on the post-drift mix
-  drop to ≤70% of the frozen layout (avoided work, not wall-clock).
+  query results throughout, blocks scanned on the post-drift mix
+  drop to ≤70% of the frozen layout, and the final replay closes
+  ≥50% of the frozen → oracle blocks-per-query gap (avoided work,
+  not wall-clock).
 * **Crash safety** — a rebuild that raises after its candidate was
-  built drops the candidate and books a rejection.
+  built drops the candidate and books a crash.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from repro.adapt import (
     template_key,
 )
 from repro.db import Database
-from repro.serve import run_serial_baseline
+from repro.exec import single_layout_pipeline
 from repro.storage import Schema, Table, categorical, numeric
 
 X_SQL = [
@@ -142,8 +144,30 @@ class TestSignature:
 
 
 # ----------------------------------------------------------------------
-# The query log and its RecordStage feeds
+# The query log and its RecordStage feed
 # ----------------------------------------------------------------------
+
+
+def record(db, log, statements):
+    """Serve ``statements`` through a single-layout pipeline over the
+    active layout whose ``RecordStage`` feeds ``log``."""
+    handle = db.active_layout
+    pipeline = single_layout_pipeline(
+        planner=db.planner,
+        engine=handle.engine(),
+        router=handle.router(),
+        store=handle.store,
+        result_cache=db.result_cache,
+        generation=handle.generation,
+        record_sink=log,
+    )
+    for sql in statements:
+        pipeline.execute(sql)
+
+
+#: A loop that never rebuilds on its own: its evidence floor is out of
+#: reach of every replay below.
+QUIET_POLICY = AdaptPolicy(window=64, min_records=64, check_every=64)
 
 
 class TestQueryLog:
@@ -153,89 +177,40 @@ class TestQueryLog:
         log = QueryLog(capacity=4)
         for i in range(10):
             log.append(
-                QueryRecord(
-                    sql=f"q{i}",
-                    template="t",
-                    filter_columns=("x",),
-                    generation=1,
-                    blocks_considered=1,
-                    blocks_scanned=1,
-                    tuples_scanned=1,
-                    bytes_read=1,
-                    rows_returned=1,
-                )
+                QueryRecord(sql=f"q{i}", template="t", filter_columns=("x",))
             )
         assert len(log) == 4
-        assert log.total_recorded == 10
         assert [r.sql for r in log.window()] == ["q6", "q7", "q8", "q9"]
 
     def test_generation_attributed_without_result_cache(self, schema):
         """Regression: the answering generation must be stamped on
-        results and log records even when result caching is off —
-        attribution is what makes hot swaps auditable."""
+        results even when result caching is off — attribution is what
+        makes hot swaps auditable."""
         db = make_db(schema, rows=2000)
         db.build_layout("greedy", workload=X_SQL)
-        log = QueryLog()
-        with db.serve(result_cache=False, record_sink=log) as service:
+        with db.auto_adapt(policy=QUIET_POLICY, result_cache=False) as service:
             result = service.execute_sql(X_SQL[0])
+            assert service.generation == 1
         assert result.generation == db.generation == 1
-        assert log.window()[0].generation == 1
-
-    def test_serial_baseline_populates_log(self, schema):
-        db = make_db(schema, rows=3000)
-        handle = db.build_layout("greedy", workload=X_SQL)
-        log = QueryLog()
-        run_serial_baseline(
-            handle.store,
-            handle.tree,
-            X_SQL,
-            planner=db.planner,
-            num_advanced_cuts=handle.num_advanced_cuts,
-            record_sink=log,
-        )
-        assert len(log) == len(X_SQL)
-        record = log.window()[0]
-        assert record.template == "x < & x >="
-        assert record.blocks_scanned > 0 and not record.cached
+        assert service.log.window()[0].sql == X_SQL[0]
 
     def test_single_layout_service_populates_log(self, schema):
         db = make_db(schema, rows=3000)
         db.build_layout("greedy", workload=X_SQL)
-        log = QueryLog()
-        with db.serve(record_sink=log) as service:
-            service.run_closed_loop(X_SQL, repeat=2)
-        assert len(log) == 2 * len(X_SQL)
-        # The repeat pass hit the result cache; records say so and
-        # still carry the original realized costs.
-        cached = [r for r in log.window() if r.cached]
-        assert cached and all(r.blocks_scanned > 0 for r in cached)
-        assert all(r.generation == db.generation for r in log.window())
-
-    def test_sharded_coordinator_populates_log(self, schema):
-        db = make_db(schema, rows=3000)
-        db.build_layout("greedy", workload=X_SQL)
-        log = QueryLog()
-        with db.serve(shards=2, record_sink=log) as service:
-            service.run_closed_loop(X_SQL, repeat=1)
-        assert len(log) == len(X_SQL)  # coordinator records once
-
-    def test_multi_layout_service_populates_log(self, schema):
-        db = make_db(schema, rows=3000)
-        db.build_layout("range", column="x", label="by-x")
-        db.build_layout("range", column="y", label="by-y", activate=False)
-        log = QueryLog()
-        with db.serve_multi(record_sink=log) as service:
-            for sql in X_SQL + Y_SQL:
-                service.execute_sql(sql)
-        assert len(log) == len(X_SQL) + len(Y_SQL)
-        assert {r.winner for r in log.window()} == {"by-x", "by-y"}
+        with db.auto_adapt(policy=QUIET_POLICY) as service:
+            service.run_closed_loop(X_SQL)
+            again = service.run_closed_loop(X_SQL)
+        # The second pass hit the result cache, and is logged too.
+        assert all(r.cached for r in again.results)
+        assert len(service.log) == 2 * len(X_SQL)
+        assert service.log.capacity == QUIET_POLICY.window
+        assert {r.template for r in service.log.window()} == {"x < & x >="}
 
     def test_signature_and_statements_views(self, schema):
         db = make_db(schema, rows=3000)
         db.build_layout("greedy", workload=X_SQL)
-        log = QueryLog()
-        with db.serve(record_sink=log) as service:
-            service.run_closed_loop(X_SQL + X_SQL[:1], repeat=1)
+        log = QueryLog(64)
+        record(db, log, X_SQL + X_SQL[:1])
         sig = log.signature()
         assert set(sig.templates) == {"x < & x >="}
         top_sql, top_count = log.statements()[0]
@@ -257,16 +232,14 @@ class TestDriftDetector:
             threshold=0.5,
             min_records=8,
         )
-        log = QueryLog()
-        with db.serve(record_sink=log) as service:
-            for sql in X_SQL:
-                service.execute_sql(sql)
-            assert not detector.drifted(log)  # same mix, and < min_records? (6 < 8)
-            service.run_closed_loop(X_SQL, repeat=2)
-            assert not detector.drifted(log)  # same mix, enough evidence
-            assert detector.last_score < 0.1
-            # Now the mix shifts entirely onto y templates.
-            service.run_closed_loop(Y_SQL, repeat=6)
+        log = QueryLog(32)
+        record(db, log, X_SQL)
+        assert not detector.drifted(log)  # same mix, and < min_records? (6 < 8)
+        record(db, log, X_SQL * 2)
+        assert not detector.drifted(log)  # same mix, enough evidence
+        assert detector.last_score < 0.1
+        # Now the mix shifts entirely onto y templates.
+        record(db, log, Y_SQL * 6)
         assert detector.drifted(log)
         assert detector.last_score > 0.5
 
@@ -276,9 +249,8 @@ class TestDriftDetector:
         detector = DriftDetector(
             handle.workload_signature, window=32, threshold=0.4, min_records=8
         )
-        log = QueryLog()
-        with db.serve(record_sink=log) as service:
-            service.run_closed_loop(Y_SQL, repeat=6)
+        log = QueryLog(32)
+        record(db, log, Y_SQL * 6)
         assert detector.drifted(log)
         detector.rebase(log.signature(32))
         assert not detector.drifted(log)
@@ -291,7 +263,6 @@ class TestDriftDetector:
 
 
 ADAPT_POLICY = AdaptPolicy(
-    log_capacity=1024,
     window=60,
     threshold=0.4,
     min_records=24,
@@ -304,10 +275,12 @@ ADAPT_POLICY = AdaptPolicy(
 @pytest.mark.adapt
 class TestClosedLoop:
     def test_drift_triggers_rebuild_swap_and_saves_blocks(self, schema):
-        """The tentpole proof: shift the filter-column distribution
-        mid-replay; the detector fires, an inline rebuild + swap
-        happens, results stay bit-identical, and post-swap blocks
-        scanned on the new mix is ≤70% of the frozen layout's."""
+        """Shift the filter-column distribution mid-replay; the
+        detector fires, an inline rebuild + swap happens, results stay
+        bit-identical, and post-swap blocks scanned on the new mix is
+        ≤70% of the frozen layout's.  The keep rule for the loop: the
+        final replay closes ≥50% of the gap between the frozen layout
+        and an oracle layout built on the new mix."""
         db = make_db(schema, rows=20_000, seed=3)
         frozen = db.build_layout("greedy", workload=X_SQL)
 
@@ -355,6 +328,21 @@ class TestClosedLoop:
         assert adapted_cost <= 0.70 * frozen_cost, (
             f"adapted layout scans {adapted_cost} blocks on the "
             f"post-drift mix vs frozen {frozen_cost}"
+        )
+        # The keep rule, in blocks per query: the final replay against
+        # the frozen layout and an oracle trained on the new mix.
+        oracle = db.build_layout("greedy", workload=Y_SQL, activate=False)
+        frozen_bpq = frozen_cost / len(Y_SQL)
+        oracle_bpq = offline_blocks_cost(oracle, y_queries) / len(Y_SQL)
+        final_bpq = sum(r.stats.blocks_scanned for r in final.results) / len(
+            final.results
+        )
+        assert oracle_bpq < frozen_bpq
+        closed = (frozen_bpq - final_bpq) / (frozen_bpq - oracle_bpq)
+        assert closed >= 0.5, (
+            f"final replay scans {final_bpq:.1f} blocks/query: frozen "
+            f"{frozen_bpq:.1f}, oracle {oracle_bpq:.1f}, "
+            f"{100 * closed:.0f}% of the gap closed"
         )
         # The swap really went through the generation lifecycle: the
         # result cache holds only the new generation.
@@ -436,7 +424,6 @@ class TestClosedLoop:
         frozen = db.build_layout("greedy", workload=X_SQL)
         # Impossible bar: no candidate wins by 99%.
         policy = AdaptPolicy(
-            log_capacity=1024,
             window=48,
             threshold=0.4,
             min_records=24,
@@ -456,7 +443,8 @@ class TestClosedLoop:
     def test_crashed_decision_drops_its_candidate(self, schema, monkeypatch):
         """A rebuild that raises after ``build_layout`` returned must
         not leave the candidate generation (a full table copy)
-        registered; the ledger books it as a rejected rebuild."""
+        registered; the ledger books it as a crash, not as a
+        candidate that lost the offline evaluation."""
         from repro.adapt import reoptimize
 
         db = make_db(schema, rows=4_000, seed=13)
@@ -480,7 +468,7 @@ class TestClosedLoop:
         assert len(calls) == 2
         assert db.layouts() == (frozen,)
         assert db.active_layout is frozen
-        assert stats.rejected == 1 and stats.swaps == 0
+        assert stats.crashed == 1 and stats.rejected == 0 and stats.swaps == 0
         assert stats.last_error == "RuntimeError: injected"
 
     def test_result_cache_false_disables_caching(self, schema):
@@ -513,9 +501,7 @@ class TestClosedLoop:
         assert "drift score" in report
         assert "adaptation" in report
         assert "swaps" in report
-        snap = service.snapshot()
-        assert snap.adapt is not None
-        assert snap.adapt.swaps == sum(
+        assert service.reoptimizer.stats().swaps == sum(
             1 for e in service.events if e.kind == "swap"
         )
 
@@ -543,7 +529,6 @@ def test_drift_stress_concurrent_submissions(schema):
         for sql in X_SQL + Y_SQL
     }
     policy = AdaptPolicy(
-        log_capacity=2048,
         window=80,
         threshold=0.4,
         min_records=32,

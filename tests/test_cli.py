@@ -67,7 +67,7 @@ class TestBuild:
         assert (layout_dir / "catalog.json").exists()
         assert (layout_dir / "qdtree.json").exists()
         meta = json.loads((layout_dir / "layout-meta.json").read_text())
-        assert meta["method"] == "greedy"
+        assert meta["strategy"] == "greedy"
         assert meta["num_blocks"] >= 2
 
     def test_build_woodblock(self, table_dir, queries_file, tmp_path, capsys):
@@ -492,5 +492,8 @@ class TestObservabilityFlags:
         assert doc["command"] == "adapt-report"
         assert doc["extra"]["generation"] >= 1
         assert "drift_score" in doc["extra"]
-        assert doc["metrics"]["adapt"] is not None
+        assert "adapt" not in doc["metrics"]
+        ledger = doc["extra"]["adapt"]
+        assert ledger["generation"] == doc["extra"]["generation"]
+        assert {"swaps", "rebuilds", "rejected", "events"} <= set(ledger)
         assert "adaptation" in captured.err

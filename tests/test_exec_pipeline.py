@@ -18,6 +18,7 @@ Three layers of guarantees:
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,22 @@ def test_adapt_imports_no_stage_class():
             for alias in node.names
         }
         assert not imported & stages, (path.name, imported & stages)
+
+
+def test_only_the_adapt_loop_records_queries():
+    """The record sink is the adaptation loop's: ``record_sink`` and a
+    ``RecordStage(...)`` call appear only in the single-layout factory
+    (``exec/pipeline.py``) and under ``adapt/``, and the serving tier
+    neither declares nor imports the adaptation ledger."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel.parts[0] == "adapt" or rel == Path("exec", "pipeline.py"):
+            continue
+        source = path.read_text()
+        assert "record_sink" not in source, rel
+        assert not re.search(r"(?<!class )RecordStage\(", source), rel
+    for path in sorted((SRC / "serve").glob("*.py")):
+        assert "AdaptSnapshot" not in path.read_text(), path.name
 
 
 def test_every_service_module_runs_the_shared_pipeline():

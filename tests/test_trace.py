@@ -186,7 +186,6 @@ class TestAdaptTracing:
     @pytest.mark.adapt
     def test_traces_survive_generation_hot_swap(self, schema):
         policy = AdaptPolicy(
-            log_capacity=1024,
             window=60,
             threshold=0.4,
             min_records=24,
