@@ -29,7 +29,7 @@ def choose_zero_gain(episode, node, options):
     return best if gains[best] >= 0 else None
 
 
-def test_a1_zero_gain_splitting(benchmark, tpch, tpch_registry):
+def test_a1_zero_gain_splitting(tpch, tpch_registry):
     """Zero-gain splits add blocks; skipping should not degrade."""
 
     def run():
@@ -49,9 +49,7 @@ def test_a1_zero_gain_splitting(benchmark, tpch, tpch_registry):
         )
         return strict, eager, s_ratio, e_ratio
 
-    strict, eager, s_ratio, e_ratio = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    strict, eager, s_ratio, e_ratio = run()
     print()
     print(
         format_table(
@@ -66,7 +64,7 @@ def test_a1_zero_gain_splitting(benchmark, tpch, tpch_registry):
     assert e_ratio <= s_ratio * 1.05
 
 
-def test_a2_sample_ratio(benchmark, tpch):
+def test_a2_sample_ratio(tpch):
     """Small construction samples barely hurt layout quality."""
 
     def run():
@@ -83,7 +81,7 @@ def test_a2_sample_ratio(benchmark, tpch):
             rows.append((ratio, layout.num_blocks, pct))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print()
     print(
         format_table(
@@ -102,7 +100,7 @@ def test_a2_sample_ratio(benchmark, tpch):
     assert sampled_pct < max(2.5 * full_pct, full_pct + 10)
 
 
-def test_a3_min_block_size_sweep(benchmark, tpch, tpch_registry):
+def test_a3_min_block_size_sweep(tpch, tpch_registry):
     """Smaller b -> finer blocks -> better skipping, more blocks."""
 
     def run():
@@ -119,7 +117,7 @@ def test_a3_min_block_size_sweep(benchmark, tpch, tpch_registry):
             out.append((b, len(tree.leaves()), ratio))
         return out
 
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    sweep = run()
     print()
     print(
         format_table(
@@ -134,7 +132,7 @@ def test_a3_min_block_size_sweep(benchmark, tpch, tpch_registry):
     assert ratios[0] <= ratios[-1] + 0.02  # and at least as much skipping
 
 
-def test_a4_advanced_cuts_on_off(benchmark, tpch):
+def test_a4_advanced_cuts_on_off(tpch):
     """Without AC0-AC2 the q4/q12/q21 family loses its skipping."""
 
     def run():
@@ -156,7 +154,7 @@ def test_a4_advanced_cuts_on_off(benchmark, tpch):
             )
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     print()
     print(
         format_table(
@@ -168,7 +166,7 @@ def test_a4_advanced_cuts_on_off(benchmark, tpch):
     assert results["with ACs"] <= results["without ACs"] + 1e-9
 
 
-def test_a5_routing_vs_no_route(benchmark, tpch, tpch_registry, tpch_rl):
+def test_a5_routing_vs_no_route(tpch, tpch_registry, tpch_rl):
     """BID routing beats pure min-max pruning (paper: 6-16% on Parquet,
     much larger on the DBMS without block dictionaries)."""
     nac = tpch_registry.num_advanced_cuts
@@ -183,7 +181,7 @@ def test_a5_routing_vs_no_route(benchmark, tpch, tpch_registry, tpch_rl):
         )
         return routed, no_route
 
-    routed, no_route = benchmark.pedantic(run, rounds=1, iterations=1)
+    routed, no_route = run()
     print()
     print(
         format_table(

@@ -10,7 +10,7 @@ from repro.bench import format_table, run_physical
 from repro.db import Database
 
 
-def test_hash_and_kdtree_vs_qdtree(benchmark, tpch, tpch_registry, tpch_greedy):
+def test_hash_and_kdtree_vs_qdtree(tpch, tpch_registry, tpch_greedy):
     nac = tpch_registry.num_advanced_cuts
 
     def access_pct(layout):
@@ -37,7 +37,7 @@ def test_hash_and_kdtree_vs_qdtree(benchmark, tpch, tpch_registry, tpch_greedy):
             "qd-tree (greedy)": access_pct(tpch_greedy),
         }
 
-    pcts = benchmark.pedantic(run, rounds=1, iterations=1)
+    pcts = run()
     print()
     print(
         format_table(

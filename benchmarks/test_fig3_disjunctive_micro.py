@@ -12,7 +12,7 @@ from repro.rl import Woodblock, WoodblockConfig
 from repro.workloads import disjunctive_dataset
 
 
-def test_fig3_greedy_vs_woodblock(benchmark):
+def test_fig3_greedy_vs_woodblock():
     dataset = disjunctive_dataset(num_rows=50_000, seed=0)
     registry = dataset.registry()
 
@@ -47,7 +47,7 @@ def test_fig3_greedy_vs_woodblock(benchmark):
         )
         return g_ratio, rl_ratio
 
-    g_ratio, rl_ratio = benchmark.pedantic(run, rounds=1, iterations=1)
+    g_ratio, rl_ratio = run()
     print()
     print(
         format_table(

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.workloads import overlap_dataset
 
 
-def test_fig4_overlap_replication(benchmark):
+def test_fig4_overlap_replication():
     dataset = overlap_dataset(cluster_size=1000, seed=0)
     registry = dataset.registry()
     ideal = int(dataset.workload.selected_counts(dataset.table).sum())
@@ -46,9 +46,7 @@ def test_fig4_overlap_replication(benchmark):
                 overlap_total += layout.store.block(bid).num_rows
         return plain_total, overlap_total, layout
 
-    plain_total, overlap_total, layout = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    plain_total, overlap_total, layout = run()
     extra_plain = plain_total - ideal
     extra_overlap = overlap_total - ideal
     print()

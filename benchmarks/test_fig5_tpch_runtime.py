@@ -60,7 +60,7 @@ def _report(dataset, bu, qd, profile, nac, title, paper_note):
 
 
 def test_fig5a_distributed_spark(
-    benchmark, tpch, tpch_registry, tpch_bottom_up, tpch_rl
+    tpch, tpch_registry, tpch_bottom_up, tpch_rl
 ):
     nac = tpch_registry.num_advanced_cuts
 
@@ -71,13 +71,13 @@ def test_fig5a_distributed_spark(
             "paper: 1.6x overall, 2.6x selective",
         )
 
-    overall, selective = benchmark.pedantic(run, rounds=1, iterations=1)
+    overall, selective = run()
     assert overall > 1.2  # qd-tree wins overall
     assert selective > overall  # larger gap on selective templates
 
 
 def test_fig5b_commercial_dbms(
-    benchmark, tpch, tpch_registry, tpch_bottom_up, tpch_rl
+    tpch, tpch_registry, tpch_bottom_up, tpch_rl
 ):
     nac = tpch_registry.num_advanced_cuts
 
@@ -88,6 +88,6 @@ def test_fig5b_commercial_dbms(
             "paper: 1.3x overall, 1.7x selective",
         )
 
-    overall, selective = benchmark.pedantic(run, rounds=1, iterations=1)
+    overall, selective = run()
     assert overall > 1.1
     assert selective > 1.1

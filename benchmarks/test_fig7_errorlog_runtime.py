@@ -34,7 +34,7 @@ def _experiment(dataset, layouts, title, paper_note):
     return bu, qd, no_route
 
 
-def test_fig7a_errorlog_int(benchmark, errlog_int, errlog_int_layouts):
+def test_fig7a_errorlog_int(errlog_int, errlog_int_layouts):
     def run():
         return _experiment(
             errlog_int, errlog_int_layouts,
@@ -42,12 +42,12 @@ def test_fig7a_errorlog_int(benchmark, errlog_int, errlog_int_layouts):
             "paper: 8890 / 627 / 753 (14x)",
         )
 
-    bu, qd, no_route = benchmark.pedantic(run, rounds=1, iterations=1)
+    bu, qd, no_route = run()
     assert qd.speedup_over(bu) > 3.0  # paper: 14x
     assert qd.total_modeled_ms <= no_route.total_modeled_ms
 
 
-def test_fig7b_errorlog_ext(benchmark, errlog_ext, errlog_ext_layouts):
+def test_fig7b_errorlog_ext(errlog_ext, errlog_ext_layouts):
     def run():
         return _experiment(
             errlog_ext, errlog_ext_layouts,
@@ -55,13 +55,13 @@ def test_fig7b_errorlog_ext(benchmark, errlog_ext, errlog_ext_layouts):
             "paper: 19325 / 3859 / 4126 (5x)",
         )
 
-    bu, qd, no_route = benchmark.pedantic(run, rounds=1, iterations=1)
+    bu, qd, no_route = run()
     assert qd.speedup_over(bu) > 2.0  # paper: 5x
     assert qd.total_modeled_ms <= no_route.total_modeled_ms
 
 
 def test_fig7c_speedup_cdf(
-    benchmark, errlog_int, errlog_int_layouts, errlog_ext, errlog_ext_layouts
+    errlog_int, errlog_int_layouts, errlog_ext, errlog_ext_layouts
 ):
     def run():
         out = {}
@@ -75,7 +75,7 @@ def test_fig7c_speedup_cdf(
             out[name] = speedup_cdf(bu, qd)
         return out
 
-    cdfs = benchmark.pedantic(run, rounds=1, iterations=1)
+    cdfs = run()
     print()
     for name, (xs, ys) in cdfs.items():
         finite = xs[np.isfinite(xs)]

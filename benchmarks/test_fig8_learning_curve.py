@@ -11,7 +11,7 @@ quality keeps improving with more budget.
 from repro.bench import format_series, line_chart
 
 
-def test_fig8_tpch_learning_curve(benchmark, tpch, tpch_rl):
+def test_fig8_tpch_learning_curve(tpch, tpch_rl):
     result = tpch_rl.diagnostics
     assert result is not None
 
@@ -20,7 +20,7 @@ def test_fig8_tpch_learning_curve(benchmark, tpch, tpch_rl):
             (p.elapsed_seconds, p.best_scan_ratio) for p in result.curve
         ]
 
-    points = benchmark.pedantic(series, rounds=1, iterations=1)
+    points = series()
     print()
     print(
         line_chart(
@@ -51,7 +51,7 @@ def test_fig8_tpch_learning_curve(benchmark, tpch, tpch_rl):
 
 
 def test_fig8_errorlog_ext_learning_curve(
-    benchmark, errlog_ext, errlog_ext_layouts
+    errlog_ext, errlog_ext_layouts
 ):
     *_, rl_layout = errlog_ext_layouts
     result = rl_layout.diagnostics
@@ -62,7 +62,7 @@ def test_fig8_errorlog_ext_learning_curve(
             (p.elapsed_seconds, p.best_scan_ratio) for p in result.curve
         ]
 
-    points = benchmark.pedantic(series, rounds=1, iterations=1)
+    points = series()
     print()
     print(
         format_series(

@@ -9,14 +9,14 @@ partitioner expresses.
 from repro.bench import format_table
 
 
-def test_fig9_cut_distribution(benchmark, tpch_rl):
+def test_fig9_cut_distribution(tpch_rl):
     tree = tpch_rl.tree
     assert tree is not None
 
     def analyze():
         return tree.cut_histogram(), tree.cuts_by_depth()
 
-    hist, by_depth = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    hist, by_depth = analyze()
     rows = [
         [name, count]
         for name, count in sorted(hist.items(), key=lambda kv: -kv[1])

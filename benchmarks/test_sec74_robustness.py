@@ -10,7 +10,7 @@ from repro.bench import format_table, run_physical
 from repro.engine import SPARK_PARQUET
 
 
-def test_sec74_train_vs_test_queries(benchmark, tpch, tpch_registry, tpch_rl):
+def test_sec74_train_vs_test_queries(tpch, tpch_registry, tpch_rl):
     assert tpch.test_workload is not None
     nac = tpch_registry.num_advanced_cuts
 
@@ -23,7 +23,7 @@ def test_sec74_train_vs_test_queries(benchmark, tpch, tpch_registry, tpch_rl):
         )
         return train, test
 
-    train, test = benchmark.pedantic(run, rounds=1, iterations=1)
+    train, test = run()
     train_mean = train.total_modeled_ms / len(tpch.workload)
     test_mean = test.total_modeled_ms / len(tpch.test_workload)
     print()

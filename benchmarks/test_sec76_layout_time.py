@@ -12,7 +12,6 @@ from repro.bench import format_table
 
 
 def test_sec76_layout_construction_time(
-    benchmark,
     tpch,
     tpch_random,
     tpch_bottom_up,
@@ -25,7 +24,7 @@ def test_sec76_layout_construction_time(
             for layout in (tpch_random, tpch_bottom_up, tpch_greedy, tpch_rl)
         }
 
-    times = benchmark.pedantic(collect, rounds=1, iterations=1)
+    times = collect()
     training = tpch_rl.diagnostics
     assert training is not None
     first_tree_s = training.curve[0].elapsed_seconds if training.curve else 0.0

@@ -32,7 +32,7 @@ def _row(label, layouts, dataset, num_advanced):
 
 
 def test_table2_tpch(
-    benchmark, tpch, tpch_registry, tpch_random, tpch_bottom_up, tpch_greedy,
+    tpch, tpch_registry, tpch_random, tpch_bottom_up, tpch_greedy,
     tpch_rl,
 ):
     nac = tpch_registry.num_advanced_cuts
@@ -44,7 +44,7 @@ def test_table2_tpch(
             for l in layouts
         ]
 
-    pcts = benchmark.pedantic(run, rounds=1, iterations=1)
+    pcts = run()
     random_pct, bu_pct, greedy_pct, rl_pct = pcts
     print()
     print(
@@ -62,14 +62,14 @@ def test_table2_tpch(
     assert min(greedy_pct, rl_pct) < 4 * sel  # within small factor of bound
 
 
-def test_table2_errorlog_int(benchmark, errlog_int, errlog_int_layouts):
+def test_table2_errorlog_int(errlog_int, errlog_int_layouts):
     rng_l, bu_l, greedy_l, rl_l = errlog_int_layouts
     layouts = [rng_l, bu_l, greedy_l, rl_l]
 
     def run():
         return [logical_access_pct(l, errlog_int.workload) for l in layouts]
 
-    pcts = benchmark.pedantic(run, rounds=1, iterations=1)
+    pcts = run()
     range_pct, bu_pct, greedy_pct, rl_pct = pcts
     print()
     print(
@@ -88,14 +88,14 @@ def test_table2_errorlog_int(benchmark, errlog_int, errlog_int_layouts):
     assert rl_pct < 10.0
 
 
-def test_table2_errorlog_ext(benchmark, errlog_ext, errlog_ext_layouts):
+def test_table2_errorlog_ext(errlog_ext, errlog_ext_layouts):
     rng_l, bu_l, greedy_l, rl_l = errlog_ext_layouts
     layouts = [rng_l, bu_l, greedy_l, rl_l]
 
     def run():
         return [logical_access_pct(l, errlog_ext.workload) for l in layouts]
 
-    pcts = benchmark.pedantic(run, rounds=1, iterations=1)
+    pcts = run()
     range_pct, bu_pct, greedy_pct, rl_pct = pcts
     print()
     print(

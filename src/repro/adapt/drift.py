@@ -10,7 +10,7 @@ distance in ``[0, 1]``; crossing ``threshold`` with at least
 ``min_records`` of evidence arms the re-optimizer.
 
 After a successful swap the detector is :meth:`rebase`-d onto the
-window that triggered it — the new layout was built *for* that mix,
+window the new layout was built from — it was built *for* that mix,
 so it becomes the new "no drift" reference.
 """
 
@@ -33,8 +33,6 @@ class DriftDetector:
     baseline:
         The build-time workload signature (empty signature = never
         fires; there is nothing to drift *from*).
-    window:
-        Number of most-recent log records the live signature covers.
     threshold:
         Divergence in ``[0, 1]`` at which :meth:`drifted` turns true.
     min_records:
@@ -46,17 +44,15 @@ class DriftDetector:
     def __init__(
         self,
         baseline: Optional[WorkloadSignature] = None,
-        window: int = 256,
         threshold: float = 0.3,
         min_records: int = 32,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        if window < 1 or min_records < 1:
-            raise ValueError("window and min_records must be >= 1")
+        if min_records < 1:
+            raise ValueError("min_records must be >= 1")
         self._lock = threading.Lock()
         self._baseline = baseline or WorkloadSignature()
-        self.window = window
         self.threshold = threshold
         self.min_records = min_records
         self._last_score = 0.0
@@ -73,9 +69,9 @@ class DriftDetector:
             return self._last_score
 
     def score(self, log: QueryLog) -> float:
-        """Divergence between the baseline and the live window
-        (``0.0`` until the window holds ``min_records`` records)."""
-        live = log.signature(self.window)
+        """Divergence between the baseline and the log's window (the
+        whole ring; ``0.0`` until it holds ``min_records`` records)."""
+        live = log.signature()
         value = (
             0.0
             if live.weight < self.min_records
@@ -100,5 +96,5 @@ class DriftDetector:
     def __repr__(self) -> str:
         return (
             f"DriftDetector(threshold={self.threshold}, "
-            f"window={self.window}, last_score={self.last_score:.3f})"
+            f"last_score={self.last_score:.3f})"
         )

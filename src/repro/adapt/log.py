@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .signature import WorkloadSignature, template_key
 
@@ -90,16 +90,16 @@ class QueryLog:
         with self._lock:
             return len(self._records)
 
-    def window(self, n: Optional[int] = None) -> Tuple[QueryRecord, ...]:
-        """The ``n`` most recent records (default: the whole ring)."""
+    def window(self) -> Tuple[QueryRecord, ...]:
+        """A snapshot of the ring, oldest first: the window."""
         with self._lock:
-            records = tuple(self._records)
-        if n is not None and n < len(records):
-            records = records[-n:]
-        return records
+            return tuple(self._records)
 
-    def signature(self, n: Optional[int] = None) -> WorkloadSignature:
-        """The live mix over the most recent window, as a signature.
+    def signature(
+        self, records: Optional[Sequence[QueryRecord]] = None
+    ) -> WorkloadSignature:
+        """The live mix over ``records`` (default: a fresh
+        :meth:`window`), as a signature.
 
         Goes through the same :meth:`WorkloadSignature.from_counts`
         constructor as the build-time side (no re-planning needed —
@@ -107,16 +107,20 @@ class QueryLog:
         derive), so the two histograms are comparable by construction.
         """
         counts: Dict[Tuple[str, Tuple[str, ...]], int] = Counter(
-            (r.template, r.filter_columns) for r in self.window(n)
+            (r.template, r.filter_columns)
+            for r in (self.window() if records is None else records)
         )
         return WorkloadSignature.from_counts(counts.items())
 
     def statements(
-        self, n: Optional[int] = None
+        self, records: Optional[Sequence[QueryRecord]] = None
     ) -> List[Tuple[str, int]]:
-        """Distinct SQL in the window with frequencies, most frequent
-        first — the re-optimizer's training workload."""
-        counts = Counter(r.sql for r in self.window(n))
+        """Distinct SQL in ``records`` (default: a fresh
+        :meth:`window`) with frequencies, most frequent first — the
+        re-optimizer's training workload."""
+        counts = Counter(
+            r.sql for r in (self.window() if records is None else records)
+        )
         return counts.most_common()
 
     def __repr__(self) -> str:

@@ -18,7 +18,9 @@ pays for the rebuild; the other workers keep serving):
    ``min_improvement`` is installed, through the existing generation
    lifecycle (``db.swap_layout`` → result-cache purge), after which
    the superseded generation is dropped and the detector is rebased
-   onto the mix that triggered the rebuild.
+   onto the window snapshot the candidate was built from; the worker
+   then checks again, since the records other workers served during
+   the rebuild may already have drifted from that snapshot.
 
 Everything the loop needs from the database is duck-typed
 (``build_layout`` / ``swap_layout`` / ``drop_layout`` /
@@ -232,21 +234,31 @@ class Reoptimizer:
         if not self._rebuild_mutex.acquire(blocking=False):
             return False  # another worker is checking or rebuilding
         try:
-            with self._lock:
-                self._ledger.checks += 1
-            with control_span(self.tracer, "drift_check") as attrs:
-                drifted = self.detector.drifted(self.log)
-                attrs.update(drifted=drifted, score=self.detector.last_score)
-            if not drifted:
-                return False
-            with self._lock:
-                if self._closed:
-                    return False
-                self._ledger.rebuilds += 1
-            self._rebuild()
-            return True
+            rebuilt = False
+            # A swap rebases on the window the candidate trained on, so
+            # records other workers served during the rebuild are fresh
+            # evidence: if they have drifted from it already, the new
+            # layout is stale on arrival and the loop goes round again.
+            while self._drift_check():
+                with self._lock:
+                    if self._closed:
+                        return rebuilt
+                    self._ledger.rebuilds += 1
+                rebuilt = True
+                event = self._rebuild()
+                if event is None or event.kind != "swap":
+                    break
+            return rebuilt
         finally:
             self._rebuild_mutex.release()
+
+    def _drift_check(self) -> bool:
+        with self._lock:
+            self._ledger.checks += 1
+        with control_span(self.tracer, "drift_check") as attrs:
+            drifted = self.detector.drifted(self.log)
+            attrs.update(drifted=drifted, score=self.detector.last_score)
+        return drifted
 
     def adapt_now(self) -> Optional[AdaptEvent]:
         """Synchronous rebuild + decision regardless of the detector —
@@ -278,7 +290,11 @@ class Reoptimizer:
         try:
             with control_span(self.tracer, "rebuild") as attrs:
                 drift_score = self.detector.last_score
-                weighted_sql = self.log.statements(policy.window)
+                # One snapshot of the ring both trains the candidate
+                # and, on a swap, becomes the detector's baseline:
+                # records served during the build belong to neither.
+                window = self.log.window()
+                weighted_sql = self.log.statements(window)
                 if not weighted_sql:
                     attrs["kind"] = "empty_window"
                     return None
@@ -323,7 +339,7 @@ class Reoptimizer:
                             self.db.drop_layout(incumbent)
                         except ValueError:
                             pass  # already dropped, or externally managed
-                    self.detector.rebase(self.log.signature(policy.window))
+                    self.detector.rebase(self.log.signature(window))
                     if self.on_swap is not None:
                         self.on_swap(candidate)
                     self.serving = candidate

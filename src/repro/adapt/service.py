@@ -97,7 +97,6 @@ class AdaptiveService(Service):
         baseline = active.workload_signature or WorkloadSignature()
         self.detector = DriftDetector(
             baseline,
-            window=self.policy.window,
             threshold=self.policy.threshold,
             min_records=self.policy.min_records,
         )

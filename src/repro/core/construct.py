@@ -84,6 +84,7 @@ class ConstructionEnv:
         self.min_leaf_size = min_leaf_size
         self.allow_small_children = allow_small_children
         self.cut_masks = registry.evaluate_all(sample.columns(), sample.num_rows)
+        self._root_left = np.count_nonzero(self.cut_masks, axis=0)
         self._affected = _affected_queries(registry, workload)
         root = NodeDescription.root(
             schema, num_advanced_cuts=registry.num_advanced_cuts
@@ -100,9 +101,11 @@ class ConstructionEnv:
             schema, [(i, side, None) for i, side in enumerate(sides)]
         )
 
-    def legal_cuts(self, rows: np.ndarray) -> CutOptions:
-        """Child sizes of every cut over ``rows`` and which are legal."""
-        left = np.count_nonzero(self.cut_masks[rows], axis=0)
+    def legal_cuts(self, rows: np.ndarray, left: Optional[np.ndarray] = None) -> CutOptions:
+        """Child sizes of every cut over ``rows`` (``left``: each cut's
+        count going left, when the walk kept it) and which are legal."""
+        if left is None:
+            left = np.count_nonzero(self.cut_masks[rows], axis=0)
         right = len(rows) - left
         b = self.min_leaf_size
         if self.allow_small_children:
@@ -120,7 +123,7 @@ class ConstructionEnv:
             node = queue.pop(0)
             if max_depth is not None and node.depth >= max_depth:
                 continue
-            options = self.legal_cuts(episode.rows[node.node_id])
+            options = self.legal_cuts(episode.rows[node.node_id], episode.left_counts[node.node_id])
             if not options.legal.any():
                 continue
             action = choose(episode, node, options)
@@ -139,6 +142,8 @@ class Episode:
         self.tree = QdTree(env.schema, env.registry)
         #: open leaf id -> sample row indices routed to it
         self.rows: Dict[int, np.ndarray] = {0: np.arange(env.sample.num_rows)}
+        #: open leaf id -> per cut, how many of its rows go left
+        self.left_counts: Dict[int, np.ndarray] = {0: env._root_left}
         #: node id -> sample row count
         self.sizes: Dict[int, int] = {0: env.sample.num_rows}
         #: node id -> bool per query: may the query touch the node?
@@ -177,18 +182,26 @@ class Episode:
 
     def split(self, node: QdNode, action: int) -> Tuple[QdNode, QdNode]:
         """Apply ``T ⊕ (cut, node)``: grow the tree, partition the
-        node's sample rows, derive the children's hit vectors."""
+        node's sample rows, derive the children's hit vectors and
+        per-cut left counts — counted over the smaller child's rows
+        only, the larger child's being the node's minus those."""
+        cut_masks = self.env.cut_masks
         left, right = self.tree.apply_cut(node, self.env.registry.cut(action))
         if (node.node_id, action) not in self._scored:
             self.child_hits(node, np.array([action]))
         hits = self._scored[node.node_id, action]
         rows = self.rows.pop(node.node_id)
-        goes_left = self.env.cut_masks[rows, action]
-        for child, child_rows, child_hits in (
-            (left, rows[goes_left], hits[0]),
-            (right, rows[~goes_left], hits[1]),
+        goes_left = cut_masks[rows, action]
+        parts = [rows[goes_left], rows[~goes_left]]
+        small = int(len(parts[1]) < len(parts[0]))  # left on a tie
+        counted = np.count_nonzero(cut_masks[parts[small]], axis=0)
+        rest = self.left_counts.pop(node.node_id) - counted
+        counts = (rest, counted) if small else (counted, rest)
+        for child, child_rows, child_counts, child_hits in zip(
+            (left, right), parts, counts, hits
         ):
             self.rows[child.node_id] = child_rows
+            self.left_counts[child.node_id] = child_counts
             self.sizes[child.node_id] = len(child_rows)
             self.hits[child.node_id] = child_hits.copy()
         return left, right

@@ -39,6 +39,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..storage.minmax import MinMaxIndex
 from ..storage.schema import Schema
 from .hypercube import Hypercube, Interval
 from .predicates import (
@@ -224,27 +225,26 @@ class NodeDescription:
             mask &= ok
         return mask
 
-    def tighten(self, columns: Mapping[str, np.ndarray]) -> "NodeDescription":
+    def tighten(self, stats: MinMaxIndex) -> "NodeDescription":
         """Min-max tightening once data is routed (paper Sec. 3.2).
 
         Replaces each numeric interval with the actual [min, max] of the
         node's records and each categorical mask with the actual
-        distinct-value set.  Rows must be exactly this node's records.
+        distinct-value set, read from ``stats`` — the node's records'
+        index, built with dictionaries.  Untracked columns (all of them
+        for a node without records) keep their description.
         """
         out = self.copy()
-        n = len(next(iter(columns.values()))) if columns else 0
-        if n == 0:
-            return out
         for col in self.schema.numeric_columns:
-            arr = columns[col.name]
-            out.hypercube = out.hypercube.with_interval(
-                col.name, Interval(float(arr.min()), float(arr.max()), True, True)
-            )
+            s = stats.column_stats(col.name)
+            if s is not None:
+                out.hypercube = out.hypercube.with_interval(
+                    col.name, Interval(s.minimum, s.maximum, True, True)
+                )
         for col in self.schema.categorical_columns:
-            arr = columns[col.name].astype(np.int64)
-            bits = np.zeros(col.domain_size, dtype=bool)
-            bits[np.unique(arr)] = True
-            out.categorical_masks[col.name] = bits
+            s = stats.column_stats(col.name)
+            if s is not None:
+                out.categorical_masks[col.name] = s.distinct[: col.domain_size].copy()
         return out
 
     def __repr__(self) -> str:

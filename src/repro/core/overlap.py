@@ -21,12 +21,12 @@ the paper illustrates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..storage.blocks import Block, BlockStore
-from ..storage.table import Table
+from ..storage.blocks import Block, BlockStore, build_blocks
+from ..storage.table import Table, group_rows
 from .hypercube import Hypercube, Interval
 from .router import PruningTable, block_descriptions
 from .tree import QdTree
@@ -109,21 +109,6 @@ class OverlapLayout:
                     selected.discard(small_bid)
         return sorted(selected)
 
-    def deduplicate(self, bids: Sequence[int], row_bids: np.ndarray) -> np.ndarray:
-        """Row indices covered by ``bids`` without duplicates.
-
-        Scanning block ``i`` ignores rows already owned by a selected
-        block with a smaller BID (paper Sec. 6.2.1).
-        """
-        seen: Set[int] = set()
-        out: List[int] = []
-        for bid in sorted(bids):
-            for row in np.flatnonzero(row_bids == bid):
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-        return np.asarray(out, dtype=np.int64)
-
 
 def build_overlap_layout(
     tree: QdTree,
@@ -187,22 +172,20 @@ def build_overlap_layout(
                 assignments[int(row)].append(int(host.block_id))
             replicated += len(rows)
 
-    # Materialize physical blocks (a row may appear in several).
+    # Materialize physical blocks (a row may appear in several): one
+    # leaf-ordered pass over every (row, block) copy, rows ascending.
+    copies = [(row, bid) for row, blist in assignments.items() for bid in blist]
+    rows, homes = np.array(copies, dtype=np.int64).reshape(-1, 2).T
     descriptions = tree.leaf_descriptions()
-    blocks = []
-    for leaf in leaves:
-        assert leaf.block_id is not None
-        member_rows = [
-            row for row, blist in assignments.items() if leaf.block_id in blist
-        ]
-        rows_arr = np.asarray(sorted(member_rows), dtype=np.int64)
-        blocks.append(
-            Block(
-                leaf.block_id,
-                table.take(rows_arr),
-                description=descriptions.get(leaf.block_id),
-            )
-        )
+    blocks = build_blocks(
+        table.schema, lambda name: table.column(name)[rows], group_rows(homes), descriptions
+    )
+    filled = {block.block_id for block in blocks}
+    blocks += [
+        Block(leaf.block_id, table.take(rows[:0]), description=descriptions.get(leaf.block_id))
+        for leaf in leaves
+        if leaf.block_id not in filled
+    ]
     store = BlockStore(table.schema, blocks, logical_rows=table.num_rows)
     return OverlapLayout(
         tree=tree,

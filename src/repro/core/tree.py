@@ -29,18 +29,30 @@ attached to the tree that is saved, shared across generations or served.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..storage.blocks import leaf_pass
 from ..storage.catalog import write_json_atomic
+from ..storage.minmax import MinMaxIndex
 from ..storage.schema import Schema
 from ..storage.table import Table, group_rows
 from .cuts import CutRegistry
 from .node import NodeDescription, QdNode
-from .predicates import Predicate
+from .predicates import AdvancedCut, ColumnPredicate, Predicate
 
 __all__ = ["QdTree"]
+
+
+def _cut_key(cut: Optional[Predicate]) -> str:
+    """A cut's column, ``AC<index>`` for an advanced cut, else its type."""
+    if isinstance(cut, ColumnPredicate):
+        return cut.column
+    if isinstance(cut, AdvancedCut):
+        return f"AC{cut.index}"
+    return type(cut).__name__
 
 
 class QdTree:
@@ -212,12 +224,19 @@ class QdTree:
         query routing prunes at least as much as before.
         """
         bids = self.route_to_blocks(table)
-        leaves = {leaf.block_id: leaf for leaf in self.leaves()}
-        for bid, rows in group_rows(bids):
-            leaf = leaves[bid]
-            leaf.description = leaf.description.tighten(table.take(rows).columns())
-        self._frozen = True
+        groups = group_rows(bids)
+        _, stats = leaf_pass(table.schema, table.column, groups.order, groups.starts, encode=False)
+        self.tighten(dict(zip(groups.ids.tolist(), stats)))
         return bids
+
+    def tighten(self, stats: Mapping[int, MinMaxIndex]) -> None:
+        """Tighten each leaf to its block's stats (BID -> index with
+        dictionaries; a leaf without rows keeps its description) and
+        freeze the tree."""
+        for leaf in self.leaves():
+            if leaf.block_id in stats:
+                leaf.description = leaf.description.tighten(stats[leaf.block_id])
+        self._frozen = True
 
     # ------------------------------------------------------------------
     # Introspection / serialization
@@ -233,36 +252,14 @@ class QdTree:
 
     def cut_histogram(self) -> Dict[str, int]:
         """Cut column/advanced-cut name -> number of times cut."""
-        from .predicates import AdvancedCut, ColumnPredicate
-
-        counts: Dict[str, int] = {}
-        for node in self.internal_nodes():
-            cut = node.cut
-            assert cut is not None
-            if isinstance(cut, ColumnPredicate):
-                key = cut.column
-            elif isinstance(cut, AdvancedCut):
-                key = f"AC{cut.index}"
-            else:
-                key = type(cut).__name__
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return dict(Counter(_cut_key(node.cut) for node in self.internal_nodes()))
 
     def cuts_by_depth(self) -> Dict[int, Dict[str, int]]:
         """depth -> {cut name -> count}; data behind paper Fig. 9."""
-        from .predicates import AdvancedCut, ColumnPredicate
-
         out: Dict[int, Dict[str, int]] = {}
         for node in self.internal_nodes():
-            cut = node.cut
-            assert cut is not None
-            if isinstance(cut, ColumnPredicate):
-                key = cut.column
-            elif isinstance(cut, AdvancedCut):
-                key = f"AC{cut.index}"
-            else:
-                key = type(cut).__name__
             level = out.setdefault(node.depth, {})
+            key = _cut_key(node.cut)
             level[key] = level.get(key, 0) + 1
         return out
 

@@ -58,7 +58,7 @@ from ..serve import (
     ShardedLayoutService,
 )
 from ..sql.planner import SqlPlanner
-from ..storage.blocks import Block, BlockStore
+from ..storage.blocks import BlockStore, build_blocks
 from ..adapt.reoptimize import AdaptPolicy
 from ..adapt.service import AdaptiveService
 from ..adapt.signature import WorkloadSignature
@@ -401,10 +401,13 @@ class Database:
         built = impl.build(ctx)
         build_seconds = now() - t0
         if built.tree is not None:
-            bids = built.tree.freeze(self.table)
+            # One leaf-ordered pass builds the blocks, and the leaves
+            # are tightened to those blocks' own stats.
+            bids = built.tree.route_to_blocks(self.table)
             store = BlockStore.from_assignment(
                 self.table, bids, descriptions=built.tree.leaf_descriptions()
             )
+            built.tree.tighten({block.block_id: block.minmax for block in store})
         else:
             assert built.assignment is not None
             store = BlockStore.from_assignment(self.table, built.assignment)
@@ -509,34 +512,46 @@ class Database:
         bids = IngestionPipeline(active.tree).route(batch)
         store = active.store
         base = store.logical_rows
-        descriptions = active.tree.leaf_descriptions()
-        merged: Dict[int, Block] = {}
-        for bid, positions in group_rows(bids):
-            rows = batch.take(positions)
-            new_ids = base + positions
-            if bid in store:
-                old = store.block(bid)
-                table = old.to_table().concat(rows)
-                ids: Optional[np.ndarray]
-                if old.row_ids is not None:
-                    ids = np.concatenate([old.row_ids, new_ids])
-                else:
-                    ids = None
-                description = old.description
-            else:
-                table = rows
-                ids = new_ids
-                description = descriptions.get(bid)
-            if ids is not None:
-                ids.setflags(write=False)
-            merged[bid] = Block(
-                bid, table, description=description, row_ids=ids
+        # Touched blocks are rebuilt from their old rows followed by
+        # the batch rows routed to them: listing the old rows first
+        # keeps that order through the builder's stable sort.
+        touched = [
+            store.block(bid)
+            for bid in np.flatnonzero(np.bincount(bids)).tolist()
+            if bid in store
+        ]
+        groups = group_rows(
+            np.concatenate(
+                [np.full(old.num_rows, old.block_id) for old in touched] + [bids]
             )
-        blocks = [
-            merged.get(block.block_id, block) for block in store
-        ] + [merged[bid] for bid in sorted(merged) if bid not in store]
+        )
+        ids = np.concatenate(
+            [
+                old.row_ids if old.row_ids is not None else np.full(old.num_rows, -1)
+                for old in touched
+            ]
+            + [base + np.arange(batch.num_rows)]
+        )[groups.order]
+        ids.setflags(write=False)
+        merged = build_blocks(
+            self.schema,
+            lambda name: np.concatenate(
+                [old.read_column(name) for old in touched] + [batch.column(name)]
+            ),
+            groups,
+            {
+                **active.tree.leaf_descriptions(),
+                **{old.block_id: old.description for old in touched},
+            },
+            row_ids=ids,
+        )
+        for block in merged:
+            if block.block_id in store and store.block(block.block_id).row_ids is None:
+                block.row_ids = None
+        blocks = {block.block_id: block for block in store}
+        blocks.update((block.block_id, block) for block in merged)
         new_store = BlockStore(
-            self.schema, blocks, logical_rows=base + batch.num_rows
+            self.schema, blocks.values(), logical_rows=base + batch.num_rows
         )
         if self.table is not None:
             self.table = self.table.concat(batch)

@@ -14,16 +14,16 @@ persisted to disk as ``.npz`` via :mod:`repro.storage.catalog`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .columnar import EncodedChunk, decode_chunk, encode_column
-from .minmax import MinMaxIndex
+from .columnar import EncodedChunk, decode_chunk, encode_segments
+from .minmax import ColumnStats, MinMaxIndex, segment_stats
 from .schema import Schema, SchemaError
-from .table import Table, group_rows
+from .table import RowGroups, Table, group_rows
 
-__all__ = ["Block", "BlockStore"]
+__all__ = ["Block", "BlockStore", "build_blocks", "leaf_pass"]
 
 
 class Block:
@@ -74,10 +74,9 @@ class Block:
                 row_ids = row_ids.copy()
                 row_ids.setflags(write=False)
         self.row_ids = row_ids
-        self._chunks: Dict[str, EncodedChunk] = {
-            name: encode_column(arr) for name, arr in table.columns().items()
-        }
-        self.minmax = MinMaxIndex.build(table, with_dictionaries=with_dictionaries)
+        [self._chunks], [self.minmax] = leaf_pass(
+            table.schema, table.column, None, _ONE, with_dictionaries
+        )
 
     # ------------------------------------------------------------------
 
@@ -127,6 +126,64 @@ class Block:
 
     def __repr__(self) -> str:
         return f"Block(id={self.block_id}, rows={self.num_rows})"
+
+
+#: The one segment of a single block.
+_ONE = np.zeros(1, dtype=np.int64)
+
+
+def leaf_pass(
+    schema: Schema,
+    column: Callable[[str], np.ndarray],
+    order: Optional[np.ndarray],
+    starts: np.ndarray,
+    with_dictionaries: bool = True,
+    encode: bool = True,
+) -> Tuple[List[Dict[str, EncodedChunk]], List[MinMaxIndex]]:
+    """Every segment's chunks (``encode``) and min-max index, one
+    column at a time: ``column(name)[order]`` puts segment ``i``'s rows
+    at ``starts[i]`` onwards (``order=None``: they already are)."""
+    chunks: List[Dict[str, EncodedChunk]] = [{} for _ in starts]
+    stats: List[Dict[str, ColumnStats]] = [{} for _ in starts]
+    for name in schema.column_names:
+        values = column(name) if order is None else column(name)[order]
+        bounds = None
+        if len(values):
+            bounds = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+            per_segment = segment_stats(schema[name], values, starts, with_dictionaries, bounds)
+            for seg, stat in zip(stats, per_segment):
+                seg[name] = stat
+        if encode:
+            for seg, chunk in zip(chunks, encode_segments(values, starts, bounds)):
+                seg[name] = chunk
+    return chunks, [MinMaxIndex(seg) for seg in stats]
+
+
+def build_blocks(
+    schema: Schema,
+    column: Callable[[str], np.ndarray],
+    groups: RowGroups,
+    descriptions: Optional[Mapping[int, str]] = None,
+    with_dictionaries: bool = True,
+    row_ids: Optional[np.ndarray] = None,
+) -> List[Block]:
+    """One block per group, in one leaf-ordered pass: each column
+    (``column(name)``, in row order) is taken into group order once,
+    and every block's chunk and stats are cut from that array before
+    the next column is read.  ``row_ids``, in group order and
+    read-only, are sliced into the blocks' provenance."""
+    chunks, stats = leaf_pass(schema, column, groups.order, groups.starts, with_dictionaries)
+    blocks = []
+    for i, (bid, start, stop) in enumerate(
+        zip(groups.ids.tolist(), groups.starts.tolist(), groups.stops.tolist())
+    ):
+        block = Block.__new__(Block)
+        block.block_id, block.schema, block.num_rows = bid, schema, stop - start
+        block.description = descriptions.get(bid) if descriptions else None
+        block.row_ids = None if row_ids is None else row_ids[start:stop]
+        block._chunks, block.minmax = chunks[i], stats[i]
+        blocks.append(block)
+    return blocks
 
 
 class BlockStore:
@@ -182,17 +239,11 @@ class BlockStore:
             )
         if len(block_ids) and block_ids.min() < 0:
             raise ValueError("negative block id in assignment")
-        blocks = [
-            Block(
-                bid,
-                table.take(rows),
-                description=descriptions.get(bid) if descriptions else None,
-                with_dictionaries=with_dictionaries,
-                # Read-only groups: Block keeps them by reference.
-                row_ids=rows if with_row_ids else None,
-            )
-            for bid, rows in group_rows(block_ids)
-        ]
+        groups = group_rows(block_ids)
+        blocks = build_blocks(
+            table.schema, table.column, groups, descriptions, with_dictionaries,
+            row_ids=groups.order if with_row_ids else None,
+        )
         return cls(table.schema, blocks, logical_rows=table.num_rows)
 
     # ------------------------------------------------------------------

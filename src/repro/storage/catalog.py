@@ -20,9 +20,9 @@ from typing import IO, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-from .blocks import Block, BlockStore
+from .blocks import Block, BlockStore, build_blocks
 from .schema import Column, ColumnKind, Dictionary, Schema
-from .table import Table
+from .table import Table, group_rows
 
 __all__ = [
     "META_FILE",
@@ -198,17 +198,23 @@ def load_store(
     with open(path / _CATALOG_NAME) as f:
         catalog = json.load(f)
     schema = _schema_from_json(catalog["schema"])
-    blocks = []
-    for meta in catalog["blocks"]:
+    metas, parts = catalog["blocks"], []
+    for meta in metas:
         with np.load(path / str(meta["file"])) as data:
-            cols = {name: data[name] for name in schema.column_names}
-        table = Table(schema, cols)
-        blocks.append(
-            Block(
-                int(meta["block_id"]),
-                table,
-                description=meta.get("description"),
-                with_dictionaries=with_dictionaries,
-            )
-        )
+            parts.append(Table(schema, {name: data[name] for name in schema.column_names}))
+    # Every block is rebuilt in one leaf-ordered pass over the files'
+    # rows; a block saved without rows has no group and is built alone.
+    bids = np.repeat([int(meta["block_id"]) for meta in metas], [len(t) for t in parts])
+    blocks = build_blocks(
+        schema,
+        lambda name: np.concatenate([t.column(name) for t in parts] or [np.empty(0)]),
+        group_rows(bids),
+        {int(meta["block_id"]): meta.get("description") for meta in metas},
+        with_dictionaries,
+    )
+    blocks += [
+        Block(int(meta["block_id"]), t, meta.get("description"), with_dictionaries)
+        for meta, t in zip(metas, parts)
+        if not len(t)
+    ]
     return BlockStore(schema, blocks, logical_rows=int(catalog["logical_rows"]))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +33,9 @@ __all__ = [
     "Encoding",
     "EncodedChunk",
     "encode_column",
+    "encode_segments",
     "decode_chunk",
-    "rle_encode",
     "rle_decode",
-    "bitpack_encode",
     "bitpack_decode",
 ]
 
@@ -74,23 +73,8 @@ class EncodedChunk:
 # ----------------------------------------------------------------------
 
 
-def rle_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(run_values, run_lengths)`` for a 1-D array."""
-    values = np.asarray(values)
-    n = len(values)
-    if n == 0:
-        return values[:0], np.empty(0, dtype=np.int64)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(values[1:], values[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    run_values = values[starts]
-    lengths = np.diff(np.append(starts, n)).astype(np.int64)
-    return run_values, lengths
-
-
 def rle_decode(run_values: np.ndarray, run_lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_encode`."""
+    """Expand an RLE payload ``(run values, run lengths)``."""
     return np.repeat(run_values, run_lengths)
 
 
@@ -98,44 +82,14 @@ def rle_decode(run_values: np.ndarray, run_lengths: np.ndarray) -> np.ndarray:
 # Bit-width packing (offset + minimal unsigned width)
 # ----------------------------------------------------------------------
 
-_WIDTH_DTYPES = (
-    (8, np.uint8),
-    (16, np.uint16),
-    (32, np.uint32),
-    (64, np.uint64),
-)
-
-
-def _width_dtype(max_delta: int) -> np.dtype:
-    bits = max(int(max_delta).bit_length(), 1)
-    for width, dtype in _WIDTH_DTYPES:
-        if bits <= width:
-            return np.dtype(dtype)
-    return np.dtype(np.uint64)
-
-
-def bitpack_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(offset[1], packed)`` for an integer array.
-
-    Values are stored as ``value - min`` in the smallest unsigned dtype
-    wide enough for the range.  (Byte-granular rather than true
-    bit-granular packing: the compression behaviour is the same shape
-    with far simpler code.)
-    """
-    values = np.asarray(values)
-    if not np.issubdtype(values.dtype, np.integer):
-        raise TypeError(f"bitpack requires integers, got {values.dtype}")
-    if len(values) == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    lo = int(values.min())
-    hi = int(values.max())
-    dtype = _width_dtype(hi - lo)
-    packed = (values.astype(np.int64) - lo).astype(dtype)
-    return np.array([lo], dtype=np.int64), packed
+#: Bytes per packed value -> the unsigned dtype of that width.
+_WIDTHS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def bitpack_decode(offset: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bitpack_encode`."""
+    """Expand a BITPACK payload: ``value - min`` in the narrowest
+    unsigned dtype that holds the chunk's range, plus ``offset[0]``,
+    the min."""
     return packed.astype(np.int64) + int(offset[0])
 
 
@@ -146,24 +100,59 @@ def bitpack_decode(offset: np.ndarray, packed: np.ndarray) -> np.ndarray:
 
 def encode_column(values: np.ndarray) -> EncodedChunk:
     """Encode a column chunk with the smallest applicable encoding."""
+    return encode_segments(values, np.zeros(1, dtype=np.int64))[0]
+
+
+def encode_segments(
+    values: np.ndarray,
+    starts: np.ndarray,
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> List[EncodedChunk]:
+    """Encode each segment ``values[starts[i]:starts[i + 1]]`` with its
+    smallest encoding, sized from counts alone (PLAIN ``n * itemsize``,
+    RLE ``runs * (itemsize + 8)``, integer BITPACK ``8 + n * width``;
+    the first minimum in that order wins) so only the chosen payload is
+    built.  ``bounds``: the segments' (min, max), when known.  PLAIN
+    payloads are views of ``values`` if every segment is PLAIN (then
+    they retain no more than copies would), else copies."""
     values = np.asarray(values)
-    candidates = [
-        EncodedChunk(Encoding.PLAIN, (values,), len(values), values.dtype)
-    ]
-    run_values, run_lengths = rle_encode(values)
-    candidates.append(
-        EncodedChunk(
-            Encoding.RLE, (run_values, run_lengths), len(values), values.dtype
-        )
-    )
+    n, item = len(values), values.dtype.itemsize
+    if n == 0:
+        return [EncodedChunk(Encoding.PLAIN, (values,), 0, values.dtype)]
+    stops = np.append(starts[1:], n)
+    counts = stops - starts
+    heads = np.empty(n, dtype=bool)
+    heads[0] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    heads[starts] = True
+    runs = np.add.reduceat(heads, starts, dtype=np.int64)
+    sizes = [counts * item, runs * (item + 8)]
     if np.issubdtype(values.dtype, np.integer):
-        offset, packed = bitpack_encode(values)
-        candidates.append(
-            EncodedChunk(
-                Encoding.BITPACK, (offset, packed), len(values), values.dtype
+        if bounds is None:
+            bounds = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+        lo = bounds[0].astype(np.int64)
+        span = bounds[1].astype(np.uint64) - bounds[0].astype(np.uint64)
+        widths = np.select([span < 2**8, span < 2**16, span < 2**32], [1, 2, 4], 8)
+        sizes.append(8 + counts * widths)
+    choice = np.argmin(np.stack(sizes), axis=0)
+    share = not choice.any()
+    chunks, encodings = [], tuple(Encoding)
+    for i, (start, stop, how) in enumerate(
+        zip(starts.tolist(), stops.tolist(), choice.tolist())
+    ):
+        seg = values[start:stop]
+        if how == 0:
+            payload = (seg if share else seg.copy(),)
+        elif how == 1:
+            at = np.flatnonzero(heads[start:stop])
+            payload = (seg[at], np.diff(np.append(at, stop - start)))
+        else:
+            payload = (
+                lo[i : i + 1].copy(),
+                (seg.astype(np.int64) - lo[i]).astype(_WIDTHS[int(widths[i])]),
             )
-        )
-    return min(candidates, key=lambda c: c.nbytes)
+        chunks.append(EncodedChunk(encodings[how], payload, stop - start, values.dtype))
+    return chunks
 
 
 def decode_chunk(chunk: EncodedChunk) -> np.ndarray:

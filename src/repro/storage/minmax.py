@@ -12,13 +12,14 @@ configured without it to reproduce the paper's ``no route`` collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .schema import Column
 from .table import Table
 
-__all__ = ["ColumnStats", "MinMaxIndex"]
+__all__ = ["ColumnStats", "MinMaxIndex", "segment_stats"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,36 @@ class ColumnStats:
     minimum: float
     maximum: float
     distinct: Optional[np.ndarray] = field(default=None)
+
+
+def segment_stats(
+    column: Column,
+    values: np.ndarray,
+    starts: np.ndarray,
+    with_dictionaries: bool = True,
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> List[ColumnStats]:
+    """:class:`ColumnStats` of each non-empty segment
+    ``values[starts[i]:starts[i + 1]]``: ``bounds`` (min, max) or two
+    ``reduceat``; categorical distinct bits by one flat-index scatter
+    into a ``segments x domain`` matrix, row ``i`` cut to
+    ``max(|Dom|, segment max + 1)``."""
+    if bounds is None:
+        bounds = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    lo, hi = bounds
+    distinct: List[Optional[np.ndarray]] = [None] * len(starts)
+    if column.is_categorical and with_dictionaries:
+        widths = np.maximum(column.domain_size, hi.astype(np.int64) + 1)
+        width = int(widths.max())
+        bits = np.zeros((len(starts), width), dtype=bool)
+        flat = np.repeat(np.arange(0, bits.size, width), np.diff(np.append(starts, len(values))))
+        flat += values.astype(np.int64, copy=False)
+        bits.ravel()[flat] = True
+        distinct = [row[:w] for row, w in zip(bits, widths.tolist())]
+    return [
+        ColumnStats(minimum=float(a), maximum=float(b), distinct=d)
+        for a, b, d in zip(lo.tolist(), hi.tolist(), distinct)
+    ]
 
 
 class MinMaxIndex:
@@ -61,24 +92,14 @@ class MinMaxIndex:
         ``with_dictionaries=False`` drops the categorical distinct-value
         bit sets, modelling engines without block-level dictionaries.
         """
+        if table.num_rows == 0:
+            return cls({})
         names = columns if columns is not None else table.schema.column_names
-        stats: Dict[str, ColumnStats] = {}
-        for name in names:
-            arr = table.column(name)
-            if len(arr) == 0:
-                continue
-            col = table.schema[name]
-            distinct = None
-            if col.is_categorical and with_dictionaries:
-                dom = max(col.domain_size, int(arr.max()) + 1)
-                distinct = np.zeros(dom, dtype=bool)
-                distinct[np.unique(arr).astype(np.int64)] = True
-            stats[name] = ColumnStats(
-                minimum=float(arr.min()),
-                maximum=float(arr.max()),
-                distinct=distinct,
-            )
-        return cls(stats)
+        one = np.zeros(1, dtype=np.int64)
+        return cls({
+            name: segment_stats(table.schema[name], table.column(name), one, with_dictionaries)[0]
+            for name in names
+        })
 
     def __contains__(self, column: str) -> bool:
         return column in self._stats

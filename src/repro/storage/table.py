@@ -16,25 +16,36 @@ import numpy as np
 
 from .schema import ColumnKind, Schema, SchemaError
 
-__all__ = ["Table", "group_rows"]
+__all__ = ["RowGroups", "Table", "group_rows"]
 
 
-def group_rows(ids: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(id, rows)`` for every distinct value of ``ids``, ascending.
+class RowGroups:
+    """Positions grouped by id with one stable argsort, not one pass
+    per id: group ``i`` holds id ``ids[i]`` (ascending) at positions
+    ``order[starts[i]:stops[i]]``, ascending as ``np.flatnonzero(ids ==
+    id)`` gives them.  Iterating yields ``(id, rows)``, ``rows`` a slice
+    of the read-only ``order``."""
 
-    ``rows`` are the positions holding ``id`` in ascending order — what
-    ``np.flatnonzero(ids == id)`` gives — cut from one stable argsort,
-    so grouping ``n`` rows into ``k`` groups costs one sort, not ``k``
-    passes.  The groups are read-only slices of one shared array.
-    """
-    ids = np.asarray(ids)
-    order = np.argsort(ids, kind="stable")
-    order.setflags(write=False)
-    ordered = ids[order]
-    bounds = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    starts = [0] + bounds if len(ids) else []
-    for start, stop in zip(starts, bounds + [len(ids)]):
-        yield int(ordered[start]), order[start:stop]
+    def __init__(self, ids: np.ndarray) -> None:
+        ids = np.asarray(ids)
+        self.order = np.argsort(ids, kind="stable")
+        self.order.setflags(write=False)
+        ordered = ids[self.order]
+        bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        self.starts = np.concatenate([[0], bounds]) if len(ids) else bounds
+        self.stops = np.append(bounds, len(ids)) if len(ids) else bounds
+        self.ids = ordered[self.starts]
+
+    def __iter__(self) -> Iterator[Tuple[int, np.ndarray]]:
+        for bid, start, stop in zip(
+            self.ids.tolist(), self.starts.tolist(), self.stops.tolist()
+        ):
+            yield bid, self.order[start:stop]
+
+
+def group_rows(ids: np.ndarray) -> RowGroups:
+    """Group the positions of ``ids`` by value (see :class:`RowGroups`)."""
+    return RowGroups(ids)
 
 
 class Table:

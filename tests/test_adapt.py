@@ -228,7 +228,6 @@ class TestDriftDetector:
         handle = db.build_layout("greedy", workload=X_SQL)
         detector = DriftDetector(
             handle.workload_signature,
-            window=32,
             threshold=0.5,
             min_records=8,
         )
@@ -247,12 +246,12 @@ class TestDriftDetector:
         db = make_db(schema, rows=3000)
         handle = db.build_layout("greedy", workload=X_SQL)
         detector = DriftDetector(
-            handle.workload_signature, window=32, threshold=0.4, min_records=8
+            handle.workload_signature, threshold=0.4, min_records=8
         )
         log = QueryLog(32)
         record(db, log, Y_SQL * 6)
         assert detector.drifted(log)
-        detector.rebase(log.signature(32))
+        detector.rebase(log.signature())
         assert not detector.drifted(log)
         assert detector.last_score < 0.1
 
@@ -470,6 +469,66 @@ class TestClosedLoop:
         assert db.active_layout is frozen
         assert stats.crashed == 1 and stats.rejected == 0 and stats.swaps == 0
         assert stats.last_error == "RuntimeError: injected"
+
+    def test_rebase_on_the_window_the_candidate_was_built_from(
+        self, schema, monkeypatch
+    ):
+        """Records served while the candidate builds (other workers
+        keep serving during an inline rebuild) are not the mix it was
+        built for: the swap rebases the detector on the snapshot the
+        build trained on."""
+        from repro.adapt import QueryRecord
+
+        db = make_db(schema, rows=4_000, seed=13)
+        db.build_layout("greedy", workload=X_SQL)
+        policy = AdaptPolicy(min_records=1_000, window=64)
+        with db.auto_adapt(policy=policy, result_cache=False) as service:
+            service.run_closed_loop(Y_SQL, repeat=4)
+            trained_on = service.log.signature()
+            build = db.build_layout
+
+            def build_while_serving(*args, **kwargs):
+                for sql in X_SQL * 3:
+                    service.log.append(
+                        QueryRecord(sql=sql, template="served", filter_columns=("x",))
+                    )
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(db, "build_layout", build_while_serving)
+            event = service.reoptimizer.adapt_now()
+            assert event is not None and event.kind == "swap"
+            assert service.log.signature() != trained_on
+            assert service.detector.baseline == trained_on
+
+    def test_records_served_during_a_rebuild_can_trigger_the_next(
+        self, schema, monkeypatch
+    ):
+        """After a swap the worker checks drift again: records that
+        arrived while the candidate built, and have drifted from what
+        it trained on, start the next rebuild in the same poke."""
+        from repro.adapt import QueryRecord
+
+        db = make_db(schema, rows=4_000, seed=13)
+        db.build_layout("greedy", workload=X_SQL)
+        policy = AdaptPolicy(window=32, threshold=0.4, min_records=8, check_every=4)
+        with db.auto_adapt(policy=policy, max_workers=1, result_cache=False) as service:
+            build, builds = db.build_layout, []
+
+            def build_while_serving(*args, **kwargs):
+                builds.append(kwargs["workload"])
+                if len(builds) == 1:
+                    for sql in X_SQL * 3:
+                        service.log.append(
+                            QueryRecord(sql=sql, template="served", filter_columns=("x",))
+                        )
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(db, "build_layout", build_while_serving)
+            service.run_closed_loop(Y_SQL, repeat=2)
+            stats = service.reoptimizer.stats()
+        assert stats.events[0].kind == "swap"
+        assert stats.rebuilds == len(builds) == 2
+        assert set(builds[0]) == set(Y_SQL)
 
     def test_result_cache_false_disables_caching(self, schema):
         db = make_db(schema, rows=4_000, seed=11)

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.predicates import Not
 from repro.core.router import PruningTable
+from repro.storage import MinMaxIndex
 
 
 def may_match(description, predicate):
@@ -179,14 +180,14 @@ class TestMatchesRows:
 class TestTighten:
     def test_tighten_shrinks_to_data(self, root_desc, mixed_table):
         sub = mixed_table.filter(mixed_table.column("age") < 20)
-        tight = root_desc.tighten(sub.columns())
+        tight = root_desc.tighten(MinMaxIndex.build(sub))
         iv = tight.hypercube.interval("age")
         assert iv.lo == sub.column("age").min()
         assert iv.hi == sub.column("age").max()
 
     def test_tighten_categorical_masks(self, root_desc, mixed_table):
         sub = mixed_table.filter(mixed_table.column("city") == 2)
-        tight = root_desc.tighten(sub.columns())
+        tight = root_desc.tighten(MinMaxIndex.build(sub))
         assert tight.categorical_masks["city"].tolist() == [
             False,
             False,
@@ -198,11 +199,11 @@ class TestTighten:
         from repro.storage import Table
 
         empty = Table.empty(mixed_schema)
-        tight = root_desc.tighten(empty.columns())
+        tight = root_desc.tighten(MinMaxIndex.build(empty))
         assert tight.hypercube.interval("age").hi == 100
 
     def test_tighten_never_loses_rows(self, root_desc, mixed_table):
         """Tightened descriptions still match all their own rows."""
         sub = mixed_table.filter(mixed_table.column("salary") > 100_000)
-        tight = root_desc.tighten(sub.columns())
+        tight = root_desc.tighten(MinMaxIndex.build(sub))
         assert tight.matches_rows(sub.columns()).all()

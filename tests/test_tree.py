@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from build_reference import reference_tighten
 
 from repro.core import (
     ConstructionEnv,
@@ -169,10 +170,8 @@ class TestFreeze:
         expected = {}
         for leaf in tree.leaves():
             rows = np.flatnonzero(bids == leaf.block_id)
-            expected[leaf.block_id] = (
-                leaf.description.tighten({n: a[rows] for n, a in columns.items()})
-                if len(rows)
-                else leaf.description
+            expected[leaf.block_id] = reference_tighten(
+                leaf.description, {n: a[rows] for n, a in columns.items()}
             )
         np.testing.assert_array_equal(tree.freeze(table), bids)
         for leaf in tree.leaves():
